@@ -12,13 +12,15 @@ Subcommands::
 Exit codes: 0 success / all checks passed, 1 some audit check failed,
 2 input validation, 3 singular overlap, 4 degenerate post-selection.
 Failures emit a JSON error object {code, message, context} on stderr.
-The KDQ_TOL environment variable supplies a default for --tol.
+The KDQ_TOL environment variable supplies a default for --tol; either must
+be a finite positive number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -61,7 +63,12 @@ def _env_tol() -> float | None:
 
 
 def _tol(args) -> float | None:
-    return args.tol if args.tol is not None else _env_tol()
+    tol, source = (args.tol, "--tol") if args.tol is not None else (_env_tol(), "KDQ_TOL")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(
+            f"{source} must be a finite positive number, got {tol!r}", source=source
+        )
+    return tol
 
 
 def _as_density(state: StateVector | DensityOperator, tol: float | None) -> DensityOperator:

@@ -76,6 +76,14 @@ def _check_schema(doc, what: str) -> None:
         )
 
 
+def _check_dim(doc: dict, what: str) -> int:
+    dim = doc.get("dim")
+    # bool is a subclass of int: "dim": true must not load as dim 1
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValidationError(f"{what}: bad dim {dim!r}")
+    return dim
+
+
 def read_json(path: str | Path, what: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -112,9 +120,7 @@ def state_to_dict(state: StateVector | DensityOperator) -> dict:
 def state_from_dict(doc: dict, tol: float | None = None) -> StateVector | DensityOperator:
     _check_schema(doc, "state file")
     kind = doc.get("kind")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"state file: bad dim {dim!r}")
+    dim = _check_dim(doc, "state file")
     if kind == "pure":
         amps = _complex_vector(doc.get("data"), "state file data")
         if amps.shape != (dim,):
@@ -148,9 +154,7 @@ def basis_to_dict(basis: OrthonormalBasis) -> dict:
 
 def basis_from_dict(doc: dict, tol: float | None = None) -> OrthonormalBasis:
     _check_schema(doc, "basis file")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"basis file: bad dim {dim!r}")
+    dim = _check_dim(doc, "basis file")
     rows = _complex_matrix(doc.get("unitary"), "basis file unitary")
     if rows.shape != (dim, dim):
         raise ValidationError(f"basis file: unitary shape {rows.shape} does not match dim {dim}")
@@ -200,9 +204,7 @@ def kd_to_dict(dist: KDDistribution, tol: float | None = None) -> dict:
 
 def kd_from_dict(doc: dict, tol: float | None = None) -> KDDistribution:
     _check_schema(doc, "joint table file")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"joint table file: bad dim {dim!r}")
+    dim = _check_dim(doc, "joint table file")
     try:
         ordering = Ordering(doc.get("ordering"))
     except ValueError as exc:

@@ -149,8 +149,8 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     check, since every A(q,p) has weight off the q row and column.
     """
     _require_odd(dim)
-    ops = np.empty((dim, dim, dim, dim), dtype=np.complex128)
-    for q in range(dim):
-        for p in range(dim):
-            ops[q, p] = phase_point_operator(dim, q, p)
+    q, p, x = np.ogrid[:dim, :dim, :dim]
+    ops = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
+    # the entries of phase_point_operator(dim, q, p), for every (q, p) at once
+    ops[q, p, (q - x) % dim, (q + x) % dim] = np.exp(4j * np.pi * p * x / dim) / dim
     return QuasiProbRep(computational_basis(dim), momentum_basis(dim), ops, label="wigner")

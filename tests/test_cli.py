@@ -306,6 +306,31 @@ def test_env_var_tolerance(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "tol_args, env_tol",
+    [(["--tol", "nan"], None), (["--tol", "inf"], None), (["--tol", "0"], None), (["--tol", "-1"], None), ([], "nan")],
+    ids=["nan", "inf", "zero", "negative", "env-nan"],
+)
+def test_unusable_tolerance_exit_2(tmp_path, capsys, monkeypatch, tol_args, env_tol):
+    # a nan or inf tolerance would accept this state of squared norm 9, and
+    # nan, 0 or -1 would fail the audit on rounding noise
+    if env_tol is not None:
+        monkeypatch.setenv("KDQ_TOL", env_tol)
+    state = tmp_path / "norm3.json"
+    state.write_text(json.dumps({"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [[3.0, 0.0], [0.0, 0.0]]}))
+    for argv in (
+        ["kd", "--state", str(state), "--basis-a", "computational", "--basis-b", "fourier"],
+        ["audit", "--rep", "kd", "--dim", "3", "--all"],
+    ):
+        code, out, err = run_cli(capsys, *argv, *tol_args)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "validation"
+        assert "finite positive" in doc["message"]
+        assert doc["context"]["source"] == ("KDQ_TOL" if env_tol else "--tol")
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [

@@ -59,6 +59,20 @@ def test_state_dim_mismatch_rejected():
         kio.state_from_dict(doc)
 
 
+def test_boolean_dim_rejected():
+    # bool is an int in Python, so "dim": true would otherwise load as dim 1
+    state = {"schema": "kdq/1", "dim": 1, "kind": "pure", "data": [[1.0, 0.0]]}
+    assert kio.state_from_dict(state).dim == 1
+    docs = {
+        kio.state_from_dict: {**state, "dim": True},
+        kio.basis_from_dict: {"schema": "kdq/1", "dim": True, "label": "x", "unitary": [[[1.0, 0.0]]]},
+        kio.kd_from_dict: {"schema": "kdq/1", "dim": True, "ordering": "AB"},
+    }
+    for load, doc in docs.items():
+        with pytest.raises(ValidationError, match="bad dim True"):
+            load(doc)
+
+
 def test_state_invalid_payload_rejected():
     doc = {"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [[1.0, 0.0], "x"]}
     with pytest.raises(ValidationError):
