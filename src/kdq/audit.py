@@ -16,9 +16,11 @@ norm: over the complex field, <m|X|m> = 0 for every m in a subspace iff
 the compression Q X Q of X to that subspace vanishes.  Random sampling of
 complement states is kept alongside as an independent witness generator.
 
-The checks work on one row Pi(a, .) or column Pi(., b) of the dense family
-at a time, so each step is a (d, d, d) array operation or matrix product
-and no temporary reaches the size of the family itself.
+The checks walk the family one row Pi(a, .) or column Pi(., b) at a time.
+A dense family hands each step a (d, d, d) slice of its operators.  The
+shipped families are sums of rank-1 terms coef |ket><bra| per cell, and
+hand each step the factors instead: the slice kernels then work on
+d-vectors and t x t blocks, and no d^4 array is ever formed.
 """
 
 from __future__ import annotations
@@ -43,20 +45,52 @@ from .kd import Ordering
 
 DEFAULT_AUDIT_TOL = 1e-10
 
+# no single array may exceed this; larger requests are refused before allocation
+MAX_ARRAY_BYTES = 1 << 30
 
-@dataclass(frozen=True, eq=False)
+
+def _require_budget(nbytes: int, what: str) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValidationError(
+            f"{what} needs {nbytes} bytes, over the {MAX_ARRAY_BYTES}-byte limit per array",
+            bytes=nbytes,
+            limit=MAX_ARRAY_BYTES,
+        )
+
+
 class QuasiProbRep:
-    """Candidate representation: operators[a, b] is the cell operator."""
+    """Candidate representation: operators[a, b] is the cell operator.
 
-    basis_a: OrthonormalBasis
-    basis_b: OrthonormalBasis
-    operators: np.ndarray  # shape (d, d, d, d), complex, C-contiguous
-    label: str = ""
+    Dense reps take the (d, d, d, d) ``operators`` array.  Term reps take
+    ``terms`` instead, in the ``_family`` format with each ket and bra a
+    (d, 1 or d, 1 or d) array over (i, a, b); the checks run on those
+    terms, and ``operators`` is expanded from them only when first read.
+    """
 
-    def __post_init__(self):
-        d = self.basis_a.dim
-        _require_same_dim(d, self.basis_b.dim)
-        ops = np.array(self.operators, dtype=np.complex128, order="C")
+    def __init__(
+        self,
+        basis_a: OrthonormalBasis,
+        basis_b: OrthonormalBasis,
+        operators: np.ndarray | None = None,
+        label: str = "",
+        *,
+        terms=None,
+    ):
+        d = basis_a.dim
+        _require_same_dim(d, basis_b.dim)
+        self.basis_a, self.basis_b, self.label = basis_a, basis_b, label
+        self.terms = None if terms is None else tuple(terms)
+        if self.terms is not None:
+            # bounds every entry of the expanded family, so a finite bound means finite cells
+            bound = sum(
+                np.abs(c).max() * np.abs(k).max() * np.abs(b).max() for c, k, b in self.terms
+            )
+            if not np.isfinite(bound):
+                raise ValidationError("terms contain non-finite entries")
+            self._coef = np.stack([np.broadcast_to(c, (d, d)) for c, _, _ in self.terms], axis=-1)
+            self._ops = None
+            return
+        ops = np.array(operators, dtype=np.complex128, order="C")
         if ops.shape != (d, d, d, d):
             raise ValidationError(
                 f"operators must have shape {(d, d, d, d)}, got {ops.shape}"
@@ -64,7 +98,17 @@ class QuasiProbRep:
         if not np.all(np.isfinite(ops)):
             raise ValidationError("operators contain non-finite entries")
         ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        self._ops = ops
+
+    @property
+    def operators(self) -> np.ndarray:
+        """The (d, d, d, d) family: complex, C-contiguous and read-only."""
+        if self._ops is None:
+            _require_budget(16 * self.dim**4, f"dense family at dim {self.dim}")
+            ops = _family(self.terms)
+            ops.setflags(write=False)
+            self._ops = ops
+        return self._ops
 
     @property
     def dim(self) -> int:
@@ -134,27 +178,110 @@ def kd_rep(
     basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, ordering: Ordering = Ordering.AB
 ) -> QuasiProbRep:
     """Representation built from ordered projector products."""
-    ops = _family([_kd_term(basis_a, basis_b, ordering)])
-    return QuasiProbRep(basis_a, basis_b, ops, label=f"kd-{ordering.value.lower()}")
+    terms = [_kd_term(basis_a, basis_b, ordering)]
+    return QuasiProbRep(basis_a, basis_b, label=f"kd-{ordering.value.lower()}", terms=terms)
 
 
 def mixed_rep(
     basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, weight_ab: float
 ) -> QuasiProbRep:
     """Convex (or affine) mixture of the two orderings, cell by cell."""
-    ops = _family(
-        [
-            _kd_term(basis_a, basis_b, Ordering.AB, weight_ab),
-            _kd_term(basis_a, basis_b, Ordering.BA, 1.0 - weight_ab),
-        ]
-    )
-    return QuasiProbRep(basis_a, basis_b, ops, label=f"mixed:{weight_ab:g}")
+    terms = [
+        _kd_term(basis_a, basis_b, Ordering.AB, weight_ab),
+        _kd_term(basis_a, basis_b, Ordering.BA, 1.0 - weight_ab),
+    ]
+    return QuasiProbRep(basis_a, basis_b, label=f"mixed:{weight_ab:g}", terms=terms)
+
+
+class _Terms(NamedTuple):
+    """Row or column slice of a term rep: X_c = sum_t coef[c, t] |kets[t][:, c]><bras[t][:, c]|.
+
+    Each factor is a (d, c) array, or (d, 1) where it is the same for every cell.
+    """
+
+    coef: np.ndarray  # (c, t)
+    kets: list
+    bras: list
+
+
+def _slice(rep: QuasiProbRep, side: int, k: int):
+    """Row Pi(k, .) (side 0) or column Pi(., k) (side 1) of the family.
+
+    A dense rep gives its (c, d, d) operators, a term rep its ``_Terms``.
+    """
+    if rep.terms is None:
+        return rep.operators[k] if side == 0 else rep.operators[:, k]
+    d, t = rep.dim, len(rep.terms)
+    _require_budget(16 * d * d * (t + 2), f"term slice at dim {d}")  # the span check adds two terms
+
+    def cut(f):  # f broadcasts over (i, a, b); an axis of size 1 stays size 1
+        i = min(k, f.shape[side + 1] - 1)
+        return f[:, i] if side == 0 else f[:, :, i]
+
+    coef = rep._coef[k] if side == 0 else rep._coef[:, k]
+    _, kets, bras = zip(*rep.terms)
+    return _Terms(coef, [cut(f) for f in kets], [cut(f) for f in bras])
+
+
+def _stack(factors: list, c: int, coef: np.ndarray | None = None) -> np.ndarray:
+    """out[t, c] = coef[c, t] * factors[t][:, c] (coef 1 if None), as one (t, c, d) array."""
+    out = np.empty((len(factors), c, len(factors[0])), dtype=np.complex128)
+    for j, f in enumerate(factors):
+        out[j] = f.T if coef is None else f.T * coef[:, j, None]
+    return out
+
+
+def _lowrank_norms(coef: np.ndarray, kets: list, bras: list) -> np.ndarray:
+    """||sum_t coef[c, t] |kets[t][:, c]><bras[t][:, c]| ||_F for every cell c.
+
+    With bras_c = Q_c R_c (thin QR) the norm is that of the (d, t) matrix
+    kets_c diag(coef_c) R_c^+, formed explicitly: terms that cancel do so
+    entry by entry, as in a dense matrix, not in a sum of squared norms.
+    The QR goes to the side with fewer distinct factors (the adjoint has
+    the same norm): where every cell shares its bras, one QR serves them all.
+    """
+    def width(fs):
+        return max(f.shape[1] for f in fs)
+
+    if width(bras) > width(kets):
+        coef, kets, bras = coef.conj(), bras, kets
+    c, t = coef.shape
+    # R_c is the upper triangle of the leading rows of h_c^T
+    h = np.linalg.qr(_stack(bras, width(bras)).transpose(1, 2, 0), mode="raw")[0].swapaxes(1, 2)
+    k = min(h.shape[1], t)
+    r = h[:, :k] * np.triu(np.ones((k, t)))
+    return _frobenius(_stack(kets, c, coef).transpose(1, 2, 0) @ r.conj().swapaxes(1, 2))
+
+
+def _expectations(x, m: np.ndarray) -> np.ndarray:
+    """vals[s, c] = <m_s|X_c|m_s> for the states m (n, d) and the cells X_c of a slice."""
+    if isinstance(x, _Terms):
+        mc = m.conj()
+        return sum(cf * (mc @ k) * (m @ l.conj()) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
+    c, d, _ = x.shape
+    xm = (m @ x.reshape(c * d, d).T).reshape(len(m), c, d)  # xm[s, c] = X_c |m_s>
+    return np.vecdot(m[:, None, :], xm)
+
+
+def _slice_sum(x) -> np.ndarray:
+    """sum_c X_c over the cells of a slice."""
+    if isinstance(x, _Terms):
+        c, d = len(x.coef), len(x.kets[0])
+        return _stack(x.kets, c, x.coef).reshape(-1, d).T @ _stack(x.bras, c).reshape(-1, d).conj()
+    return x.sum(axis=0)
+
+
+def _traces(x, rho: np.ndarray) -> np.ndarray:
+    """Tr(X_c rho) for every cell of a slice."""
+    if isinstance(x, _Terms):
+        return sum(cf * np.vecdot(l, rho @ k, axis=0) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
+    return np.einsum("cij,ji->c", x, rho)
 
 
 def evaluate(rep: QuasiProbRep, rho: DensityOperator) -> np.ndarray:
     """Complex table: table[a, b] = Tr(operators[a, b] . rho)."""
     _require_same_dim(rep.dim, rho.dim)
-    return np.einsum("abij,ji->ab", rep.operators, rho.matrix)
+    return np.stack([_traces(_slice(rep, 0, a), rho.matrix) for a in range(rep.dim)])
 
 
 class _Worst:
@@ -191,24 +318,26 @@ def _projectors(mat: np.ndarray) -> np.ndarray:
 
 def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
     """Operator marginals: sum_b Pi(a,b) = P_a and sum_a Pi(a,b) = P_b."""
-    ops = rep.operators
+    d = rep.dim
     worst = _Worst("all operator sums match the basis projectors")
-    rows = _frobenius(ops.sum(axis=1) - _projectors(rep.basis_a.matrix))
-    worst.bump(rows, lambda a: f"row a={a}: ||sum_b Pi(a,b) - P_a||_F = {rows[a]:.3e}")
-    cols = _frobenius(ops.sum(axis=0) - _projectors(rep.basis_b.matrix))
-    worst.bump(cols, lambda b: f"column b={b}: ||sum_a Pi(a,b) - P_b||_F = {cols[b]:.3e}")
+    for side, basis, text in (
+        (0, rep.basis_a, "row a={k}: ||sum_b Pi(a,b) - P_a||_F = {dev:.3e}"),
+        (1, rep.basis_b, "column b={k}: ||sum_a Pi(a,b) - P_b||_F = {dev:.3e}"),
+    ):
+        sums = np.stack([_slice_sum(_slice(rep, side, k)) for k in range(d)])
+        devs = _frobenius(sums - _projectors(basis.matrix))
+        worst.bump(devs, lambda k: text.format(k=k, dev=devs[k]))
     return worst.report("C1", tol)
 
 
 def _eigenstate_tables(rep: QuasiProbRep) -> np.ndarray:
     """tables[s, k, a, b] = <k|Pi(a,b)|k> for |k> = |A_k> (s = 0) or |B_k> (s = 1)."""
     d = rep.dim
-    vecs = np.concatenate([rep.basis_a.matrix, rep.basis_b.matrix], axis=1)  # (d, 2d)
+    _require_budget(32 * d**3, f"eigenstate tables at dim {d}")
+    vecs = np.concatenate([rep.basis_a.matrix, rep.basis_b.matrix], axis=1).T  # (2d, d)
     tables = np.empty((2 * d, d, d), dtype=np.complex128)
     for a in range(d):
-        # ops_v[b, i, k] = (Pi(a,b) |k>)_i, one GEMM for the whole row
-        ops_v = (rep.operators[a].reshape(d * d, d) @ vecs).reshape(d, d, 2 * d)
-        tables[:, a, :] = np.einsum("ik,bik->kb", vecs.conj(), ops_v)
+        tables[:, a, :] = _expectations(_slice(rep, 0, a), vecs)
     return tables.reshape(2, d, d, d)
 
 
@@ -218,37 +347,42 @@ def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
     cross = rep.basis_b.matrix.conj().T @ rep.basis_a.matrix  # cross[b, a] = <b|a>
     born = np.abs(cross.T) ** 2  # born[a, b] = |<a|b>|^2
     tables = _eigenstate_tables(rep)
-    k = np.arange(d)[:, None, None]
     cell = np.arange(d)
-    # |A_k> may only populate row a = k, |B_k> only column b = k
-    allowed = np.stack(
-        [np.broadcast_to(k == cell[:, None], (d, d, d)), np.broadcast_to(k == cell, (d, d, d))]
-    )
-    # devs[s, k, 0] forbidden-cell magnitudes, devs[s, k, 1] allowed-cell deviations:
-    # C order visits each table's forbidden scan before its allowed scan
-    devs = np.stack(
-        [np.where(allowed, 0.0, np.abs(tables)), np.where(allowed, np.abs(tables - born), 0.0)],
-        axis=2,
-    )
-
-    def describe(s, k, kind, a, b):
-        tag = f"eigenstate |{'AB'[s]}_{k}>"
-        if kind == 0:
-            return f"{tag}: forbidden cell (a={a}, b={b}) has |{tables[s, k, a, b]:.3e}|"
-        return f"{tag}: allowed cell (a={a}, b={b}) deviates by {devs[s, k, 1, a, b]:.3e}"
-
     worst = _Worst("all eigenstate tables have the required delta structure")
-    worst.bump(devs, describe)
+    for s in range(2):
+        for k in range(d):
+            # |A_k> may only populate row a = k, |B_k> only column b = k
+            allowed = (cell == k)[:, None] if s == 0 else cell == k
+            table = tables[s, k]
+            # devs[0] forbidden-cell magnitudes, devs[1] allowed-cell deviations:
+            # C order visits the forbidden scan before the allowed scan
+            devs = np.stack(
+                [np.where(allowed, 0.0, np.abs(table)), np.where(allowed, np.abs(table - born), 0.0)]
+            )
+
+            def describe(kind, a, b):
+                tag = f"eigenstate |{'AB'[s]}_{k}>"
+                if kind == 0:
+                    return f"{tag}: forbidden cell (a={a}, b={b}) has |{table[a, b]:.3e}|"
+                return f"{tag}: allowed cell (a={a}, b={b}) deviates by {devs[1, a, b]:.3e}"
+
+            worst.bump(devs, describe)
     return worst.report("C2", tol)
 
 
-def _compression_norms(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """||Q X_c Q||_F for every operator X_c of a slice x (c, d, d), with Q = 1 - |v><v|.
+def _compression_norms(x, v: np.ndarray) -> np.ndarray:
+    """||Q X_c Q||_F for every cell X_c of a slice, with Q = 1 - |v><v|.
 
-    Q X Q is formed explicitly, as Y - (Y|v>)<v| with Y = Q X = X - |v>(<v|X):
-    the squared-norm identity ||X||^2 - ||X v||^2 - ... cancels down to
-    ~1e-8 noise, too coarse for the audit tolerance.
+    Q X Q is formed explicitly: a dense slice as Y - (Y|v>)<v| with
+    Y = X - |v>(<v|X), a term slice by projecting its factors.  The
+    squared-norm identity ||X||^2 - ||X v||^2 - ... cancels down to ~1e-8
+    noise, too coarse for the audit tolerance.
     """
+    if isinstance(x, _Terms):
+        def off_v(fs):
+            return [f - v[:, None] * (v.conj() @ f) for f in fs]
+
+        return _lowrank_norms(x.coef, off_v(x.kets), off_v(x.bras))
     y = x - v[:, None] * (v.conj() @ x)[:, None, :]
     return _frobenius(y - (y @ v)[:, :, None] * v.conj())
 
@@ -276,13 +410,6 @@ def _complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) -
     return out
 
 
-def _sampled_values(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """vals[s, c] = |<m_s|X_c|m_s>| for the states m (n, d) and a slice x (c, d, d)."""
-    c, d, _ = x.shape
-    xm = (m @ x.reshape(c * d, d).T).reshape(len(m), c, d)  # xm[s, c] = X_c |m_s>
-    return np.abs(np.vecdot(m[:, None, :], xm))
-
-
 def check_condition3(
     rep: QuasiProbRep,
     samples: int = 100,
@@ -299,29 +426,74 @@ def check_condition3(
     if samples < 1:
         raise BadSampleCountError(f"samples must be >= 1, got {samples}")
     d = rep.dim
-    ops = rep.operators
-    # per side: its basis, the slice of the family for basis index k, and the
-    # location text of cell c in that slice
+    if d < 2:
+        raise ValidationError("condition 3 needs dim >= 2: in dim 1 the complement of a state is empty")
+    # the largest per-slice block of the sampled expectations
+    width = d if rep.terms is None else len(rep.terms)
+    _require_budget(16 * samples * d * width, f"{samples} sampled states at dim {d}")
+    # per side: its name, its axis in _slice, its basis, and the location text
+    # of cell c in the slice for basis index k
     sides = (
-        ("A", rep.basis_a.matrix, lambda k: ops[k], lambda k, c: f"(a={k}, b={c})"),
-        ("B", rep.basis_b.matrix, lambda k: ops[:, k], lambda k, c: f"(a={c}, b={k})"),
+        ("A", 0, rep.basis_a.matrix, lambda k, c: f"(a={k}, b={c})"),
+        ("B", 1, rep.basis_b.matrix, lambda k, c: f"(a={c}, b={k})"),
     )
     worst = _Worst("all compressions and sampled states vanish")
-    for side, vecs, cut, at in sides:
+    for side, axis, vecs, at in sides:
         q = side.lower()
         for k in range(d):
-            dev = _compression_norms(cut(k), vecs[:, k])
+            dev = _compression_norms(_slice(rep, axis, k), vecs[:, k])
             worst.bump(dev, lambda c: f"compression ||Q_{q} Pi Q_{q}||_F = {dev[c]:.3e} at {at(k, c)}")
     rng = np.random.default_rng(seed)
-    for side, vecs, cut, at in sides:
+    for side, axis, vecs, at in sides:
         for k in range(d):
-            vals = _sampled_values(cut(k), _complement_samples(rng, vecs[:, k], samples))
+            m = _complement_samples(rng, vecs[:, k], samples)
+            vals = np.abs(_expectations(_slice(rep, axis, k), m))
             worst.bump(
                 vals,
                 lambda s, c: f"sampled state #{s} orthogonal to |{side}_{k}> gives "
                 f"|<m|Pi|m>| = {vals[s, c]:.3e} at {at(k, c)}",
             )
     return worst.report("C3", tol, samples_used=samples, seed=seed)
+
+
+def _span_row(
+    x, va: np.ndarray, bm: np.ndarray, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
+) -> np.ndarray:
+    """span_residual for the cells of row a: the distance of X_b from span{U_b, W_b}.
+
+    U_b = |b><a|, W_b = V_b - c_b^2 U_b with V_b = |a><b|, and W_b counts as
+    zero where ||W_b||^2 <= w_sq_cut[b].  Degenerate cells get ||X_b||_F.
+    """
+    if isinstance(x, _Terms):
+        a1 = va[:, None]
+
+        def sandwich(left, right):  # <left_b|X_b|right_b> for every cell b
+            return sum(
+                cf * np.vecdot(left, k, axis=0) * np.vecdot(l, right, axis=0)
+                for cf, k, l in zip(x.coef.T, x.kets, x.bras)
+            )
+
+        ux, vx = sandwich(bm, a1), sandwich(a1, bm)  # <U_b, X_b>, <V_b, X_b>
+        # ||W_b||^2 = 1 - |c_b|^4 = (1 + |c_b|^2) ||Q_a |b>||^2, with Q_a = 1 - |a><a|
+        qb = bm - a1 * (va.conj() @ bm)
+        w_sq = np.vecdot(qb, qb, axis=0).real * (1.0 + np.abs(c) ** 2)
+        g = (vx - (c * c).conj() * ux) / np.where(w_sq > w_sq_cut, w_sq, np.inf)  # <W, X> / ||W||^2
+        # X - <U, X> U - g W, written as X - (<U, X> - g c^2) U - g V
+        coef = np.column_stack([x.coef, g * c * c - ux, -g])
+        res = _lowrank_norms(coef, x.kets + [bm, a1], x.bras + [a1, bm])
+        return np.where(degenerate, _lowrank_norms(*x), res) if degenerate.any() else res
+    n = len(x)
+
+    def inner(p, q):  # Frobenius <p_c, q_c> for every c of two (c, d, d) stacks
+        return np.vecdot(p.reshape(n, -1), q.reshape(n, -1))
+
+    u = bm.T[:, :, None] * va.conj()  # u[b] = |b><a|
+    w = va[:, None] * bm.conj().T[:, None, :]  # |a><b|
+    w -= (c * c)[:, None, None] * u
+    r = x - inner(u, x)[:, None, None] * u
+    w_sq = inner(w, w).real
+    r -= (inner(w, r) / np.where(w_sq > w_sq_cut, w_sq, np.inf))[:, None, None] * w
+    return np.where(degenerate, _frobenius(x), _frobenius(r))
 
 
 def span_residual(rep: QuasiProbRep, tol_overlap: float = 1e-8) -> SpanResidual:
@@ -340,20 +512,10 @@ def span_residual(rep: QuasiProbRep, tol_overlap: float = 1e-8) -> SpanResidual:
     cross = bm.conj().T @ am  # cross[b, a] = <b|a>
     degenerate = (np.abs(cross) <= tol_overlap).T
     w_sq_cut = (np.finfo(float).eps * d * d * (1.0 + np.abs(cross) ** 2)) ** 2
-
-    def inner(p, q):  # Frobenius <p_c, q_c> for every c of two (c, d, d) stacks
-        return np.vecdot(p.reshape(d, -1), q.reshape(d, -1))
-
     residuals = np.empty((d, d))
     for a in range(d):
-        x, va, c = rep.operators[a], am[:, a], cross[:, a]
-        u = bm.T[:, :, None] * va.conj()  # u[b] = |b><a|
-        w = va[:, None] * bm.conj().T[:, None, :]  # |a><b|
-        w -= (c * c)[:, None, None] * u
-        r = x - inner(u, x)[:, None, None] * u
-        w_sq = inner(w, w).real
-        r -= (inner(w, r) / np.where(w_sq > w_sq_cut[:, a], w_sq, np.inf))[:, None, None] * w
-        residuals[a] = np.where(degenerate[a], _frobenius(x), _frobenius(r))
+        x = _slice(rep, 0, a)
+        residuals[a] = _span_row(x, am[:, a], bm, cross[:, a], w_sq_cut[:, a], degenerate[a])
     return SpanResidual(residuals, degenerate)
 
 
@@ -404,7 +566,5 @@ def make_condition2_violator(
         raise BadEpsilonError("epsilon must be nonzero")
     a0, a1 = basis_a.matrix[:, 0, None, None], basis_a.matrix[:, 1, None, None]
     noise = epsilon * _zero_sum_sign_pattern(basis_a.dim)
-    ops = _family(
-        [_kd_term(basis_a, basis_b, Ordering.AB), (noise, a0, a1), (noise, a1, a0)]
-    )
-    return QuasiProbRep(basis_a, basis_b, ops, label=f"violator:{epsilon:g}")
+    terms = [_kd_term(basis_a, basis_b, Ordering.AB), (noise, a0, a1), (noise, a1, a0)]
+    return QuasiProbRep(basis_a, basis_b, label=f"violator:{epsilon:g}", terms=terms)

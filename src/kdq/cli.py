@@ -99,8 +99,8 @@ def _cmd_kd(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    dist = kdq_io.load_kd(args.kd, tol=_tol(args))
-    rho = kd_inverse(dist)
+    tol = _tol(args)
+    rho = kd_inverse(kdq_io.load_kd(args.kd, tol=tol), tol=tol)
     print(json.dumps(kdq_io.state_to_dict(rho)))
     return EXIT_OK
 
@@ -195,7 +195,7 @@ def _cmd_wigner(args) -> int:
     tol = _tol(args)
     rho = _as_density(kdq_io.load_state(args.state, tol=tol), tol)
     table = discrete_wigner(rho, tol=tol)
-    violations = condition3_violation_report(rho) if args.report else None
+    violations = condition3_violation_report(rho, tol=tol) if args.report else None
     if args.format == "json":
         print(json.dumps(kdq_io.wigner_to_dict(table, violations)))
     else:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import AuditReport
+from .audit import AuditReport, _require_budget
 from .errors import DimMismatchError, ValidationError
 from .hilbert import (
     DensityOperator,
@@ -171,6 +171,7 @@ def resolve_basis(spec: str, dim: int, tol: float | None = None) -> OrthonormalB
                 dims=(basis.dim, dim),
             )
         return basis
+    _require_budget(16 * dim * dim, f"basis {spec!r} at dim {dim}")
     if spec == "computational":
         return computational_basis(dim)
     if spec == "fourier":

@@ -154,12 +154,15 @@ def kd_marginal_b(
     return _real_marginal(dist.table.sum(axis=0), "b", tol, tol_imag)
 
 
-def kd_inverse(dist: KDDistribution, tol_overlap: float = TOL_OVERLAP) -> DensityOperator:
+def kd_inverse(
+    dist: KDDistribution, tol_overlap: float = TOL_OVERLAP, tol: float | None = None
+) -> DensityOperator:
     """Reconstruct the density operator from its joint table.
 
     Divides each cell by the corresponding basis overlap to recover the
     mixed matrix element, then changes basis back to the computational
-    representation.  Requires every |<b|a>| to exceed ``tol_overlap``.
+    representation.  Requires every |<b|a>| to exceed ``tol_overlap``;
+    ``tol`` is passed to the ``DensityOperator`` validation.
     """
     am, bm = dist.basis_a.matrix, dist.basis_b.matrix
     cross_t = (bm.conj().T @ am).T  # cross_t[a, b] = <b|a>
@@ -179,7 +182,7 @@ def kd_inverse(dist: KDDistribution, tol_overlap: float = TOL_OVERLAP) -> Densit
     else:
         mixed = (dist.table / cross_t.conj()).T  # mixed[b, a] = <b|rho|a>
         mat = bm @ mixed @ am.conj().T
-    return DensityOperator(mat)
+    return DensityOperator(mat, tol=tol)
 
 
 def conditional_weak_value(

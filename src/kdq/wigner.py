@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
 from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, computational_basis
-from .audit import QuasiProbRep
+from .audit import QuasiProbRep, _require_budget
 
 _REALITY_TOL = 1e-12
 
@@ -104,16 +104,18 @@ def double_slit_state(dim: int, slit1: int, slit2: int) -> StateVector:
 
 
 def condition3_violation_report(
-    rho: DensityOperator, tol: float = TOL_NORM
+    rho: DensityOperator, tol: float | None = None
 ) -> list[tuple[int, int, float]]:
     """Cells (q, p, W) with zero position marginal but nonzero table value.
 
-    An empty list means the orthogonality-zero requirement holds for this
-    state on the position side.
+    Both "zero" and "nonzero" are judged against ``tol`` (default
+    ``TOL_NORM``).  An empty list means the orthogonality-zero requirement
+    holds for this state on the position side.
     """
+    tol = TOL_NORM if tol is None else tol
     d = rho.dim
     _require_odd(d)
-    w = discrete_wigner(rho).table
+    w = discrete_wigner(rho, tol=tol).table
     marg = position_marginal(rho)
     out: list[tuple[int, int, float]] = []
     for q in range(d):
@@ -149,6 +151,7 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     check, since every A(q,p) has weight off the q row and column.
     """
     _require_odd(dim)
+    _require_budget(16 * dim**4, f"wigner family at dim {dim}")
     q, p, x = np.ogrid[:dim, :dim, :dim]
     ops = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
     # the entries of phase_point_operator(dim, q, p), for every (q, p) at once

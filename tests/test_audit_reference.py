@@ -103,7 +103,9 @@ def test_families_and_checks_match_reference(dim, pair):
     basis_a, basis_b = _basis_pairs(dim)[pair]
     for i, (rep, ref_ops) in enumerate(_families(basis_a, basis_b)):
         np.testing.assert_allclose(rep.operators, ref_ops, rtol=0, atol=1e-15)
-        _assert_checks_match(rep, seed=10 * dim + i)
+        # the family as built (terms) and as a dense rep of its operators
+        for form in (rep, QuasiProbRep(basis_a, basis_b, rep.operators)):
+            _assert_checks_match(form, seed=10 * dim + i)
 
 
 @pytest.mark.parametrize("dim", [d for d in DIMS if d % 2])

@@ -344,3 +344,48 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_reconstruct_tol_reaches_the_inverse(tmp_path, capsys):
+    # a 1e-7 real perturbation with zero row and column sums keeps the
+    # table loadable but makes the reconstructed matrix non-Hermitian
+    from kdq import io as kio
+    from kdq import random_density
+
+    state = tmp_path / "rho3.json"
+    state.write_text(json.dumps(kio.state_to_dict(random_density(3, 3, seed=4))))
+    code, out, _ = run_cli(
+        capsys, "kd", "--state", str(state), "--basis-a", "computational", "--basis-b", "fourier"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    for (a, b), sign in {(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1}.items():
+        doc["table"][a][b][0] += sign * 1e-7
+    kd_file = tmp_path / "kd.json"
+    kd_file.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "reconstruct", "--kd", str(kd_file))
+    assert code == 2
+    assert "not Hermitian" in json.loads(err)["message"]
+    code, out, _ = run_cli(capsys, "reconstruct", "--kd", str(kd_file), "--tol", "1e-5")
+    assert code == 0
+    assert json.loads(out)["kind"] == "mixed"
+
+
+def test_wigner_report_tol_judges_the_zero_marginal(tmp_path, capsys, monkeypatch):
+    # slits at q=0 and q=4 (midpoint q=2) plus amplitude 10**-4.5 at q=2:
+    # its occupation 1e-9 is nonzero at the default 1e-10, zero at 1e-8
+    eps = 10**-4.5
+    side = np.sqrt((1 - eps**2) / 2)
+    amps = [[side, 0.0], [0.0, 0.0], [eps, 0.0], [0.0, 0.0], [side, 0.0]]
+    state = tmp_path / "slits5.json"
+    state.write_text(json.dumps({"schema": "kdq/1", "dim": 5, "kind": "pure", "data": amps}))
+
+    def midpoint_listed(*extra):
+        code, out, _ = run_cli(capsys, "wigner", "--state", str(state), "--report", *extra)
+        assert code == 0
+        return any(v["q"] == 2 for v in json.loads(out)["violations"])
+
+    assert not midpoint_listed()
+    assert midpoint_listed("--tol", "1e-8")
+    monkeypatch.setenv("KDQ_TOL", "1e-8")
+    assert midpoint_listed()

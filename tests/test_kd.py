@@ -5,6 +5,7 @@ import pytest
 
 from kdq import (
     DensityOperator,
+    KDDistribution,
     LinearOperator,
     Ordering,
     SingularOverlapError,
@@ -222,6 +223,19 @@ def test_round_trip_at_dimension_ceiling():
     dist = kd_transform(rho, a, b)
     rec = kd_inverse(dist)
     assert np.linalg.norm(rec.matrix - rho.matrix) <= 1e-9
+
+
+def test_inverse_tol_reaches_the_density_validation():
+    # a real 1e-7 perturbation with zero row and column sums keeps the table
+    # valid, but the reconstructed matrix is then not Hermitian at 1e-10
+    rho = random_density(3, 3, seed=12)
+    dist = kd_transform(rho, computational_basis(3), fourier_basis(3))
+    table = np.array(dist.table)
+    table[:2, :2] += 1e-7 * np.array([[1, -1], [-1, 1]])
+    loose = KDDistribution(dist.basis_a, dist.basis_b, dist.ordering, table, tol=1e-5)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        kd_inverse(loose)
+    assert np.abs(kd_inverse(loose, tol=1e-5).matrix - rho.matrix).max() <= 1e-6
 
 
 def test_inverse_singular_overlap_reports_pair():

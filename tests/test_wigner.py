@@ -6,6 +6,7 @@ import pytest
 from kdq import (
     BadSlitsError,
     EvenDimensionError,
+    StateVector,
     basis_state,
     check_condition1,
     check_condition3,
@@ -132,6 +133,17 @@ def test_violation_report_double_slit_contains_midpoint():
     report = condition3_violation_report(rho)
     assert any(q == 2 and p == 0 and abs(w - 0.2) <= 1e-12 for q, p, w in report)
     assert all(q == 2 for q, _, _ in report)  # only the midpoint row can violate
+
+
+def test_violation_report_tol_judges_zero_marginals():
+    # amplitude 10**-4.5 at the midpoint q=2 of slits 0 and 4: its occupation
+    # 1e-9 counts as nonzero at the default 1e-10 and as zero at 1e-8
+    eps = 10**-4.5
+    amps = np.zeros(5, dtype=complex)
+    amps[[0, 4]], amps[2] = np.sqrt((1 - eps**2) / 2), eps
+    rho = make_pure_density(StateVector(amps))
+    assert all(q != 2 for q, _, _ in condition3_violation_report(rho))
+    assert any(q == 2 for q, _, _ in condition3_violation_report(rho, tol=1e-8))
 
 
 def test_violation_report_d3():
