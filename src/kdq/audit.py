@@ -39,6 +39,7 @@ from .hilbert import (
     LinearOperator,
     DensityOperator,
     OrthonormalBasis,
+    _complement_samples,
     _require_same_dim,
 )
 from .kd import Ordering
@@ -385,29 +386,6 @@ def _compression_norms(x, v: np.ndarray) -> np.ndarray:
         return _lowrank_norms(x.coef, off_v(x.kets), off_v(x.bras))
     y = x - v[:, None] * (v.conj() @ x)[:, None, :]
     return _frobenius(y - (y @ v)[:, :, None] * v.conj())
-
-
-def _complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) -> np.ndarray:
-    """``samples`` random unit states orthogonal to ``v``.
-
-    Each sample takes its real then imaginary parts from the next 2d draws
-    of ``rng``; near-zero projections are dropped and topped up in order,
-    so a seed always yields the same states.  ``np.vecdot`` runs the same
-    BLAS dot per sample as ``np.vdot`` and ``np.linalg.norm`` on one vector.
-    """
-    d = v.size
-    out = np.empty((samples, d), dtype=np.complex128)
-    n = 0
-    while n < samples:
-        x = rng.standard_normal((samples - n, 2, d))
-        z = x[:, 0] + 1j * x[:, 1]
-        z = z - v * np.vecdot(v, z)[:, None]
-        nrm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
-        keep = nrm > 1e-8
-        kept = int(keep.sum())
-        out[n : n + kept] = z[keep] / nrm[keep, None]
-        n += kept
-    return out
 
 
 def check_condition3(

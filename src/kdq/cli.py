@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -40,7 +39,7 @@ from .errors import (
     SingularOverlapError,
     ValidationError,
 )
-from .hilbert import DensityOperator, LinearOperator, StateVector, make_pure_density
+from .hilbert import DensityOperator, LinearOperator, StateVector, _tol as lib_tol, make_pure_density
 from .kd import Ordering, kd_inverse, kd_transform
 from .pointer import PointerConfig, coupling_sweep
 from .wigner import condition3_violation_report, discrete_wigner, wigner_as_rep
@@ -64,11 +63,7 @@ def _env_tol() -> float | None:
 
 def _tol(args) -> float | None:
     tol, source = (args.tol, "--tol") if args.tol is not None else (_env_tol(), "KDQ_TOL")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(
-            f"{source} must be a finite positive number, got {tol!r}", source=source
-        )
-    return tol
+    return lib_tol(tol, None, source)
 
 
 def _as_density(state: StateVector | DensityOperator, tol: float | None) -> DensityOperator:

@@ -11,6 +11,8 @@ reproduces the same output within this implementation.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -29,15 +31,33 @@ TOL_PSD = 1e-9
 TOL_IMAG = 1e-10
 
 
+def _tol(value, default: float, source: str = "tolerance") -> float:
+    """``default`` for None, else ``value``: finite and positive, as a NaN would skip the check."""
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValidationError(
+            f"{source} must be a finite positive number, got {value!r}", source=source
+        )
+    return value
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """Largest |entry| of ``x``: the deviation every max-deviation check compares."""
+    return float(abs(x).max())
+
+
 def _frozen_complex(data, ndim: int, what: str) -> np.ndarray:
-    """Copy ``data`` to a read-only complex128 array of the given rank."""
+    """Copy ``data`` to a read-only complex128 array of the given rank; a matrix must be square."""
     arr = np.array(data, dtype=np.complex128)
     if arr.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{what} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
+    if ndim == 2 and arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{what} must be square, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -51,8 +71,8 @@ class StateVector:
 
     def __post_init__(self, tol):
         amps = _frozen_complex(self.amplitudes, 1, "state vector")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > (TOL_NORM if tol is None else tol):
+        norm_sq = float((abs(amps) ** 2).sum())
+        if abs(norm_sq - 1.0) > _tol(tol, TOL_NORM):
             raise NotNormalizedError(
                 f"state vector has squared norm {norm_sq!r}, expected 1", norm_sq=norm_sq
             )
@@ -73,22 +93,18 @@ class DensityOperator:
 
     def __post_init__(self, tol, tol_psd):
         mat = _frozen_complex(self.matrix, 2, "density matrix")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        herm_tol = TOL_HERM if tol is None else tol
-        trace_tol = TOL_NORM if tol is None else tol
-        psd_tol = TOL_PSD if tol_psd is None else tol_psd
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > herm_tol:
+        adj = mat.conj().T
+        herm_dev = _max_abs(mat - adj)
+        if herm_dev > _tol(tol, TOL_HERM):
             raise ValidationError(
                 f"density matrix is not Hermitian (max deviation {herm_dev:.3e})",
                 deviation=herm_dev,
             )
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > trace_tol:
+        trace = complex(mat.trace())
+        if abs(trace - 1.0) > _tol(tol, TOL_NORM):
             raise ValidationError(f"density matrix has trace {trace}, expected 1", trace=trace)
-        lo = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
-        if lo < -psd_tol:
+        lo = float(np.linalg.eigvalsh((mat + adj) / 2.0)[0])  # eigenvalues ascend
+        if lo < -_tol(tol_psd, TOL_PSD):
             raise ValidationError(
                 f"density matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo
             )
@@ -107,8 +123,6 @@ class LinearOperator:
 
     def __post_init__(self):
         mat = _frozen_complex(self.matrix, 2, "operator matrix")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"operator matrix must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -129,10 +143,10 @@ class OrthonormalBasis:
 
     def __post_init__(self, tol):
         mat = _frozen_complex(self.matrix, 2, "basis matrix")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"basis matrix must be square, got shape {mat.shape}")
-        gram_dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-        if gram_dev > (TOL_ORTHO if tol is None else tol):
+        gram = mat.conj().T @ mat
+        gram.ravel()[:: mat.shape[0] + 1] -= 1.0  # gram - identity
+        gram_dev = _max_abs(gram)
+        if gram_dev > _tol(tol, TOL_ORTHO):
             raise ValidationError(
                 f"basis vectors are not orthonormal (max Gram deviation {gram_dev:.3e})",
                 deviation=gram_dev,
@@ -230,14 +244,30 @@ def random_state_orthogonal_to(v: StateVector, seed: int) -> StateVector:
     """Random normalized state in the orthogonal complement of ``v``."""
     if v.dim < 2:
         raise ValidationError("orthogonal complement is empty for dim < 2")
-    rng = np.random.default_rng(seed)
-    amps = v.amplitudes
-    while True:
-        z = rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim)
-        z = z - amps * np.vdot(amps, z)
-        nrm = np.linalg.norm(z)
-        if nrm > 1e-8:
-            return StateVector(z / nrm)
+    return StateVector(_complement_samples(np.random.default_rng(seed), v.amplitudes, 1)[0])
+
+
+def _complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) -> np.ndarray:
+    """``samples`` random unit states orthogonal to ``v``.
+
+    Each sample takes its real then imaginary parts from the next 2d draws
+    of ``rng``; near-zero projections are dropped and topped up in order,
+    so a seed always yields the same states.  ``np.vecdot`` runs the same
+    BLAS dot per sample as ``np.vdot`` and ``np.linalg.norm`` on one vector.
+    """
+    d = v.size
+    out = np.empty((samples, d), dtype=np.complex128)
+    n = 0
+    while n < samples:
+        x = rng.standard_normal((samples - n, 2, d))
+        z = x[:, 0] + 1j * x[:, 1]
+        z = z - v * np.vecdot(v, z)[:, None]
+        nrm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+        keep = nrm > 1e-8
+        kept = int(keep.sum())
+        out[n : n + kept] = z[keep] / nrm[keep, None]
+        n += kept
+    return out
 
 
 def random_basis(dim: int, seed: int) -> OrthonormalBasis:

@@ -26,7 +26,9 @@ from .hilbert import (
     LinearOperator,
     OrthonormalBasis,
     StateVector,
+    _max_abs,
     _require_same_dim,
+    _tol,
     overlap,
 )
 
@@ -65,18 +67,13 @@ class KDDistribution:
         tab = np.array(self.table, dtype=np.complex128)
         if tab.shape != (d, d):
             raise ValidationError(f"table must have shape {(d, d)}, got {tab.shape}")
-        if not np.all(np.isfinite(tab)):
+        if not np.isfinite(tab).all():
             raise ValidationError("table contains non-finite entries")
-        norm_tol = TOL_NORM if tol is None else tol
-        imag_tol = TOL_IMAG if tol_imag is None else tol_imag
         total = complex(tab.sum())
-        if abs(total - 1.0) > norm_tol:
+        if abs(total - 1.0) > _tol(tol, TOL_NORM):
             raise ValidationError(f"table sums to {total}, expected 1", total=total)
-        worst_imag = max(
-            float(np.max(np.abs(tab.sum(axis=1).imag))),
-            float(np.max(np.abs(tab.sum(axis=0).imag))),
-        )
-        if worst_imag > imag_tol:
+        worst_imag = max(_max_abs(tab.sum(axis=1).imag), _max_abs(tab.sum(axis=0).imag))
+        if worst_imag > _tol(tol_imag, TOL_IMAG):
             raise ValidationError(
                 f"row/column sums have imaginary part {worst_imag:.3e}",
                 worst_imag=worst_imag,
@@ -96,7 +93,7 @@ def kd_operator(a: StateVector, b: StateVector, ordering: Ordering = Ordering.AB
     if ordering is Ordering.AB:
         mat = ov * np.outer(b.amplitudes, a.amplitudes.conj())
     else:
-        mat = np.conj(ov) * np.outer(a.amplitudes, b.amplitudes.conj())
+        mat = ov.conjugate() * np.outer(a.amplitudes, b.amplitudes.conj())
     return LinearOperator(mat)
 
 
@@ -125,9 +122,8 @@ def kd_transform(
 def _real_marginal(
     sums: np.ndarray, axis_name: str, tol: float | None, tol_imag: float | None
 ) -> np.ndarray:
-    tol = TOL_NORM if tol is None else tol
-    tol_imag = TOL_IMAG if tol_imag is None else tol_imag
-    worst_imag = float(np.max(np.abs(sums.imag)))
+    tol, tol_imag = _tol(tol, TOL_NORM), _tol(tol_imag, TOL_IMAG)
+    worst_imag = _max_abs(sums.imag)
     if worst_imag > tol_imag:
         raise ValidationError(
             f"{axis_name} marginal has imaginary part {worst_imag:.3e}", worst_imag=worst_imag
@@ -166,7 +162,7 @@ def kd_inverse(
     """
     am, bm = dist.basis_a.matrix, dist.basis_b.matrix
     cross_t = (bm.conj().T @ am).T  # cross_t[a, b] = <b|a>
-    mags = np.abs(cross_t)
+    mags = abs(cross_t)
     if float(mags.min()) <= tol_overlap:
         a_bad, b_bad = np.unravel_index(int(np.argmin(mags)), mags.shape)
         raise SingularOverlapError(

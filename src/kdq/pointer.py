@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroCouplingError,
 )
-from .hilbert import LinearOperator, StateVector, _require_same_dim
+from .hilbert import LinearOperator, StateVector, _max_abs, _require_same_dim
 from .kd import conditional_weak_value
 
 _PROJECTOR_TOL = 1e-10
@@ -110,9 +110,9 @@ def _initial_gaussian(cfg: PointerConfig) -> np.ndarray:
 
 def _validate_projector(a_proj: LinearOperator) -> None:
     mat = a_proj.matrix
-    if float(np.max(np.abs(mat - mat.conj().T))) > _PROJECTOR_TOL:
+    if _max_abs(mat - mat.conj().T) > _PROJECTOR_TOL:
         raise ValidationError("measurement operator must be Hermitian")
-    if float(np.max(np.abs(mat @ mat - mat))) > _PROJECTOR_TOL:
+    if _max_abs(mat @ mat - mat) > _PROJECTOR_TOL:
         raise ValidationError("measurement operator must be idempotent (a projector)")
 
 

@@ -25,7 +25,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
-from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, computational_basis
+from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, _max_abs, _tol
+from .hilbert import computational_basis
 from .audit import QuasiProbRep, _require_budget
 
 _REALITY_TOL = 1e-12
@@ -44,10 +45,10 @@ class WignerTable:
             raise ValidationError(f"table must be square, got shape {tab.shape}")
         if tab.shape[0] % 2 == 0:
             raise EvenDimensionError(f"dimension must be odd, got {tab.shape[0]}")
-        if not np.all(np.isfinite(tab)):
+        if not np.isfinite(tab).all():
             raise ValidationError("table contains non-finite entries")
         total = float(tab.sum())
-        if abs(total - 1.0) > (TOL_NORM if tol is None else tol):
+        if abs(total - 1.0) > _tol(tol, TOL_NORM):
             raise ValidationError(f"table sums to {total!r}, expected 1", total=total)
         tab.setflags(write=False)
         object.__setattr__(self, "table", tab)
@@ -74,7 +75,7 @@ def discrete_wigner(rho: DensityOperator, tol: float | None = None) -> WignerTab
     for q in range(d):
         anti[q] = rho.matrix[(q + x) % d, (q - x) % d]
     w = anti @ kernel.T / d
-    worst_imag = float(np.max(np.abs(w.imag)))
+    worst_imag = _max_abs(w.imag)
     if worst_imag > _REALITY_TOL:
         raise ValidationError(
             f"phase-space table has imaginary part {worst_imag:.3e}", worst_imag=worst_imag
@@ -112,7 +113,7 @@ def condition3_violation_report(
     ``TOL_NORM``).  An empty list means the orthogonality-zero requirement
     holds for this state on the position side.
     """
-    tol = TOL_NORM if tol is None else tol
+    tol = _tol(tol, TOL_NORM)
     d = rho.dim
     _require_odd(d)
     w = discrete_wigner(rho, tol=tol).table

@@ -79,6 +79,78 @@ def test_basis_rejects_non_orthonormal():
         OrthonormalBasis(np.array([[1.0, 1.0], [0.0, 0.1]]))
 
 
+BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tol: StateVector(np.array([1.0, 0.0]), tol=tol),
+        lambda tol: DensityOperator(np.eye(2) / 2, tol=tol),
+        lambda tol: DensityOperator(np.eye(2) / 2, tol_psd=tol),
+        lambda tol: OrthonormalBasis(np.eye(2), tol=tol),
+        lambda tol: make_pure_density(basis_state(2, 0), tol=tol),
+    ],
+    ids=["state", "density-tol", "density-tol_psd", "basis", "pure-density"],
+)
+def test_tolerance_must_be_finite_and_positive(build, tol):
+    # a NaN tolerance used to make every "deviation > tol" test false
+    with pytest.raises(ValidationError, match="tolerance must be a finite positive number"):
+        build(tol)
+
+
+def test_nan_tolerances_no_longer_accept_bad_inputs():
+    with pytest.raises(ValidationError):
+        DensityOperator([[5, 2], [7, -4]], tol=np.nan, tol_psd=np.nan)
+    with pytest.raises(ValidationError):
+        StateVector([3, 0], tol=np.nan)
+
+
+def test_tolerance_accepts_any_finite_positive_real():
+    for tol in (1, 1e-3, np.float64(1e-3), np.float32(1e-3)):
+        StateVector(np.array([1.0, 1e-4]), tol=tol)
+        DensityOperator(np.eye(2) / 2, tol=tol, tol_psd=tol)
+        OrthonormalBasis(np.eye(2), tol=tol)
+
+
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16])
+def test_rejected_values_match_the_plain_numpy_expressions(dim):
+    """Each error's context holds the value the check compared, bit for bit."""
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        z = _random_complex(rng, dim)
+        with pytest.raises(NotNormalizedError) as err:
+            StateVector(z)
+        assert err.value.context["norm_sq"] == float(np.sum(np.abs(z) ** 2))
+
+        m = _random_complex(rng, dim, dim)
+        with pytest.raises(ValidationError, match="not Hermitian") as err:
+            DensityOperator(m)
+        assert err.value.context["deviation"] == float(np.max(np.abs(m - m.conj().T)))
+
+        h = m + m.conj().T
+        with pytest.raises(ValidationError, match="trace") as err:
+            DensityOperator(h)
+        assert err.value.context["trace"] == complex(np.trace(h))
+
+        h = h - np.eye(dim) * (np.trace(h).real - 1.0) / dim  # unit trace, indefinite
+        with pytest.raises(ValidationError, match="negative eigenvalue") as err:
+            DensityOperator(h, tol=1e-6)
+        expected = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0).min())
+        assert err.value.context["min_eigenvalue"] == expected
+
+        with pytest.raises(ValidationError, match="orthonormal") as err:
+            OrthonormalBasis(m)
+        assert err.value.context["deviation"] == float(
+            np.max(np.abs(m.conj().T @ m - np.eye(dim)))
+        )
+
+
 # ---------------------------------------------------------------------------
 # make_pure_density
 
@@ -246,6 +318,16 @@ def test_random_density_rank_one_is_pure():
     assert purity == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_rank_one_density_validates(dim):
+    # the smallest eigenvalue of a projector is rounding noise of either sign
+    for seed in range(10):
+        rho = random_density(dim, 1, seed=seed)
+        assert make_pure_density(random_state(dim, seed)).dim == dim
+        lo = np.linalg.eigvalsh(rho.matrix)[0]
+        assert lo == np.linalg.eigvalsh(rho.matrix).min() and abs(lo) <= 1e-9
+
+
 def test_random_density_requested_rank():
     rho = random_density(6, 3, seed=9)
     eigs = np.linalg.eigvalsh(rho.matrix)
@@ -285,6 +367,32 @@ def test_random_orthogonal_state_contract():
     out = random_state_orthogonal_to(v, seed=22)
     assert abs(overlap(v, out)) <= 1e-12
     assert np.array_equal(out.amplitudes, random_state_orthogonal_to(v, seed=22).amplitudes)
+
+
+def _orthogonal_state_loop(v: StateVector, seed: int) -> np.ndarray:
+    """The one-draw-at-a-time sampler, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    amps = v.amplitudes
+    while True:
+        z = rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim)
+        z = z - amps * np.vdot(amps, z)
+        nrm = np.linalg.norm(z)
+        if nrm > 1e-8:
+            return z / nrm
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
+def test_random_orthogonal_state_bit_identical_to_loop(dim):
+    vectors = [
+        basis_state(dim, 0),
+        fourier_basis(dim).vector(1),
+        random_basis(dim, seed=dim).vector(0),
+        random_state(dim, seed=dim),
+    ]
+    for v in vectors:
+        for seed in range(20):
+            out = random_state_orthogonal_to(v, seed=seed)
+            assert np.array_equal(out.amplitudes, _orthogonal_state_loop(v, seed))
 
 
 def test_maximally_mixed():

@@ -348,3 +348,54 @@ def test_distribution_rejects_imaginary_row_sums():
     table = np.array([[0.5 + 0.1j, 0.5], [0.0, 0.0 - 0.1j]])
     with pytest.raises(ValidationError):
         KDDistribution(a, b, Ordering.AB, table)
+
+
+def _valid_dist():
+    return kd_transform(random_density(3, 3, seed=4), random_basis(3, seed=5), fourier_basis(3))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3, "1e-10", True], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, tol: KDDistribution(d.basis_a, d.basis_b, d.ordering, d.table, tol=tol),
+        lambda d, tol: KDDistribution(d.basis_a, d.basis_b, d.ordering, d.table, tol_imag=tol),
+        lambda d, tol: kd_transform(maximally_mixed(3), d.basis_a, d.basis_b, tol=tol),
+        lambda d, tol: kd_transform(maximally_mixed(3), d.basis_a, d.basis_b, tol_imag=tol),
+        lambda d, tol: kd_marginal_a(d, tol=tol),
+        lambda d, tol: kd_marginal_b(d, tol_imag=tol),
+        lambda d, tol: kd_inverse(d, tol=tol),
+    ],
+    ids=["dist-tol", "dist-tol_imag", "transform-tol", "transform-tol_imag",
+         "marginal_a-tol", "marginal_b-tol_imag", "inverse-tol"],
+)
+def test_tolerance_must_be_finite_and_positive(call, tol):
+    with pytest.raises(ValidationError, match="tolerance must be a finite positive number"):
+        call(_valid_dist(), tol)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16])
+def test_rejected_sums_match_the_plain_numpy_expressions(dim):
+    """total and worst_imag in each error's context are the old values, bit for bit."""
+    rng = np.random.default_rng(dim)
+    a, b = random_basis(dim, seed=dim), fourier_basis(dim)
+    for _ in range(10):
+        tab = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        with pytest.raises(ValidationError, match="sums to") as err:
+            KDDistribution(a, b, Ordering.AB, tab)
+        assert err.value.context["total"] == complex(tab.sum())
+
+        tab = tab / tab.sum()
+        with pytest.raises(ValidationError, match="row/column sums") as err:
+            KDDistribution(a, b, Ordering.AB, tab)
+        assert err.value.context["worst_imag"] == max(
+            float(np.max(np.abs(tab.sum(axis=1).imag))),
+            float(np.max(np.abs(tab.sum(axis=0).imag))),
+        )
+
+        loose = KDDistribution(a, b, Ordering.AB, tab, tol_imag=1e3)
+        for marginal, axis in ((kd_marginal_a, 1), (kd_marginal_b, 0)):
+            with pytest.raises(ValidationError, match="imaginary part") as err:
+                marginal(loose)
+            expected = float(np.max(np.abs(tab.sum(axis=axis).imag)))
+            assert err.value.context["worst_imag"] == expected

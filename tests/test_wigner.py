@@ -7,6 +7,8 @@ from kdq import (
     BadSlitsError,
     EvenDimensionError,
     StateVector,
+    ValidationError,
+    WignerTable,
     basis_state,
     check_condition1,
     check_condition3,
@@ -144,6 +146,21 @@ def test_violation_report_tol_judges_zero_marginals():
     rho = make_pure_density(StateVector(amps))
     assert all(q != 2 for q, _, _ in condition3_violation_report(rho))
     assert any(q == 2 for q, _, _ in condition3_violation_report(rho, tol=1e-8))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: WignerTable(np.full((3, 3), 1 / 9), tol=tol),
+        lambda tol: discrete_wigner(maximally_mixed(3), tol=tol),
+        lambda tol: condition3_violation_report(maximally_mixed(3), tol=tol),
+    ],
+    ids=["table", "discrete_wigner", "violation_report"],
+)
+def test_tolerance_must_be_finite_and_positive(call, tol):
+    with pytest.raises(ValidationError, match="tolerance must be a finite positive number"):
+        call(tol)
 
 
 def test_violation_report_d3():
