@@ -25,7 +25,7 @@ d-vectors and t x t blocks, and no d^4 array is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,27 +36,18 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import (
+    MAX_ARRAY_BYTES,  # kdq.audit.MAX_ARRAY_BYTES stays importable
     LinearOperator,
     DensityOperator,
     OrthonormalBasis,
     _complement_samples,
+    _require_budget,
     _require_same_dim,
+    _tol,
 )
-from .kd import Ordering
+from .kd import TOL_OVERLAP, Ordering
 
 DEFAULT_AUDIT_TOL = 1e-10
-
-# no single array may exceed this; larger requests are refused before allocation
-MAX_ARRAY_BYTES = 1 << 30
-
-
-def _require_budget(nbytes: int, what: str) -> None:
-    if nbytes > MAX_ARRAY_BYTES:
-        raise ValidationError(
-            f"{what} needs {nbytes} bytes, over the {MAX_ARRAY_BYTES}-byte limit per array",
-            bytes=nbytes,
-            limit=MAX_ARRAY_BYTES,
-        )
 
 
 class QuasiProbRep:
@@ -131,14 +122,7 @@ class AuditReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "witness": self.witness,
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class SpanResidual(NamedTuple):
@@ -406,6 +390,8 @@ def check_condition3(
     d = rep.dim
     if d < 2:
         raise ValidationError("condition 3 needs dim >= 2: in dim 1 the complement of a state is empty")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}", seed=seed)
     # the largest per-slice block of the sampled expectations
     width = d if rep.terms is None else len(rep.terms)
     _require_budget(16 * samples * d * width, f"{samples} sampled states at dim {d}")
@@ -474,7 +460,7 @@ def _span_row(
     return np.where(degenerate, _frobenius(x), _frobenius(r))
 
 
-def span_residual(rep: QuasiProbRep, tol_overlap: float = 1e-8) -> SpanResidual:
+def span_residual(rep: QuasiProbRep, tol_overlap: float = TOL_OVERLAP) -> SpanResidual:
     """Distance of each cell operator from span{P_b P_a, P_a P_b}.
 
     The span is that of U = |b><a| and V = |a><b|, two unit matrices with
@@ -485,6 +471,7 @@ def span_residual(rep: QuasiProbRep, tol_overlap: float = 1e-8) -> SpanResidual:
     When <b|a> = 0 both products vanish and the span collapses to {0}; the
     residual is then the raw operator norm and the cell is flagged.
     """
+    tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
     d = rep.dim
     am, bm = rep.basis_a.matrix, rep.basis_b.matrix
     cross = bm.conj().T @ am  # cross[b, a] = <b|a>

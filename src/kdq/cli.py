@@ -25,6 +25,7 @@ import sys
 
 from . import io as kdq_io
 from .audit import (
+    DEFAULT_AUDIT_TOL,
     check_condition1,
     check_condition2,
     check_condition3,
@@ -50,38 +51,29 @@ EXIT_VALIDATION = 2
 EXIT_SINGULAR_OVERLAP = 3
 EXIT_DEGENERATE_POSTSELECTION = 4
 
-
-def _env_tol() -> float | None:
-    raw = os.environ.get("KDQ_TOL")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"KDQ_TOL is not a number: {raw!r}") from exc
+# any other KdqError exits EXIT_VALIDATION
+_EXIT_CODES = {
+    SingularOverlapError: EXIT_SINGULAR_OVERLAP,
+    DegeneratePostselectionError: EXIT_DEGENERATE_POSTSELECTION,
+}
 
 
 def _tol(args) -> float | None:
-    tol, source = (args.tol, "--tol") if args.tol is not None else (_env_tol(), "KDQ_TOL")
-    return lib_tol(tol, None, source)
+    """``--tol``, else ``KDQ_TOL``, else None for the library defaults."""
+    if args.tol is not None:
+        return lib_tol(args.tol, None, "--tol")
+    raw = os.environ.get("KDQ_TOL")
+    try:
+        return lib_tol(None if raw is None else float(raw), None, "KDQ_TOL")
+    except ValueError as exc:
+        raise ValidationError(f"KDQ_TOL is not a number: {raw!r}") from exc
 
 
 def _as_density(state: StateVector | DensityOperator, tol: float | None) -> DensityOperator:
     return make_pure_density(state, tol=tol) if isinstance(state, StateVector) else state
 
 
-def _parse_couplings(raw: str) -> list[float]:
-    raw = raw.strip()
-    if not raw:
-        return []
-    try:
-        return [float(x) for x in raw.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"bad couplings list {raw!r}") from exc
-
-
-def _cmd_kd(args) -> int:
-    tol = _tol(args)
+def _cmd_kd(args, tol: float | None) -> int:
     rho = _as_density(kdq_io.load_state(args.state, tol=tol), tol)
     basis_a = kdq_io.resolve_basis(args.basis_a, rho.dim, tol=tol)
     basis_b = kdq_io.resolve_basis(args.basis_b, rho.dim, tol=tol)
@@ -93,16 +85,34 @@ def _cmd_kd(args) -> int:
     return EXIT_OK
 
 
-def _cmd_reconstruct(args) -> int:
-    tol = _tol(args)
+def _cmd_reconstruct(args, tol: float | None) -> int:
     rho = kd_inverse(kdq_io.load_kd(args.kd, tol=tol), tol=tol)
     print(json.dumps(kdq_io.state_to_dict(rho)))
     return EXIT_OK
 
 
+# audit --rep specs over a basis pair: name -> (parameter, builder); a spec
+# with a parameter is written name:VALUE, and wigner is built from --dim alone.
+# Both tables look the builders and checks up among this module's globals at
+# call time, so that a wrapper installed under one of those names reaches them.
+_REPS = {
+    "kd": (None, lambda a, b, _: kd_rep(a, b, Ordering.AB)),
+    "kd-ba": (None, lambda a, b, _: kd_rep(a, b, Ordering.BA)),
+    "mixed": ("mixture weight", lambda a, b, lam: mixed_rep(a, b, lam)),
+    "violator": ("epsilon", lambda a, b, eps: make_condition2_violator(a, b, eps)),
+}
+
+# audit checks in report order: flag -> check(rep, args, tol)
+_CHECKS = {
+    "c1": lambda rep, args, tol: check_condition1(rep, tol=tol),
+    "c2": lambda rep, args, tol: check_condition2(rep, tol=tol),
+    "c3": lambda rep, args, tol: check_condition3(rep, samples=args.samples, seed=args.seed, tol=tol),
+    "span": lambda rep, args, tol: check_span(rep, tol=tol),
+}
+
+
 def _build_rep(args, tol):
-    spec = args.rep
-    if spec == "wigner":
+    if args.rep == "wigner":
         if args.dim is None:
             raise ValidationError("--dim is required for the wigner representation")
         return wigner_as_rep(args.dim)
@@ -110,69 +120,44 @@ def _build_rep(args, tol):
         raise ValidationError("--dim is required")
     basis_a = kdq_io.resolve_basis(args.basis_a, args.dim, tol=tol)
     basis_b = kdq_io.resolve_basis(args.basis_b, args.dim, tol=tol)
-    if spec == "kd":
-        return kd_rep(basis_a, basis_b, Ordering.AB)
-    if spec == "kd-ba":
-        return kd_rep(basis_a, basis_b, Ordering.BA)
-    if spec.startswith("mixed:"):
-        try:
-            lam = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValidationError(f"bad mixture weight in {spec!r}") from exc
-        return mixed_rep(basis_a, basis_b, lam)
-    if spec.startswith("violator:"):
-        try:
-            eps = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValidationError(f"bad epsilon in {spec!r}") from exc
-        return make_condition2_violator(basis_a, basis_b, eps)
-    raise ValidationError(
-        f"unknown representation spec {spec!r}: "
-        "use kd, kd-ba, mixed:LAMBDA, violator:EPSILON, or wigner"
-    )
+    name, colon, raw = args.rep.partition(":")
+    param, build = _REPS.get(name, (None, None))
+    if build is None or bool(colon) != (param is not None):
+        raise ValidationError(
+            f"unknown representation spec {args.rep!r}: "
+            "use kd, kd-ba, mixed:LAMBDA, violator:EPSILON, or wigner"
+        )
+    try:
+        value = float(raw) if colon else None
+    except ValueError as exc:
+        raise ValidationError(f"bad {param} in {args.rep!r}") from exc
+    return build(basis_a, basis_b, value)
 
 
-def _cmd_audit(args) -> int:
-    tol = _tol(args)
-    check_tol = tol if tol is not None else 1e-10
+def _cmd_audit(args, tol: float | None) -> int:
+    check_tol = DEFAULT_AUDIT_TOL if tol is None else tol
     rep = _build_rep(args, tol)
-    wanted = []
-    if args.all or args.c1:
-        wanted.append("C1")
-    if args.all or args.c2:
-        wanted.append("C2")
-    if args.all or args.c3:
-        wanted.append("C3")
-    if args.all or args.span:
-        wanted.append("Span")
+    wanted = [check for flag, check in _CHECKS.items() if args.all or getattr(args, flag)]
     if not wanted:
-        raise ValidationError("select at least one check: --c1 --c2 --c3 --span or --all")
+        flags = " ".join(f"--{flag}" for flag in _CHECKS)
+        raise ValidationError(f"select at least one check: {flags} or --all")
     all_passed = True
-    for name in wanted:
-        if name == "C1":
-            report = check_condition1(rep, tol=check_tol)
-        elif name == "C2":
-            report = check_condition2(rep, tol=check_tol)
-        elif name == "C3":
-            report = check_condition3(rep, samples=args.samples, seed=args.seed, tol=check_tol)
-        else:
-            report = check_span(rep, tol=check_tol)
+    for check in wanted:
+        report = check(rep, args, check_tol)
         print(kdq_io.report_to_json(report))
         all_passed = all_passed and report.passed
     return EXIT_OK if all_passed else EXIT_AUDIT_FAILED
 
 
-def _cmd_weak(args) -> int:
-    tol = _tol(args)
+def _cmd_weak(args, tol: float | None) -> int:
     state = kdq_io.load_state(args.state, tol=tol)
     if not isinstance(state, StateVector):
         raise ValidationError("weak-measurement simulation takes a pure state file")
     basis_a = kdq_io.resolve_basis(args.basis_a, state.dim, tol=tol)
     basis_b = kdq_io.resolve_basis(args.basis_b, state.dim, tol=tol)
-    if not 0 <= args.a_index < state.dim:
-        raise ValidationError(f"a-index {args.a_index} out of range for dim {state.dim}")
-    if not 0 <= args.b_index < state.dim:
-        raise ValidationError(f"b-index {args.b_index} out of range for dim {state.dim}")
+    for flag, index in (("a-index", args.a_index), ("b-index", args.b_index)):
+        if not 0 <= index < state.dim:
+            raise ValidationError(f"{flag} {index} out of range for dim {state.dim}")
     a_proj = LinearOperator(basis_a.projector(args.a_index))
     b = basis_b.vector(args.b_index)
     cfg = PointerConfig(
@@ -180,25 +165,24 @@ def _cmd_weak(args) -> int:
         grid_extent=args.grid_extent * args.sigma,
         sigma=args.sigma,
     )
-    couplings = [g * args.sigma for g in _parse_couplings(args.couplings)]
+    raw = args.couplings.strip()
+    try:
+        couplings = [float(g) * args.sigma for g in raw.split(",")] if raw else []
+    except ValueError as exc:
+        raise ValidationError(f"bad couplings list {raw!r}") from exc
     points = coupling_sweep(state, a_proj, b, cfg, couplings)
     sys.stdout.write(kdq_io.sweep_to_csv(points))
     return EXIT_OK
 
 
-def _cmd_wigner(args) -> int:
-    tol = _tol(args)
+def _cmd_wigner(args, tol: float | None) -> int:
     rho = _as_density(kdq_io.load_state(args.state, tol=tol), tol)
     table = discrete_wigner(rho, tol=tol)
     violations = condition3_violation_report(rho, tol=tol) if args.report else None
     if args.format == "json":
         print(json.dumps(kdq_io.wigner_to_dict(table, violations)))
     else:
-        sys.stdout.write(kdq_io.wigner_to_csv(table))
-        if violations is not None:
-            sys.stdout.write("q,p,value\n")
-            for q, p, w in violations:
-                sys.stdout.write(f"{q},{p},{w!r}\n")
+        sys.stdout.write(kdq_io.wigner_to_csv(table, violations))
     return EXIT_OK
 
 
@@ -231,11 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--basis-a", default="computational")
     p.add_argument("--basis-b", default="fourier")
-    p.add_argument("--c1", action="store_true")
-    p.add_argument("--c2", action="store_true")
-    p.add_argument("--c3", action="store_true")
-    p.add_argument("--span", action="store_true")
-    p.add_argument("--all", action="store_true")
+    for flag in [*_CHECKS, "all"]:
+        p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=_cmd_audit)
 
@@ -260,25 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(err: KdqError) -> None:
-    obj = {"code": err.code, "message": str(err), "context": err.context}
-    print(json.dumps(obj, default=repr), file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SingularOverlapError as err:
-        _emit_error(err)
-        return EXIT_SINGULAR_OVERLAP
-    except DegeneratePostselectionError as err:
-        _emit_error(err)
-        return EXIT_DEGENERATE_POSTSELECTION
+        return args.func(args, _tol(args))
     except KdqError as err:
-        _emit_error(err)
-        return EXIT_VALIDATION
+        obj = {"code": err.code, "message": str(err), "context": err.context}
+        print(json.dumps(obj, default=repr), file=sys.stderr)
+        return _EXIT_CODES.get(type(err), EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

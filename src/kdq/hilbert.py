@@ -30,6 +30,9 @@ TOL_ORTHO = 1e-10
 TOL_PSD = 1e-9
 TOL_IMAG = 1e-10
 
+# no single array may exceed this; larger requests are refused before allocation
+MAX_ARRAY_BYTES = 1 << 30
+
 
 def _tol(value, default: float, source: str = "tolerance") -> float:
     """``default`` for None, else ``value``: finite and positive, as a NaN would skip the check."""
@@ -40,6 +43,15 @@ def _tol(value, default: float, source: str = "tolerance") -> float:
             f"{source} must be a finite positive number, got {value!r}", source=source
         )
     return value
+
+
+def _require_budget(nbytes: int, what: str) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValidationError(
+            f"{what} needs {nbytes} bytes, over the {MAX_ARRAY_BYTES}-byte limit per array",
+            bytes=nbytes,
+            limit=MAX_ARRAY_BYTES,
+        )
 
 
 def _max_abs(x: np.ndarray) -> float:

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import AuditReport, _require_budget
+from .audit import AuditReport
 from .errors import DimMismatchError, ValidationError
 from .hilbert import (
     DensityOperator,
     OrthonormalBasis,
     StateVector,
+    _require_budget,
     computational_basis,
     fourier_basis,
 )
@@ -33,16 +34,18 @@ SCHEMA = "kdq/1"
 NAMED_BASES = ("computational", "fourier", "hadamard2")
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(arr: np.ndarray) -> list:
+    """``arr`` as nested lists of [re, im] pairs of Python floats."""
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def _matrix_pairs(mat: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(mat)]
-
-
-def _vector_pairs(vec: np.ndarray) -> list:
-    return [_pair(z) for z in np.asarray(vec)]
+def _csv(header: list[str], rows, keys: int = 0) -> str:
+    """CSV text: ``header``, then ``rows``, whose first ``keys`` cells are indices and the rest floats."""
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([*row[:keys], *(repr(float(x)) for x in row[keys:])] for row in rows)
+    return buf.getvalue()
 
 
 def _from_pair(obj, what: str) -> complex:
@@ -54,16 +57,17 @@ def _from_pair(obj, what: str) -> complex:
         raise ValidationError(f"{what}: non-numeric entry in {obj!r}") from exc
 
 
-def _complex_vector(obj, what: str) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise ValidationError(f"{what}: expected a list of [re, im] pairs")
-    return np.array([_from_pair(x, what) for x in obj], dtype=np.complex128)
-
-
-def _complex_matrix(obj, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise ValidationError(f"{what}: expected nested lists of [re, im] pairs")
-    return np.array([[_from_pair(x, what) for x in row] for row in obj], dtype=np.complex128)
+def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
+    """A vector (``ndim`` 1) or rectangular matrix (``ndim`` 2) of [re, im] pairs, read pair by pair."""
+    bad_shape = f"{what}: expected {'a list' if ndim == 1 else 'nested lists'} of [re, im] pairs"
+    rows = [obj] if ndim == 1 else obj
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError(bad_shape)
+    values = [[_from_pair(x, what) for x in row] for row in rows]
+    if len({len(row) for row in values}) > 1:  # ragged
+        raise ValidationError(bad_shape)
+    arr = np.array(values, dtype=np.complex128)
+    return arr[0] if ndim == 1 else arr
 
 
 def _check_schema(doc, what: str) -> None:
@@ -102,18 +106,12 @@ def read_json(path: str | Path, what: str) -> dict:
 
 
 def state_to_dict(state: StateVector | DensityOperator) -> dict:
-    if isinstance(state, StateVector):
-        return {
-            "schema": SCHEMA,
-            "dim": state.dim,
-            "kind": "pure",
-            "data": _vector_pairs(state.amplitudes),
-        }
+    pure = isinstance(state, StateVector)
     return {
         "schema": SCHEMA,
         "dim": state.dim,
-        "kind": "mixed",
-        "data": _matrix_pairs(state.matrix),
+        "kind": "pure" if pure else "mixed",
+        "data": _pairs(state.amplitudes if pure else state.matrix),
     }
 
 
@@ -122,12 +120,12 @@ def state_from_dict(doc: dict, tol: float | None = None) -> StateVector | Densit
     kind = doc.get("kind")
     dim = _check_dim(doc, "state file")
     if kind == "pure":
-        amps = _complex_vector(doc.get("data"), "state file data")
+        amps = _complex_array(doc.get("data"), 1, "state file data")
         if amps.shape != (dim,):
             raise ValidationError(f"state file: data length {amps.shape} does not match dim {dim}")
         return StateVector(amps, tol=tol)
     if kind == "mixed":
-        mat = _complex_matrix(doc.get("data"), "state file data")
+        mat = _complex_array(doc.get("data"), 2, "state file data")
         if mat.shape != (dim, dim):
             raise ValidationError(f"state file: data shape {mat.shape} does not match dim {dim}")
         return DensityOperator(mat, tol=tol)
@@ -148,14 +146,14 @@ def basis_to_dict(basis: OrthonormalBasis) -> dict:
         "schema": SCHEMA,
         "dim": basis.dim,
         "label": basis.label,
-        "unitary": _matrix_pairs(basis.matrix.T),
+        "unitary": _pairs(basis.matrix.T),
     }
 
 
 def basis_from_dict(doc: dict, tol: float | None = None) -> OrthonormalBasis:
     _check_schema(doc, "basis file")
     dim = _check_dim(doc, "basis file")
-    rows = _complex_matrix(doc.get("unitary"), "basis file unitary")
+    rows = _complex_array(doc.get("unitary"), 2, "basis file unitary")
     if rows.shape != (dim, dim):
         raise ValidationError(f"basis file: unitary shape {rows.shape} does not match dim {dim}")
     return OrthonormalBasis(rows.T, label=str(doc.get("label", "explicit")), tol=tol)
@@ -197,7 +195,7 @@ def kd_to_dict(dist: KDDistribution, tol: float | None = None) -> dict:
         "ordering": dist.ordering.value,
         "basis_a": basis_to_dict(dist.basis_a),
         "basis_b": basis_to_dict(dist.basis_b),
-        "table": _matrix_pairs(dist.table),
+        "table": _pairs(dist.table),
         "marginal_a": [float(x) for x in kd_marginal_a(dist, tol=tol, tol_imag=tol)],
         "marginal_b": [float(x) for x in kd_marginal_b(dist, tol=tol, tol_imag=tol)],
     }
@@ -214,7 +212,7 @@ def kd_from_dict(doc: dict, tol: float | None = None) -> KDDistribution:
         ) from exc
     basis_a = basis_from_dict(doc.get("basis_a"), tol=tol)
     basis_b = basis_from_dict(doc.get("basis_b"), tol=tol)
-    table = _complex_matrix(doc.get("table"), "joint table")
+    table = _complex_array(doc.get("table"), 2, "joint table")
     if table.shape != (dim, dim):
         raise ValidationError(f"joint table file: table shape {table.shape} vs dim {dim}")
     return KDDistribution(basis_a, basis_b, ordering, table, tol=tol)
@@ -228,16 +226,11 @@ def kd_to_csv(dist: KDDistribution, tol: float | None = None) -> str:
     """Long-format table: one row per cell, with both marginals repeated."""
     marg_a = kd_marginal_a(dist, tol=tol, tol_imag=tol)
     marg_b = kd_marginal_b(dist, tol=tol, tol_imag=tol)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "b", "re", "im", "marginal_a", "marginal_b"])
-    for a in range(dist.dim):
-        for b in range(dist.dim):
-            z = dist.table[a, b]
-            writer.writerow(
-                [a, b, repr(float(z.real)), repr(float(z.imag)), repr(float(marg_a[a])), repr(float(marg_b[b]))]
-            )
-    return buf.getvalue()
+    return _csv(
+        ["a", "b", "re", "im", "marginal_a", "marginal_b"],
+        ([a, b, z.real, z.imag, marg_a[a], marg_b[b]] for (a, b), z in np.ndenumerate(dist.table)),
+        keys=2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +241,7 @@ def wigner_to_dict(table: WignerTable, violations: list[tuple[int, int, float]] 
     doc = {
         "schema": SCHEMA,
         "dim": table.dim,
-        "table": [[float(x) for x in row] for row in table.table],
+        "table": table.table.tolist(),
     }
     if violations is not None:
         doc["violations"] = [
@@ -257,36 +250,21 @@ def wigner_to_dict(table: WignerTable, violations: list[tuple[int, int, float]] 
     return doc
 
 
-def wigner_to_csv(table: WignerTable) -> str:
-    """Rows are positions q, columns momenta p."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q"] + [f"p{p}" for p in range(table.dim)])
-    for q in range(table.dim):
-        writer.writerow([q] + [repr(float(x)) for x in table.table[q]])
-    return buf.getvalue()
+def wigner_to_csv(table: WignerTable, violations: list[tuple[int, int, float]] | None = None) -> str:
+    """Rows are positions q, columns momenta p; then a q,p,value section if ``violations`` is given."""
+    header = ["q"] + [f"p{p}" for p in range(table.dim)]
+    text = _csv(header, [[q, *row] for q, row in enumerate(table.table)], keys=1)
+    if violations is not None:
+        text += _csv(["q", "p", "value"], violations, keys=2)
+    return text
 
 
 SWEEP_COLUMNS = ["g", "re_est", "im_est", "re_exact", "im_exact", "abs_err", "postselect_prob"]
 
 
 def sweep_to_csv(points: list[SweepPoint]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for pt in points:
-        writer.writerow(
-            [
-                repr(float(pt.coupling)),
-                repr(float(pt.estimate.real)),
-                repr(float(pt.estimate.imag)),
-                repr(float(pt.exact.real)),
-                repr(float(pt.exact.imag)),
-                repr(float(pt.abs_error)),
-                repr(float(pt.postselect_prob)),
-            ]
-        )
-    return buf.getvalue()
+    rows = ([g, est.real, est.imag, exact.real, exact.imag, err, prob] for g, est, exact, err, prob in points)
+    return _csv(SWEEP_COLUMNS, rows)
 
 
 def report_to_json(report: AuditReport) -> str:

@@ -160,6 +160,7 @@ def kd_inverse(
     representation.  Requires every |<b|a>| to exceed ``tol_overlap``;
     ``tol`` is passed to the ``DensityOperator`` validation.
     """
+    tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
     am, bm = dist.basis_a.matrix, dist.basis_b.matrix
     cross_t = (bm.conj().T @ am).T  # cross_t[a, b] = <b|a>
     mags = abs(cross_t)
@@ -185,6 +186,7 @@ def conditional_weak_value(
     m_op: LinearOperator, a: StateVector, b: StateVector, tol_overlap: float = TOL_OVERLAP
 ) -> complex:
     """Complex conditional probability <b|M|a> / <b|a> (the weak value of M)."""
+    tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
     _require_same_dim(m_op.dim, a.dim)
     _require_same_dim(a.dim, b.dim)
     ov = overlap(b, a)

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroCouplingError,
 )
-from .hilbert import LinearOperator, StateVector, _max_abs, _require_same_dim
+from .hilbert import LinearOperator, StateVector, _max_abs, _require_budget, _require_same_dim
 from .kd import conditional_weak_value
 
 _PROJECTOR_TOL = 1e-10
@@ -53,6 +53,7 @@ class PointerConfig:
         n = self.grid_points
         if n < 16 or n & (n - 1) != 0:
             raise ValidationError(f"grid_points must be a power of two >= 16, got {n}")
+        _require_budget(16 * n, f"pointer grid of {n} points")
         if not (self.sigma > 0 and np.isfinite(self.sigma)):
             raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.grid_extent > 8 * self.sigma and np.isfinite(self.grid_extent)):

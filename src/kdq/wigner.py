@@ -25,9 +25,9 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
-from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, _max_abs, _tol
+from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _tol
 from .hilbert import computational_basis
-from .audit import QuasiProbRep, _require_budget
+from .audit import QuasiProbRep
 
 _REALITY_TOL = 1e-12
 

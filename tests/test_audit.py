@@ -9,6 +9,7 @@ from kdq import (
     BadSampleCountError,
     Ordering,
     QuasiProbRep,
+    ValidationError,
     check_condition1,
     check_condition2,
     check_condition3,
@@ -157,6 +158,13 @@ def test_condition3_bad_sample_count():
     a, b = comp_fourier(2)
     with pytest.raises(BadSampleCountError):
         check_condition3(kd_rep(a, b), samples=0, seed=0)
+
+
+def test_condition3_negative_seed_rejected():
+    # numpy's default_rng would raise a bare ValueError only after the compressions
+    a, b = comp_fourier(2)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+        check_condition3(kd_rep(a, b), samples=5, seed=-1)
 
 
 def test_condition3_deterministic_reports():

@@ -186,10 +186,51 @@ def test_audit_deterministic_given_seed(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_audit_bad_rep_spec_exit_2(capsys):
-    code, _, err = run_cli(capsys, "audit", "--rep", "bogus", "--dim", "2", "--all")
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("bogus", "unknown representation spec 'bogus'"),
+        ("mixed", "unknown representation spec 'mixed'"),
+        ("mixed:", "bad mixture weight in 'mixed:'"),
+        ("mixed:abc", "bad mixture weight in 'mixed:abc'"),
+        ("violator:x", "bad epsilon in 'violator:x'"),
+        ("kd:1", "unknown representation spec 'kd:1'"),
+    ],
+    ids=["bogus", "mixed", "mixed-empty", "mixed-abc", "violator-x", "kd-1"],
+)
+def test_audit_bad_rep_spec_exit_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, "audit", "--rep", spec, "--dim", "2", "--all")
     assert code == 2
-    assert json.loads(err)["code"] == "validation"
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["code"] == "validation"
+    if message.startswith("unknown"):
+        message += ": use kd, kd-ba, mixed:LAMBDA, violator:EPSILON, or wigner"
+    assert doc["message"] == message
+
+
+def test_audit_reaches_wrappers_installed_under_cli_names(capsys, monkeypatch):
+    # the spec and check tables look kdq.cli's globals up at call time, so a
+    # wrapper installed there (as the benchmark's tracer does) sees each call
+    import kdq.cli
+
+    calls = []
+    for name in ("mixed_rep", "check_condition1", "check_span"):
+        fn = getattr(kdq.cli, name)
+        monkeypatch.setattr(kdq.cli, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    code, _, _ = run_cli(capsys, "audit", "--rep", "mixed:0.5", "--dim", "3", "--c1", "--span")
+    assert code == 0
+    assert calls == ["mixed_rep", "check_condition1", "check_span"]
+
+
+def test_audit_negative_seed_exit_2(capsys):
+    # C1 is printed before C3 refuses the seed
+    code, out, err = run_cli(capsys, "audit", "--rep", "kd", "--dim", "2", "--c1", "--c3", "--seed", "-1")
+    assert code == 2
+    assert [json.loads(line)["condition"] for line in out.splitlines()] == ["C1"]
+    doc = json.loads(err)
+    assert doc["code"] == "validation"
+    assert doc["message"] == "seed must be a non-negative integer, got -1"
 
 
 def test_weak_sweep_csv(capsys):
@@ -267,6 +308,20 @@ def test_wigner_double_slit_report(capsys):
         v["q"] == 2 and v["p"] == 0 and abs(v["value"] - 0.2) <= 1e-12
         for v in doc["violations"]
     )
+
+
+def test_wigner_report_csv_lists_the_violations(capsys):
+    from kdq import condition3_violation_report, make_pure_density
+    from kdq.io import load_state
+
+    state = str(FIXTURES / "state_doubleslit_d5.json")
+    code, table_csv, _ = run_cli(capsys, "wigner", "--state", state, "--format", "csv")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "wigner", "--state", state, "--format", "csv", "--report")
+    assert code == 0
+    rows = condition3_violation_report(make_pure_density(load_state(state)))
+    assert rows and any((q, p) == (2, 0) for q, p, _ in rows)
+    assert out == table_csv + "q,p,value\n" + "".join(f"{q},{p},{w!r}\n" for q, p, w in rows)
 
 
 def test_wigner_even_dim_exit_2(capsys):

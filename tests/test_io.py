@@ -79,6 +79,29 @@ def test_state_invalid_payload_rejected():
         kio.state_from_dict(doc)
 
 
+_RAGGED = [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]
+
+
+def test_ragged_state_data_rejected():
+    doc = {"schema": "kdq/1", "dim": 2, "kind": "mixed", "data": _RAGGED}
+    with pytest.raises(ValidationError, match="state file data: expected nested lists of \\[re, im\\] pairs"):
+        kio.state_from_dict(doc)
+
+
+def test_ragged_basis_unitary_rejected():
+    doc = {"schema": "kdq/1", "dim": 2, "label": "x", "unitary": _RAGGED}
+    with pytest.raises(ValidationError, match="basis file unitary: expected nested lists of \\[re, im\\] pairs"):
+        kio.basis_from_dict(doc)
+
+
+def test_ragged_joint_table_rejected():
+    dist = kd_transform(random_density(2, 2, seed=3), computational_basis(2), fourier_basis(2))
+    doc = kio.kd_to_dict(dist)
+    doc["table"][1] = doc["table"][1][:1]
+    with pytest.raises(ValidationError, match="joint table: expected nested lists of \\[re, im\\] pairs"):
+        kio.kd_from_dict(doc)
+
+
 def test_basis_round_trip_bit_exact():
     basis = random_basis(4, seed=11)
     doc = json.loads(json.dumps(kio.basis_to_dict(basis)))

@@ -19,6 +19,7 @@ from kdq import (
     kd_marginal_a,
     kd_marginal_b,
     kd_operator,
+    kd_rep,
     kd_transform,
     make_pure_density,
     maximally_mixed,
@@ -26,6 +27,7 @@ from kdq import (
     product_trace,
     random_basis,
     random_density,
+    span_residual,
     total_probability,
 )
 
@@ -371,6 +373,23 @@ def _valid_dist():
 )
 def test_tolerance_must_be_finite_and_positive(call, tol):
     with pytest.raises(ValidationError, match="tolerance must be a finite positive number"):
+        call(_valid_dist(), tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3, "1e-10", True], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, tol: kd_inverse(d, tol_overlap=tol),
+        lambda d, tol: conditional_weak_value(LinearOperator(np.eye(2)), basis_state(2, 0), basis_state(2, 1), tol),
+        lambda d, tol: span_residual(kd_rep(d.basis_a, d.basis_b), tol_overlap=tol),
+    ],
+    ids=["inverse", "weak_value", "span_residual"],
+)
+def test_tol_overlap_must_be_finite_and_positive(call, tol):
+    # a NaN floor skips the |<b|a>| guard: the weak value then divides by zero,
+    # and span_residual flags no degenerate cell
+    with pytest.raises(ValidationError, match="tol_overlap must be a finite positive number"):
         call(_valid_dist(), tol)
 
 

@@ -1,5 +1,8 @@
 """Pointer-simulation tests: exact limits, first-order recovery, convergence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,10 @@ from kdq import (
     simulate_weak_measurement,
     weak_value_estimate,
 )
+from kdq.audit import MAX_ARRAY_BYTES
+from test_audit_factored import _kdq_child
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 SQ2 = np.sqrt(2.0)
 
@@ -41,6 +48,28 @@ def proj0():
 def test_config_rejects_non_power_of_two():
     with pytest.raises(ValidationError):
         PointerConfig(grid_points=100)
+
+
+def test_config_refuses_a_grid_over_the_array_budget():
+    # 2**40 points is a power of two, but one grid-sized complex array would take 16 TiB
+    import kdq.hilbert
+
+    with pytest.raises(ValidationError, match="pointer grid of 1099511627776 points needs 17592186044416 bytes"):
+        PointerConfig(grid_points=2**40)
+    assert kdq.hilbert.MAX_ARRAY_BYTES == MAX_ARRAY_BYTES == 1 << 30
+
+
+def test_cli_refuses_a_grid_over_the_array_budget():
+    code, out, err = _kdq_child(
+        "weak", "--state", str(FIXTURES / "state_plus_d2.json"), "--a-index", "0", "--basis-a", "computational",
+        "--b-index", "0", "--basis-b", "hadamard2", "--couplings", "0.1", "--grid-points", str(2**40),
+    )
+    assert code == 2, err
+    assert out == ""
+    doc = json.loads(err)
+    assert set(doc) == {"code", "message", "context"}
+    assert doc["code"] == "validation"
+    assert doc["context"]["limit"] == MAX_ARRAY_BYTES
 
 
 def test_config_rejects_small_extent():
