@@ -20,11 +20,14 @@ The checks walk the family one row Pi(a, .) or column Pi(., b) at a time.
 A dense family hands each step a (d, d, d) slice of its operators.  The
 shipped families are sums of rank-1 terms coef |ket><bra| per cell, and
 hand each step the factors instead: the slice kernels then work on
-d-vectors and t x t blocks, and no d^4 array is ever formed.
+d-vectors and t x t blocks, and no d^4 array is ever formed.  A family
+with one nonzero per operator row (the phase-point operators) makes each
+slice on request in that compact form, from a formula.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -57,6 +60,9 @@ class QuasiProbRep:
     ``terms`` instead, in the ``_family`` format with each ket and bra a
     (d, 1 or d, 1 or d) array over (i, a, b); the checks run on those
     terms, and ``operators`` is expanded from them only when first read.
+    The private ``_slices(side, k)`` source returns row k (side 0) or
+    column k (side 1) of the family as a ``_OnePerRow`` slice; those reps
+    likewise stack ``operators`` only when it is read.
     """
 
     def __init__(
@@ -67,11 +73,15 @@ class QuasiProbRep:
         label: str = "",
         *,
         terms=None,
+        _slices: Callable[[int, int], _OnePerRow] | None = None,
     ):
         d = basis_a.dim
         _require_same_dim(d, basis_b.dim)
         self.basis_a, self.basis_b, self.label = basis_a, basis_b, label
         self.terms = None if terms is None else tuple(terms)
+        self._slices, self._ops = _slices, None
+        if _slices is not None:
+            return
         if self.terms is not None:
             # bounds every entry of the expanded family, so a finite bound means finite cells
             bound = sum(
@@ -80,7 +90,6 @@ class QuasiProbRep:
             if not np.isfinite(bound):
                 raise ValidationError("terms contain non-finite entries")
             self._coef = np.stack([np.broadcast_to(c, (d, d)) for c, _, _ in self.terms], axis=-1)
-            self._ops = None
             return
         ops = np.array(operators, dtype=np.complex128, order="C")
         if ops.shape != (d, d, d, d):
@@ -96,8 +105,14 @@ class QuasiProbRep:
     def operators(self) -> np.ndarray:
         """The (d, d, d, d) family: complex, C-contiguous and read-only."""
         if self._ops is None:
-            _require_budget(16 * self.dim**4, f"dense family at dim {self.dim}")
-            ops = _family(self.terms)
+            d = self.dim
+            _require_budget(16 * d**4, f"dense family at dim {d}")
+            if self.terms is not None:
+                ops = _family(self.terms)
+            else:
+                ops = np.empty((d, d, d, d), dtype=np.complex128)
+                for a in range(d):
+                    ops[a] = _densify(self._slices(0, a))
             ops.setflags(write=False)
             self._ops = ops
         return self._ops
@@ -189,11 +204,51 @@ class _Terms(NamedTuple):
     bras: list
 
 
+class _OnePerRow(NamedTuple):
+    """Row or column slice whose every operator has one nonzero per row.
+
+    X_c[i, cols[c, i]] = vals[c, i]; ``cols`` is (1, d) where every cell of
+    the slice shares it.
+    """
+
+    cols: np.ndarray  # (c or 1, d) int
+    vals: np.ndarray  # (c, d) complex
+
+
+def _densify(x: _OnePerRow) -> np.ndarray:
+    """The (c, d, d) operators of a one-per-row slice."""
+    c, d = x.vals.shape
+    out = np.zeros((c, d * d), dtype=np.complex128)
+    out[np.arange(c)[:, None], np.arange(d) * d + x.cols] = x.vals
+    return out.reshape(c, d, d)
+
+
+# Cells densified at once by the compression and span kernels.  Whole
+# slices (16 d^3 bytes) are large enough that the allocator hands them back
+# to the operating system when freed, so every slice faulted its pages in
+# again; blocks this small are reused from the heap, which made these two
+# kernels 2-3x faster at d = 31 and 63.
+_BLOCK_BYTES = 1 << 18
+
+
+def _dense_blocks(x: _OnePerRow):
+    """(cells, operators) for consecutive blocks of cells of a one-per-row slice."""
+    c, d = x.vals.shape
+    step = max(1, _BLOCK_BYTES // (16 * d * d))
+    for start in range(0, c, step):
+        cells = slice(start, start + step)
+        cols = x.cols if len(x.cols) == 1 else x.cols[cells]
+        yield cells, _densify(_OnePerRow(cols, x.vals[cells]))
+
+
 def _slice(rep: QuasiProbRep, side: int, k: int):
     """Row Pi(k, .) (side 0) or column Pi(., k) (side 1) of the family.
 
-    A dense rep gives its (c, d, d) operators, a term rep its ``_Terms``.
+    A dense rep gives its (c, d, d) operators, a term rep its ``_Terms``,
+    a slice-source rep its ``_OnePerRow``.
     """
+    if rep._slices is not None:
+        return rep._slices(side, k)
     if rep.terms is None:
         return rep.operators[k] if side == 0 else rep.operators[:, k]
     d, t = rep.dim, len(rep.terms)
@@ -243,6 +298,10 @@ def _expectations(x, m: np.ndarray) -> np.ndarray:
     if isinstance(x, _Terms):
         mc = m.conj()
         return sum(cf * (mc @ k) * (m @ l.conj()) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
+    if isinstance(x, _OnePerRow):
+        if len(x.cols) == 1:  # every cell shares its columns: one (n, d) x (d, c) GEMM
+            return (m.conj() * m[:, x.cols[0]]) @ x.vals.T
+        return np.einsum("sci,si,ci->sc", m[:, x.cols], m.conj(), x.vals)  # gathered (n, c, d)
     c, d, _ = x.shape
     xm = (m @ x.reshape(c * d, d).T).reshape(len(m), c, d)  # xm[s, c] = X_c |m_s>
     return np.vecdot(m[:, None, :], xm)
@@ -253,6 +312,12 @@ def _slice_sum(x) -> np.ndarray:
     if isinstance(x, _Terms):
         c, d = len(x.coef), len(x.kets[0])
         return _stack(x.kets, c, x.coef).reshape(-1, d).T @ _stack(x.bras, c).reshape(-1, d).conj()
+    if isinstance(x, _OnePerRow):
+        d = x.vals.shape[1]
+        out = np.zeros((d, d), dtype=np.complex128)
+        # adds the cells in order, as the dense sum does
+        np.add.at(out, (np.arange(d), np.broadcast_to(x.cols, x.vals.shape)), x.vals)
+        return out
     return x.sum(axis=0)
 
 
@@ -260,6 +325,8 @@ def _traces(x, rho: np.ndarray) -> np.ndarray:
     """Tr(X_c rho) for every cell of a slice."""
     if isinstance(x, _Terms):
         return sum(cf * np.vecdot(l, rho @ k, axis=0) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
+    if isinstance(x, _OnePerRow):
+        return (x.vals * rho[x.cols, np.arange(x.vals.shape[1])]).sum(axis=1)
     return np.einsum("cij,ji->c", x, rho)
 
 
@@ -270,7 +337,12 @@ def evaluate(rep: QuasiProbRep, rho: DensityOperator) -> np.ndarray:
 
 
 class _Worst:
-    """Largest violation seen so far, with the witness of the first cell to reach it."""
+    """Largest violation seen so far, with the witness of the first cell to reach it.
+
+    A non-finite deviation (an overflow to inf or NaN) is worse than any
+    finite one: the first such cell fails the check and no later cell
+    replaces it, since NaN compares false with everything.
+    """
 
     def __init__(self, witness: str):
         self.value = 0.0
@@ -281,10 +353,15 @@ class _Worst:
 
         ``describe`` gets the winning index and returns its witness text.
         """
-        idx = np.unravel_index(int(np.argmax(devs)), devs.shape)
-        if devs[idx] > self.value:
-            self.value = float(devs[idx])
-            self.witness = describe(*(int(i) for i in idx))
+        if not math.isfinite(self.value):
+            return
+        flat, prefix = int(np.argmax(devs)), ""
+        if not math.isfinite(devs.flat[flat]):  # argmax stops at the first NaN, not at the first inf
+            flat, prefix = int(np.argmax(~np.isfinite(devs))), "non-finite deviation: "
+        elif not devs.flat[flat] > self.value:
+            return
+        self.value = float(devs.flat[flat])
+        self.witness = prefix + describe(*(int(i) for i in np.unravel_index(flat, devs.shape)))
 
     def report(self, condition: str, tol: float, samples_used: int = 0, seed: int = 0) -> AuditReport:
         return AuditReport(condition, self.value <= tol, self.value, self.witness, samples_used, seed)
@@ -368,6 +445,8 @@ def _compression_norms(x, v: np.ndarray) -> np.ndarray:
             return [f - v[:, None] * (v.conj() @ f) for f in fs]
 
         return _lowrank_norms(x.coef, off_v(x.kets), off_v(x.bras))
+    if isinstance(x, _OnePerRow):
+        return np.concatenate([_compression_norms(block, v) for _, block in _dense_blocks(x)])
     y = x - v[:, None] * (v.conj() @ x)[:, None, :]
     return _frobenius(y - (y @ v)[:, :, None] * v.conj())
 
@@ -446,6 +525,10 @@ def _span_row(
         coef = np.column_stack([x.coef, g * c * c - ux, -g])
         res = _lowrank_norms(coef, x.kets + [bm, a1], x.bras + [a1, bm])
         return np.where(degenerate, _lowrank_norms(*x), res) if degenerate.any() else res
+    if isinstance(x, _OnePerRow):
+        return np.concatenate([
+            _span_row(block, va, bm[:, b], c[b], w_sq_cut[b], degenerate[b]) for b, block in _dense_blocks(x)
+        ])
     n = len(x)
 
     def inner(p, q):  # Frobenius <p_c, q_c> for every c of two (c, d, d) stacks
@@ -488,10 +571,11 @@ def check_span(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport
     """Pass iff every nondegenerate cell sits in the two-ordering span."""
     res = span_residual(rep)
     masked = np.where(res.degenerate, 0.0, res.residuals)
-    a, b = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    bad = np.flatnonzero(~np.isfinite(masked))  # a non-finite residual fails, at the first such cell
+    a, b = np.unravel_index(int(bad[0] if len(bad) else np.argmax(masked)), masked.shape)
     worst = float(masked[a, b])
     n_degen = int(res.degenerate.sum())
-    witness = f"cell (a={a}, b={b}): residual {worst:.3e}"
+    witness = ("non-finite residual: " if len(bad) else "") + f"cell (a={a}, b={b}): residual {worst:.3e}"
     if n_degen:
         witness += f" ({n_degen} degenerate cells excluded)"
     return AuditReport("Span", worst <= tol, worst, witness, samples_used=0, seed=0)

@@ -38,6 +38,8 @@ def _tol(value, default: float, source: str = "tolerance") -> float:
     """``default`` for None, else ``value``: finite and positive, as a NaN would skip the check."""
     if value is None:
         return default
+    if type(value) is float and 0 < value < math.inf:  # the common case, without the ABC check below
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
         raise ValidationError(
             f"{source} must be a finite positive number, got {value!r}", source=source

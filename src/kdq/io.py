@@ -51,10 +51,13 @@ def _csv(header: list[str], rows, keys: int = 0) -> str:
 def _from_pair(obj, what: str) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValidationError(f"{what}: expected a [re, im] pair, got {obj!r}")
+    # JSON numbers only: float() would also take "1" and false
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj):
+        raise ValidationError(f"{what}: non-numeric entry in {obj!r}")
     try:
-        return complex(float(obj[0]), float(obj[1]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what}: non-numeric entry in {obj!r}") from exc
+        return complex(*obj)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValidationError(f"{what}: entry out of range in {obj!r}") from exc
 
 
 def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
@@ -90,12 +93,14 @@ def _check_dim(doc: dict, what: str) -> int:
 
 def read_json(path: str | Path, what: str) -> dict:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"{what}: cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(raw.decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is an integer
+    # literal past the interpreter's digit limit; deep nesting exhausts the stack
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what}: invalid JSON in {path}: {exc}") from exc
     _check_schema(doc, what)
     return doc

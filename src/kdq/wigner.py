@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
 from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _tol
 from .hilbert import computational_basis
-from .audit import QuasiProbRep
+from .audit import QuasiProbRep, _OnePerRow
 
 _REALITY_TOL = 1e-12
 
@@ -135,12 +135,17 @@ def momentum_basis(dim: int) -> OrthonormalBasis:
     return OrthonormalBasis(mat, label="momentum")
 
 
+def _phase(dim: int, p, x) -> np.ndarray:
+    """exp(4 pi i p x / d) / d: the entry of A(q, p) in row q - x, column q + x (mod d)."""
+    return np.exp(4j * np.pi * p * x / dim) / dim
+
+
 def phase_point_operator(dim: int, q: int, p: int) -> np.ndarray:
     """Operator A(q,p) with Tr(A(q,p) rho) = W(q,p); Hermitian, trace 1/d."""
     _require_odd(dim)
+    x = (q - np.arange(dim)) % dim  # row i = q - x holds its one nonzero in column q + x
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    for x in range(dim):
-        mat[(q - x) % dim, (q + x) % dim] = np.exp(4j * np.pi * p * x / dim) / dim
+    mat[np.arange(dim), (q + x) % dim] = _phase(dim, p, x)
     return mat
 
 
@@ -150,11 +155,21 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     Basis pair: position grid and the conjugate plane-wave basis.  The
     family passes the marginal check and fails the orthogonality-zero
     check, since every A(q,p) has weight off the q row and column.
+
+    The family is never stored: each A(q,p) has one nonzero per row, so a
+    row A(q, .) or column A(., p) of the family is made on request from
+    d x d index and phase tables, and memory stays O(d^3).
     """
     _require_odd(dim)
-    _require_budget(16 * dim**4, f"wigner family at dim {dim}")
-    q, p, x = np.ogrid[:dim, :dim, :dim]
-    ops = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
-    # the entries of phase_point_operator(dim, q, p), for every (q, p) at once
-    ops[q, p, (q - x) % dim, (q + x) % dim] = np.exp(4j * np.pi * p * x / dim) / dim
-    return QuasiProbRep(computational_basis(dim), momentum_basis(dim), ops, label="wigner")
+    _require_budget(16 * dim**3, f"wigner slice at dim {dim}")  # a dense row; C1 stacks d sums this size
+    r = np.arange(dim)
+    x = (r[:, None] - r) % dim  # x[q, i]: row i of A(q, p) is row q - x
+    cols = (r[:, None] + x) % dim  # cols[q, i] = 2q - i, whatever p is
+    phase = _phase(dim, r[:, None], r)  # phase[p, x]
+
+    def slices(side: int, k: int) -> _OnePerRow:
+        if side == 0:  # A(k, p) over p: one column pattern for the whole row
+            return _OnePerRow(cols[k][None], phase[:, x[k]])
+        return _OnePerRow(cols, phase[k][x])  # A(q, k) over q
+
+    return QuasiProbRep(computational_basis(dim), momentum_basis(dim), label="wigner", _slices=slices)

@@ -258,6 +258,40 @@ def test_uniqueness_compression_kernel_is_the_ordering_span():
 # report serialization
 
 
+def _overflowing_reps():
+    # every cell sum overflows: a dense family with every entry 1.7e308, and a
+    # term rep whose one term has that coefficient in every cell
+    a, b = fourier_basis(3), computational_basis(3)
+    yield QuasiProbRep(a, b, np.full((3, 3, 3, 3), 1.7e308))
+    yield QuasiProbRep(a, b, terms=[(np.full((3, 3), 1.7e308), a.matrix[:, :, None], b.matrix[:, None, :])])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_deviation_fails_the_check():
+    for rep in _overflowing_reps():
+        c1 = check_condition1(rep)
+        assert not c1.passed
+        assert not np.isfinite(c1.worst_violation)
+        assert c1.witness.startswith("non-finite deviation: row a=0:"), c1.witness
+        c3 = check_condition3(rep, samples=4)
+        assert not c3.passed
+        assert c3.witness.startswith("non-finite deviation: compression"), c3.witness
+        span = check_span(rep)
+        assert not span.passed
+        assert span.witness.startswith("non-finite residual: cell (a=0, b=0)"), span.witness
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_first_non_finite_cell_is_the_witness():
+    # C2 on the dense family: the first eigenstate table holds NaN in its
+    # first forbidden cell, and a later table's finite 1.7e308 cannot replace it
+    dense = next(_overflowing_reps())
+    c2 = check_condition2(dense)
+    assert not c2.passed and np.isnan(c2.worst_violation)
+    expected = "non-finite deviation: eigenstate |A_0>: forbidden cell (a=1, b=0)"
+    assert c2.witness.startswith(expected), c2.witness
+
+
 def test_report_json_dict_fields():
     a, b = comp_fourier(2)
     report = check_condition1(kd_rep(a, b))

@@ -137,6 +137,26 @@ def test_reconstruct_corrupt_json_exit_2(tmp_path, capsys):
     assert json.loads(err)["code"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"schema": "kdq/1", "dim": 1, "kind": "pure", "data": [[1, 0]], "label": "\xff"}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["not-utf8", "nested-100000"],
+)
+def test_unreadable_state_file_exit_2(tmp_path, capsys, content):
+    state = tmp_path / "state.json"
+    state.write_bytes(content)
+    argv = ["kd", "--state", str(state), "--basis-a", "computational", "--basis-b", "computational"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert set(doc) == {"code", "message", "context"}
+    assert doc["code"] == "validation"
+    assert doc["message"].startswith("state file: invalid JSON in")
+
+
 def test_audit_kd_all_passes(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -102,6 +102,29 @@ def test_ragged_joint_table_rejected():
         kio.kd_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (["1", 0], "non-numeric entry"),
+        ([0.5, "0"], "non-numeric entry"),
+        ([False, 0], "non-numeric entry"),
+        ([1.0, True], "non-numeric entry"),
+        ([None, 0], "non-numeric entry"),
+        ([10**400, 0], "entry out of range"),
+    ],
+    ids=["str-re", "str-im", "bool-re", "bool-im", "null", "huge-int"],
+)
+def test_pairs_take_json_numbers_only(pair, message):
+    doc = {"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [pair, [0.0, 0.0]]}
+    with pytest.raises(ValidationError, match=f"state file data: {message}"):
+        kio.state_from_dict(doc)
+
+
+def test_pairs_take_ints_and_floats():
+    doc = {"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [[1, 0], [0.0, -0.0]]}
+    assert np.array_equal(kio.state_from_dict(doc).amplitudes, [1, 0])
+
+
 def test_basis_round_trip_bit_exact():
     basis = random_basis(4, seed=11)
     doc = json.loads(json.dumps(kio.basis_to_dict(basis)))
