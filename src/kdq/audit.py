@@ -22,7 +22,9 @@ shipped families are sums of rank-1 terms coef |ket><bra| per cell, and
 hand each step the factors instead: the slice kernels then work on
 d-vectors and t x t blocks, and no d^4 array is ever formed.  A family
 with one nonzero per operator row (the phase-point operators) makes each
-slice on request in that compact form, from a formula.
+slice on request in that compact form, from a formula; where the side's
+basis vector is a coordinate vector in the slice's frame, the compression
+and span kernels work on those nonzeros alone, O(d) per cell.
 """
 
 from __future__ import annotations
@@ -208,11 +210,17 @@ class _OnePerRow(NamedTuple):
     """Row or column slice whose every operator has one nonzero per row.
 
     X_c[i, cols[c, i]] = vals[c, i]; ``cols`` is (1, d) where every cell of
-    the slice shares it.
+    the slice shares it.  Two optional facts let the C3 and span kernels
+    skip densifying: ``pivot`` k says that the basis vector of the slice's
+    side is |k>, and ``frame`` (F, y) gives the same cells in another frame,
+    X_c = F Y_c F^dag for the cells Y_c of the one-per-row slice y (whose
+    own ``pivot``, if set, refers to the side's vector there, F^dag |v>).
     """
 
     cols: np.ndarray  # (c or 1, d) int
     vals: np.ndarray  # (c, d) complex
+    pivot: int | None = None
+    frame: tuple | None = None  # (F (d, d) unitary, _OnePerRow)
 
 
 def _densify(x: _OnePerRow) -> np.ndarray:
@@ -223,22 +231,33 @@ def _densify(x: _OnePerRow) -> np.ndarray:
     return out.reshape(c, d, d)
 
 
-# Cells densified at once by the compression and span kernels.  Whole
-# slices (16 d^3 bytes) are large enough that the allocator hands them back
-# to the operating system when freed, so every slice faulted its pages in
-# again; blocks this small are reused from the heap, which made these two
-# kernels 2-3x faster at d = 31 and 63.
+# Cells handed at once to the dense compression and span kernels.  Their
+# temporaries for a whole slice (16 d^3 bytes each) are large enough that
+# the allocator hands them back to the operating system when freed, so
+# every slice faulted its pages in again; blocks this small are reused from
+# the heap, which made these two kernels 2-3x faster at d = 31 and 63.
 _BLOCK_BYTES = 1 << 18
 
 
-def _dense_blocks(x: _OnePerRow):
-    """(cells, operators) for consecutive blocks of cells of a one-per-row slice."""
-    c, d = x.vals.shape
+def _dense_blocks(x):
+    """(cells, operators) for consecutive blocks of cells of a dense or one-per-row slice."""
+    dense = isinstance(x, np.ndarray)
+    c, d = x.shape[:2] if dense else x.vals.shape
     step = max(1, _BLOCK_BYTES // (16 * d * d))
     for start in range(0, c, step):
         cells = slice(start, start + step)
-        cols = x.cols if len(x.cols) == 1 else x.cols[cells]
-        yield cells, _densify(_OnePerRow(cols, x.vals[cells]))
+        if dense:
+            yield cells, x[cells]
+        else:
+            cols = x.cols if len(x.cols) == 1 else x.cols[cells]
+            yield cells, _densify(_OnePerRow(cols, x.vals[cells]))
+
+
+def _off_pivot_sq(x: _OnePerRow) -> np.ndarray:
+    """sum_i |X_c[i, cols[c, i]]|^2 over the nonzeros off row and column ``x.pivot``, per cell."""
+    k = x.pivot
+    off = (x.cols != k) & (np.arange(x.vals.shape[1]) != k)
+    return ((x.vals.real**2 + x.vals.imag**2) * off).sum(axis=1)
 
 
 def _slice(rep: QuasiProbRep, side: int, k: int):
@@ -299,6 +318,9 @@ def _expectations(x, m: np.ndarray) -> np.ndarray:
         mc = m.conj()
         return sum(cf * (mc @ k) * (m @ l.conj()) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
     if isinstance(x, _OnePerRow):
+        if x.frame is not None:  # <m|F Y F^dag|m> = <F^dag m|Y|F^dag m>: one (n, d) x (d, d) GEMM
+            f, y = x.frame
+            return _expectations(y, m @ f.conj())
         if len(x.cols) == 1:  # every cell shares its columns: one (n, d) x (d, c) GEMM
             return (m.conj() * m[:, x.cols[0]]) @ x.vals.T
         return np.einsum("sci,si,ci->sc", m[:, x.cols], m.conj(), x.vals)  # gathered (n, c, d)
@@ -373,11 +395,6 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
-def _projectors(mat: np.ndarray) -> np.ndarray:
-    """Stack of rank-1 projectors: out[k] = |k><k| for the columns |k> of ``mat``."""
-    return np.einsum("ik,jk->kij", mat, mat.conj())
-
-
 def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
     """Operator marginals: sum_b Pi(a,b) = P_a and sum_a Pi(a,b) = P_b."""
     d = rep.dim
@@ -386,8 +403,12 @@ def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
         (0, rep.basis_a, "row a={k}: ||sum_b Pi(a,b) - P_a||_F = {dev:.3e}"),
         (1, rep.basis_b, "column b={k}: ||sum_a Pi(a,b) - P_b||_F = {dev:.3e}"),
     ):
-        sums = np.stack([_slice_sum(_slice(rep, side, k)) for k in range(d)])
-        devs = _frobenius(sums - _projectors(basis.matrix))
+        devs = np.empty(d)
+        for k in range(d):
+            v = basis.matrix[:, k]
+            # einsum, not np.outer, which rounds some entries of |k><k| differently
+            dev = _slice_sum(_slice(rep, side, k)) - np.einsum("i,j->ij", v, v.conj())
+            devs[k] = _frobenius(dev[None])[0]
         worst.bump(devs, lambda k: text.format(k=k, dev=devs[k]))
     return worst.report("C1", tol)
 
@@ -435,10 +456,14 @@ def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
 def _compression_norms(x, v: np.ndarray) -> np.ndarray:
     """||Q X_c Q||_F for every cell X_c of a slice, with Q = 1 - |v><v|.
 
-    Q X Q is formed explicitly: a dense slice as Y - (Y|v>)<v| with
+    Q X Q is formed explicitly: a dense block as Y - (Y|v>)<v| with
     Y = X - |v>(<v|X), a term slice by projecting its factors.  The
     squared-norm identity ||X||^2 - ||X v||^2 - ... cancels down to ~1e-8
-    noise, too coarse for the audit tolerance.
+    noise, too coarse for the audit tolerance.  A one-per-row slice with a
+    pivot k needs neither: Q = 1 - |k><k| deletes row k and column k, so the
+    norm sums the squares of the nonzeros left, a sum of positive terms.
+    The norm is unitarily invariant, so a slice given in another frame is
+    compressed there.
     """
     if isinstance(x, _Terms):
         def off_v(fs):
@@ -446,7 +471,16 @@ def _compression_norms(x, v: np.ndarray) -> np.ndarray:
 
         return _lowrank_norms(x.coef, off_v(x.kets), off_v(x.bras))
     if isinstance(x, _OnePerRow):
-        return np.concatenate([_compression_norms(block, v) for _, block in _dense_blocks(x)])
+        if x.frame is not None:  # Q F Y F^dag Q = F (Q' Y Q') F^dag with Q' = 1 - F^dag |v><v| F
+            f, x = x.frame
+            v = f.conj().T @ v
+        if x.pivot is not None:
+            return np.sqrt(_off_pivot_sq(x))
+    return np.concatenate([_dense_compression(block, v) for _, block in _dense_blocks(x)])
+
+
+def _dense_compression(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """_compression_norms for a (c, d, d) block of operators."""
     y = x - v[:, None] * (v.conj() @ x)[:, None, :]
     return _frobenius(y - (y @ v)[:, :, None] * v.conj())
 
@@ -525,10 +559,47 @@ def _span_row(
         coef = np.column_stack([x.coef, g * c * c - ux, -g])
         res = _lowrank_norms(coef, x.kets + [bm, a1], x.bras + [a1, bm])
         return np.where(degenerate, _lowrank_norms(*x), res) if degenerate.any() else res
-    if isinstance(x, _OnePerRow):
-        return np.concatenate([
-            _span_row(block, va, bm[:, b], c[b], w_sq_cut[b], degenerate[b]) for b, block in _dense_blocks(x)
-        ])
+    if isinstance(x, _OnePerRow) and x.pivot is not None:
+        return _pivot_span_row(x, bm, c, w_sq_cut, degenerate)
+    return np.concatenate([
+        _dense_span_row(block, va, bm[:, b], c[b], w_sq_cut[b], degenerate[b]) for b, block in _dense_blocks(x)
+    ])
+
+
+def _pivot_span_row(
+    x: _OnePerRow, bm: np.ndarray, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
+) -> np.ndarray:
+    """_span_row for a one-per-row row slice whose vector |a> is the coordinate vector |k>, k = x.pivot.
+
+    U_b = |b><k| lives in column k and V_b = |k><b| in row k, so the
+    residual differs from X_b only there: it is formed explicitly on those
+    2d - 1 entries (column k, then row k without its diagonal entry), and
+    the nonzeros of X_b off both add their squares.
+    """
+    k, (n, d) = x.pivot, x.vals.shape
+    bt = bm.T  # bt[b] = |b>
+    cols = np.broadcast_to(x.cols, x.vals.shape)
+    xcol = np.where(cols == k, x.vals, 0.0)  # column k of X_b
+    xrow = np.zeros((n, d), dtype=np.complex128)  # row k of X_b, off the diagonal
+    xrow[np.arange(n), cols[:, k]] = x.vals[:, k]
+    xrow[:, k] = 0.0
+    wcol = -(c * c)[:, None] * bt  # W_b = V_b - c_b^2 U_b on column k ...
+    wcol[:, k] += bt[:, k].conj()
+    wrow = bt.conj().copy()  # ... and on row k
+    wrow[:, k] = 0.0
+    rcol = xcol - np.vecdot(bt, xcol)[:, None] * bt  # X - <U, X> U
+    w_sq = np.vecdot(wcol, wcol).real + np.vecdot(wrow, wrow).real
+    g = (np.vecdot(wcol, rcol) + np.vecdot(wrow, xrow)) / np.where(w_sq > w_sq_cut, w_sq, np.inf)
+    rcol -= g[:, None] * wcol
+    rrow = xrow - g[:, None] * wrow
+    res = np.sqrt(np.vecdot(rcol, rcol).real + np.vecdot(rrow, rrow).real + _off_pivot_sq(x))
+    return np.where(degenerate, np.sqrt((x.vals.real**2 + x.vals.imag**2).sum(axis=1)), res)
+
+
+def _dense_span_row(
+    x: np.ndarray, va: np.ndarray, bm: np.ndarray, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
+) -> np.ndarray:
+    """_span_row for a (c, d, d) block of operators."""
     n = len(x)
 
     def inner(p, q):  # Frobenius <p_c, q_c> for every c of two (c, d, d) stacks

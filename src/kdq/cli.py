@@ -12,6 +12,9 @@ Subcommands::
 Exit codes: 0 success / all checks passed, 1 some audit check failed,
 2 input validation, 3 singular overlap, 4 degenerate post-selection.
 Failures emit a JSON error object {code, message, context} on stderr.
+All JSON is strict: a non-finite float is written as the string "NaN",
+"Infinity" or "-Infinity", and numpy floating-point warnings are silenced,
+a non-finite result failing its check instead.
 The KDQ_TOL environment variable supplies a default for --tol; either must
 be a finite positive number.
 """
@@ -22,6 +25,8 @@ import argparse
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import io as kdq_io
 from .audit import (
@@ -69,6 +74,15 @@ def _tol(args) -> float | None:
         raise ValidationError(f"KDQ_TOL is not a number: {raw!r}") from exc
 
 
+def _emit(obj, file=None) -> None:
+    """Print ``obj`` as one line of strict JSON: every JSON write of the CLI goes through here."""
+    try:
+        text = json.dumps(obj, allow_nan=False, default=repr)
+    except ValueError:  # a non-finite float
+        text = json.dumps(kdq_io.finite_json(obj), allow_nan=False, default=repr)
+    print(text, file=file)
+
+
 def _as_density(state: StateVector | DensityOperator, tol: float | None) -> DensityOperator:
     return make_pure_density(state, tol=tol) if isinstance(state, StateVector) else state
 
@@ -79,7 +93,7 @@ def _cmd_kd(args, tol: float | None) -> int:
     basis_b = kdq_io.resolve_basis(args.basis_b, rho.dim, tol=tol)
     dist = kd_transform(rho, basis_a, basis_b, Ordering(args.ordering), tol=tol, tol_imag=tol)
     if args.format == "json":
-        print(json.dumps(kdq_io.kd_to_dict(dist, tol=tol)))
+        _emit(kdq_io.kd_to_dict(dist, tol=tol))
     else:
         sys.stdout.write(kdq_io.kd_to_csv(dist, tol=tol))
     return EXIT_OK
@@ -87,7 +101,7 @@ def _cmd_kd(args, tol: float | None) -> int:
 
 def _cmd_reconstruct(args, tol: float | None) -> int:
     rho = kd_inverse(kdq_io.load_kd(args.kd, tol=tol), tol=tol)
-    print(json.dumps(kdq_io.state_to_dict(rho)))
+    _emit(kdq_io.state_to_dict(rho))
     return EXIT_OK
 
 
@@ -144,7 +158,7 @@ def _cmd_audit(args, tol: float | None) -> int:
     all_passed = True
     for check in wanted:
         report = check(rep, args, check_tol)
-        print(kdq_io.report_to_json(report))
+        _emit(report.to_json_dict())
         all_passed = all_passed and report.passed
     return EXIT_OK if all_passed else EXIT_AUDIT_FAILED
 
@@ -180,7 +194,7 @@ def _cmd_wigner(args, tol: float | None) -> int:
     table = discrete_wigner(rho, tol=tol)
     violations = condition3_violation_report(rho, tol=tol) if args.report else None
     if args.format == "json":
-        print(json.dumps(kdq_io.wigner_to_dict(table, violations)))
+        _emit(kdq_io.wigner_to_dict(table, violations))
     else:
         sys.stdout.write(kdq_io.wigner_to_csv(table, violations))
     return EXIT_OK
@@ -245,10 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _tol(args))
+        with np.errstate(all="ignore"):
+            return args.func(args, _tol(args))
     except KdqError as err:
-        obj = {"code": err.code, "message": str(err), "context": err.context}
-        print(json.dumps(obj, default=repr), file=sys.stderr)
+        _emit({"code": err.code, "message": str(err), "context": err.context}, file=sys.stderr)
         return _EXIT_CODES.get(type(err), EXIT_VALIDATION)
 
 

@@ -274,12 +274,16 @@ def _complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) -
     n = 0
     while n < samples:
         x = rng.standard_normal((samples - n, 2, d))
-        z = x[:, 0] + 1j * x[:, 1]
-        z = z - v * np.vecdot(v, z)[:, None]
+        z = np.empty((samples - n, d), dtype=np.complex128)
+        z.real, z.imag = x[:, 0], x[:, 1]
+        z -= v * np.vecdot(v, z)[:, None]
         nrm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
         keep = nrm > 1e-8
         kept = int(keep.sum())
-        out[n : n + kept] = z[keep] / nrm[keep, None]
+        if kept == len(z):
+            np.divide(z, nrm[:, None], out=out[n:])
+        else:
+            out[n : n + kept] = z[keep] / nrm[keep, None]
         n += kept
     return out
 

@@ -3,7 +3,9 @@
 Complex numbers are serialized as [re, im] pairs of decimal floats using
 Python's shortest round-trip representation, so re-parsing a serialized
 artifact reproduces the values bit-exactly.  Every structured document
-carries a top-level ``"schema": "kdq/1"`` field.
+carries a top-level ``"schema": "kdq/1"`` field.  Output is strict JSON
+(RFC 8259): a non-finite float, which it cannot express as a number, is
+written as one of the strings "NaN", "Infinity" and "-Infinity".
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,17 @@ NAMED_BASES = ("computational", "fourier", "hadamard2")
 def _pairs(arr: np.ndarray) -> list:
     """``arr`` as nested lists of [re, im] pairs of Python floats."""
     return np.stack([arr.real, arr.imag], -1).tolist()
+
+
+def finite_json(obj):
+    """``obj`` with every non-finite float, at any depth of dicts, lists and tuples, as its string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {key: finite_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_json(value) for value in obj]
+    return obj
 
 
 def _csv(header: list[str], rows, keys: int = 0) -> str:
@@ -273,4 +287,4 @@ def sweep_to_csv(points: list[SweepPoint]) -> str:
 
 
 def report_to_json(report: AuditReport) -> str:
-    return json.dumps(report.to_json_dict())
+    return json.dumps(finite_json(report.to_json_dict()), allow_nan=False)

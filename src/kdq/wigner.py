@@ -159,17 +159,28 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     The family is never stored: each A(q,p) has one nonzero per row, so a
     row A(q, .) or column A(., p) of the family is made on request from
     d x d index and phase tables, and memory stays O(d^3).
+
+    A row's basis vector is the position state |q>, which lets the C3 and
+    span kernels work on the nonzeros alone.  A column is also handed in
+    the momentum frame, where its vector is |p>: the phase-point operators
+    are Fourier covariant, M^dag A(q, p) M = A(p, -q) for the momentum
+    basis M (Gibbons, Hoffman and Wootters, PRA 70, 062101 (2004)), so there
+    column p is position row p with its cells reversed.
     """
     _require_odd(dim)
-    _require_budget(16 * dim**3, f"wigner slice at dim {dim}")  # a dense row; C1 stacks d sums this size
+    _require_budget(16 * dim**3, f"wigner slice at dim {dim}")  # one densified row
     r = np.arange(dim)
     x = (r[:, None] - r) % dim  # x[q, i]: row i of A(q, p) is row q - x
     cols = (r[:, None] + x) % dim  # cols[q, i] = 2q - i, whatever p is
     phase = _phase(dim, r[:, None], r)  # phase[p, x]
+    momentum = momentum_basis(dim)
+    reverse = (-r)[:, None] % dim
 
     def slices(side: int, k: int) -> _OnePerRow:
         if side == 0:  # A(k, p) over p: one column pattern for the whole row
-            return _OnePerRow(cols[k][None], phase[:, x[k]])
-        return _OnePerRow(cols, phase[k][x])  # A(q, k) over q
+            return _OnePerRow(cols[k][None], phase[:, x[k]], pivot=k)
+        # A(q, k) over q, and in the momentum frame A(k, -q) over q
+        framed = _OnePerRow(cols[k][None], phase[reverse, x[k]], pivot=k)
+        return _OnePerRow(cols, phase[k][x], frame=(momentum.matrix, framed))
 
-    return QuasiProbRep(computational_basis(dim), momentum_basis(dim), label="wigner", _slices=slices)
+    return QuasiProbRep(computational_basis(dim), momentum, label="wigner", _slices=slices)

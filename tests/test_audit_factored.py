@@ -190,6 +190,21 @@ def test_audit_all_at_d48_stays_far_below_the_dense_family(capsys):
     assert peak < 16 * d**4 / 4, peak
 
 
+def test_condition1_holds_one_row_sum_at_a_time():
+    # stacking the d row sums, the d projectors and their difference would
+    # take 16 d^3 bytes each (4.2 MB here)
+    d = 64
+    rep = kd_rep(computational_basis(d), fourier_basis(d))
+    tracemalloc.start()
+    try:
+        report = check_condition1(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * d**3, peak
+
+
 def test_condition3_rejects_dim_1():
     one = computational_basis(1)
     for rep in (kd_rep(one, one), QuasiProbRep(one, one, np.ones((1, 1, 1, 1)))):

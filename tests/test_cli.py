@@ -464,3 +464,41 @@ def test_wigner_report_tol_judges_the_zero_marginal(tmp_path, capsys, monkeypatc
     assert midpoint_listed("--tol", "1e-8")
     monkeypatch.setenv("KDQ_TOL", "1e-8")
     assert midpoint_listed()
+
+
+def _strict_json(text):
+    """Parse as RFC 8259 does: the bare tokens NaN, Infinity and -Infinity are not JSON."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_audit_values_print_as_strict_json():
+    # the compression and the span residual overflow to inf at this epsilon
+    proc = subprocess.run(
+        [sys.executable, "-m", "kdq", "audit", "--rep", "violator:1e300", "--dim", "3", "--all"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # numpy's overflow warnings stay silent
+    docs = {doc["condition"]: doc for doc in map(_strict_json, proc.stdout.splitlines())}
+    assert docs["C3"]["worst_violation"] == docs["Span"]["worst_violation"] == "Infinity"
+    assert docs["C3"]["passed"] is docs["Span"]["passed"] is False
+    assert isinstance(docs["C1"]["worst_violation"], float)
+
+
+def test_non_finite_error_context_prints_as_strict_json(tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text('{"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [[1e308, 0], [1e308, 0]]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "kdq", "kd", "--state", str(state), "--basis-a", "computational",
+         "--basis-b", "fourier"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    doc = _strict_json(proc.stderr)
+    assert doc["code"] == "not_normalized"
+    assert doc["context"] == {"norm_sq": "Infinity"}

@@ -1,6 +1,7 @@
 """Serialization tests: schema validation and bit-exact round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kdq import (
     random_state,
 )
 from kdq import io as kio
+from kdq.audit import AuditReport
 from kdq.pointer import SweepPoint
 
 
@@ -212,3 +214,13 @@ def test_wigner_serialization():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "q,p0,p1,p2"
     assert len(lines) == 4
+
+
+def test_finite_json_spells_out_non_finite_floats():
+    doc = {"x": [1.5, float("nan"), (float("inf"), -math.inf)], "n": 3, "s": "inf"}
+    assert kio.finite_json(doc) == {"x": [1.5, "NaN", ["Infinity", "-Infinity"]], "n": 3, "s": "inf"}
+    report = AuditReport("C3", False, math.inf, "w", 1, 0)
+    assert kio.report_to_json(report) == (
+        '{"condition": "C3", "passed": false, "worst_violation": "Infinity", "witness": "w", '
+        '"samples_used": 1, "seed": 0}'
+    )

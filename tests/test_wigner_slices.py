@@ -20,6 +20,7 @@ from kdq import (
     check_condition2,
     check_condition3,
     check_span,
+    computational_basis,
     evaluate,
     random_basis,
     random_density,
@@ -27,10 +28,10 @@ from kdq import (
     span_residual,
     wigner_as_rep,
 )
-from kdq.audit import _OnePerRow, _compression_norms, _expectations, _slice, _slice_sum, _traces
-from kdq.wigner import phase_point_operator
+from kdq.audit import _OnePerRow, _complement_samples, _compression_norms, _expectations, _slice, _slice_sum, _traces
+from kdq.wigner import momentum_basis, phase_point_operator
 from test_audit_factored import _kdq_child
-from test_audit_reference import _assert_checks_match
+from test_audit_reference import _assert_checks_match, _assert_same_report
 
 
 @pytest.mark.parametrize("dim", [3, 5, 9, 31])
@@ -134,3 +135,100 @@ def test_cli_audits_wigner_past_the_old_family_limit():
     assert code == 1, err
     verdicts = {doc["condition"]: doc["passed"] for doc in map(json.loads, out.splitlines())}
     assert verdicts == {"C1": True, "C2": True, "C3": False, "Span": False}
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+def test_phase_point_operators_are_fourier_covariant(dim):
+    # M^dag A(q, p) M = A(p, -q) for the momentum basis M: the identity that
+    # maps a momentum column of the family onto a position row
+    m = momentum_basis(dim).matrix
+    for q in range(dim):
+        for p in range(dim):
+            moved = m.conj().T @ phase_point_operator(dim, q, p) @ m
+            np.testing.assert_allclose(moved, phase_point_operator(dim, p, -q % dim), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 9, 31])
+def test_phase_point_kernels_match_the_dense_slices(dim):
+    rep = wigner_as_rep(dim)
+    dense = QuasiProbRep(rep.basis_a, rep.basis_b, rep.operators)
+    rng = np.random.default_rng(dim)
+
+    def close(new, old):
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+
+    for side, basis in ((0, rep.basis_a), (1, rep.basis_b)):
+        for k in range(dim):
+            x, y = _slice(rep, side, k), _slice(dense, side, k)
+            v = basis.matrix[:, k]
+            close(_compression_norms(x, v), _compression_norms(y, v))
+            m = _complement_samples(rng, v, 6)
+            close(_expectations(x, m), _expectations(y, m))
+    close(span_residual(rep).residuals, span_residual(dense).residuals)
+    for check in (check_condition3, check_span):
+        new, old = check(rep), check(dense)
+        cells = {}
+        if check is check_condition3:
+            ref.check_condition3(rep, samples=100, seed=0, cells=cells)
+        else:
+            ref.check_span(rep, cells=cells)
+        _assert_same_report(new, old, cells)
+
+
+@pytest.mark.parametrize("basis_b", ["random", "computational"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-columns", "own-columns"])
+def test_pivot_kernels_match_the_dense_kernels_on_any_one_per_row_row(shared, basis_b):
+    # random rows over the position basis, each claiming its pivot: column k
+    # may hold several nonzeros of a cell, and row k's nonzero need not sit
+    # on the diagonal; identical bases make the off-diagonal cells degenerate
+    d = 6
+    rng = np.random.default_rng(5)
+    cols = rng.integers(0, d, (d, 1 if shared else d, d))  # cols[a, b or 0, i]
+    vals = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))  # vals[a, b, i]
+
+    def slices(side, k):
+        return _OnePerRow(cols[k], vals[k], pivot=k) if side == 0 else _OnePerRow(cols[:, k % cols.shape[1]], vals[:, k])
+
+    b = random_basis(d, seed=6) if basis_b == "random" else computational_basis(d)
+    rep = QuasiProbRep(computational_basis(d), b, label="pivoted", _slices=slices)
+    dense = QuasiProbRep(rep.basis_a, rep.basis_b, rep.operators)
+    for k in range(d):
+        v = rep.basis_a.matrix[:, k]
+        np.testing.assert_allclose(
+            _compression_norms(_slice(rep, 0, k), v), _compression_norms(_slice(dense, 0, k), v), rtol=0, atol=1e-12
+        )
+    new, old = span_residual(rep), span_residual(dense)
+    np.testing.assert_array_equal(new.degenerate, old.degenerate)
+    np.testing.assert_allclose(new.residuals, old.residuals, rtol=0, atol=1e-12)
+
+
+def _count_fast_paths(monkeypatch):
+    calls = {"_off_pivot_sq": 0, "_pivot_span_row": 0, "frame": 0}
+    for name in ("_off_pivot_sq", "_pivot_span_row"):
+        def counted(*args, _f=getattr(kdq.audit, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(kdq.audit, name, counted)
+    expectations = kdq.audit._expectations
+
+    def counted_expectations(x, m):
+        calls["frame"] += isinstance(x, _OnePerRow) and x.frame is not None
+        return expectations(x, m)
+
+    monkeypatch.setattr(kdq.audit, "_expectations", counted_expectations)
+    return calls
+
+
+def test_fast_paths_fire_on_the_phase_point_slices_only(monkeypatch):
+    calls = _count_fast_paths(monkeypatch)
+    d = 5
+    check_condition3(wigner_as_rep(d), samples=4), check_span(wigner_as_rep(d))
+    # compressions on both sides, then the span's off-pivot squares per row;
+    # the momentum columns' samples enter their frame
+    assert calls == {"_off_pivot_sq": 3 * d, "_pivot_span_row": d, "frame": d}
+    calls.update(dict.fromkeys(calls, 0))
+    rep = _random_one_per_row_rep(d, seed=3)
+    for check in (check_condition1, check_condition2, check_condition3, check_span):
+        check(rep)
+    assert calls == {"_off_pivot_sq": 0, "_pivot_span_row": 0, "frame": 0}
