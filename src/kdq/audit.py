@@ -336,9 +336,13 @@ def _slice_sum(x) -> np.ndarray:
         return _stack(x.kets, c, x.coef).reshape(-1, d).T @ _stack(x.bras, c).reshape(-1, d).conj()
     if isinstance(x, _OnePerRow):
         d = x.vals.shape[1]
-        out = np.zeros((d, d), dtype=np.complex128)
-        # adds the cells in order, as the dense sum does
-        np.add.at(out, (np.arange(d), np.broadcast_to(x.cols, x.vals.shape)), x.vals)
+        # bincount adds its weights in input order, so with the flat positions
+        # i*d + cols[c, i] taken cell by cell it adds the cells in order, as
+        # the dense sum does
+        flat = np.broadcast_to(np.arange(d) * d + x.cols, x.vals.shape).ravel()
+        out = np.empty((d, d), dtype=np.complex128)
+        out.real = np.bincount(flat, x.vals.real.ravel(), d * d).reshape(d, d)
+        out.imag = np.bincount(flat, x.vals.imag.ravel(), d * d).reshape(d, d)
         return out
     return x.sum(axis=0)
 

@@ -22,6 +22,7 @@ be a finite positive number.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -29,16 +30,6 @@ import sys
 import numpy as np
 
 from . import io as kdq_io
-from .audit import (
-    DEFAULT_AUDIT_TOL,
-    check_condition1,
-    check_condition2,
-    check_condition3,
-    check_span,
-    kd_rep,
-    make_condition2_violator,
-    mixed_rep,
-)
 from .errors import (
     DegeneratePostselectionError,
     KdqError,
@@ -47,8 +38,41 @@ from .errors import (
 )
 from .hilbert import DensityOperator, LinearOperator, StateVector, _tol as lib_tol, make_pure_density
 from .kd import Ordering, kd_inverse, kd_transform
-from .pointer import PointerConfig, coupling_sweep
-from .wigner import condition3_violation_report, discrete_wigner, wigner_as_rep
+
+# The audit, pointer and wigner names are imported by the commands that call
+# them (each subparser's ``needs``), since an import up here is paid by every
+# run of kdq: module -> its names, bound in this module's globals when loaded.
+_LAZY = {
+    "audit": (
+        "DEFAULT_AUDIT_TOL",
+        "check_condition1",
+        "check_condition2",
+        "check_condition3",
+        "check_span",
+        "kd_rep",
+        "make_condition2_violator",
+        "mixed_rep",
+    ),
+    "pointer": ("PointerConfig", "coupling_sweep"),
+    "wigner": ("condition3_violation_report", "discrete_wigner", "wigner_as_rep"),
+}
+
+
+def _load(module: str) -> None:
+    """Bind ``module``'s names here, keeping any already bound: a wrapper installed under one stays."""
+    mod = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    """A lazy name read before its command ran, e.g. to wrap it: load its module first."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_AUDIT_FAILED = 1
@@ -214,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis-b", required=True, help="named basis or @file.json")
     p.add_argument("--ordering", choices=["AB", "BA"], default="AB")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_kd)
+    p.set_defaults(func=_cmd_kd, needs=lambda args: ())
 
     p = sub.add_parser("reconstruct", parents=[common], help="invert a joint table file")
     p.add_argument("--kd", required=True, help="joint table JSON file")
-    p.set_defaults(func=_cmd_reconstruct)
+    p.set_defaults(func=_cmd_reconstruct, needs=lambda args: ())
 
     p = sub.add_parser("audit", parents=[common], help="condition checks for a representation")
     p.add_argument(
@@ -232,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in [*_CHECKS, "all"]:
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=_cmd_audit)
+    p.set_defaults(
+        func=_cmd_audit, needs=lambda args: ("audit", "wigner") if args.rep == "wigner" else ("audit",)
+    )
 
     p = sub.add_parser("weak", parents=[common], help="pointer coupling sweep (CSV)")
     p.add_argument("--state", required=True, help="pure state JSON file")
@@ -244,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=512)
     p.add_argument("--grid-extent", type=float, default=20.0, help="extent in units of sigma")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.set_defaults(func=_cmd_weak)
+    p.set_defaults(func=_cmd_weak, needs=lambda args: ("pointer",))
 
     p = sub.add_parser("wigner", parents=[common], help="discrete phase-space table")
     p.add_argument("--state", required=True, help="state JSON file (odd dimension)")
     p.add_argument("--report", action="store_true", help="append zero-marginal violations")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_wigner)
+    p.set_defaults(func=_cmd_wigner, needs=lambda args: ("wigner",))
 
     return parser
 
@@ -258,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for module in args.needs(args):
+        _load(module)
     try:
         with np.errstate(all="ignore"):
             return args.func(args, _tol(args))

@@ -10,15 +10,14 @@ written as one of the strings "NaN", "Infinity" and "-Infinity".
 
 from __future__ import annotations
 
-import csv
 import io as _io
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audit import AuditReport
 from .errors import DimMismatchError, ValidationError
 from .hilbert import (
     DensityOperator,
@@ -29,8 +28,11 @@ from .hilbert import (
     fourier_basis,
 )
 from .kd import KDDistribution, Ordering, kd_marginal_a, kd_marginal_b
-from .pointer import SweepPoint
-from .wigner import WignerTable
+
+if TYPE_CHECKING:  # annotations only: importing these modules is left to their callers
+    from .audit import AuditReport
+    from .pointer import SweepPoint
+    from .wigner import WignerTable
 
 SCHEMA = "kdq/1"
 
@@ -55,6 +57,8 @@ def finite_json(obj):
 
 def _csv(header: list[str], rows, keys: int = 0) -> str:
     """CSV text: ``header``, then ``rows``, whose first ``keys`` cells are indices and the rest floats."""
+    import csv  # only the CSV outputs need it
+
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -21,13 +21,16 @@ basis so the family's operator marginals match its labels exactly.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
 from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _tol
 from .hilbert import computational_basis
-from .audit import QuasiProbRep, _OnePerRow
+
+if TYPE_CHECKING:
+    from .audit import QuasiProbRep
 
 _REALITY_TOL = 1e-12
 
@@ -167,6 +170,8 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     basis M (Gibbons, Hoffman and Wootters, PRA 70, 062101 (2004)), so there
     column p is position row p with its cells reversed.
     """
+    from .audit import QuasiProbRep, _OnePerRow  # only this function needs the audit module
+
     _require_odd(dim)
     _require_budget(16 * dim**3, f"wigner slice at dim {dim}")  # one densified row
     r = np.arange(dim)

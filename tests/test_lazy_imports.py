@@ -1,0 +1,157 @@
+"""The package and the CLI import a submodule only when it is used.
+
+A ``kdq`` child pays for every module it imports, so ``import kdq.cli`` and
+a ``kd`` run must not load the audit, pointer or Wigner modules.  Module
+loading is process-wide, so each case that counts loaded modules runs in a
+fresh ``python -c`` child, one at a time.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import kdq
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+STATE_D2 = str(FIXTURES / "state_plus_d2.json")
+SLITS_D5 = str(FIXTURES / "state_doubleslit_d5.json")
+
+# the package's public names, by the submodule that defines them
+PUBLIC = {
+    "errors": (
+        "BadEpsilonError", "BadRankError", "BadSampleCountError", "BadSlitsError",
+        "DegeneratePostselectionError", "DimMismatchError", "EvenDimensionError",
+        "GridTooCoarseError", "KdqError", "NotNormalizedError", "SingularOverlapError",
+        "ValidationError", "ZeroCouplingError",
+    ),
+    "hilbert": (
+        "TOL_HERM", "TOL_IMAG", "TOL_NORM", "TOL_ORTHO", "TOL_PSD", "DensityOperator",
+        "LinearOperator", "OrthonormalBasis", "StateVector", "basis_state", "computational_basis",
+        "fourier_basis", "make_pure_density", "maximally_mixed", "overlap", "product_trace",
+        "random_basis", "random_density", "random_state", "random_state_orthogonal_to",
+        "states_equal_up_to_phase",
+    ),
+    "kd": (
+        "TOL_OVERLAP", "KDDistribution", "Ordering", "conditional_weak_value", "kd_inverse",
+        "kd_marginal_a", "kd_marginal_b", "kd_operator", "kd_transform", "total_probability",
+    ),
+    "audit": (
+        "AuditReport", "QuasiProbRep", "SpanResidual", "check_condition1", "check_condition2",
+        "check_condition3", "check_span", "evaluate", "kd_rep", "make_condition2_violator",
+        "mixed_rep", "span_residual",
+    ),
+    "pointer": (
+        "PointerConfig", "PointerReadout", "SweepPoint", "coupling_sweep",
+        "simulate_weak_measurement", "weak_value_estimate",
+    ),
+    "wigner": (
+        "WignerTable", "condition3_violation_report", "discrete_wigner", "double_slit_state",
+        "momentum_basis", "phase_point_operator", "position_marginal", "wigner_as_rep",
+    ),
+}
+
+
+def _child(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter and return the JSON object it prints last."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_by(*argv) -> dict:
+    """The kdq modules loaded by ``import kdq.cli``, then by ``kdq.cli.main(argv)``, and its exit code."""
+    return _child(
+        f"""
+        import contextlib, io, json, sys
+        import kdq.cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("kdq."))
+
+        on_import = loaded()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = kdq.cli.main({list(argv)!r})
+        print(json.dumps({{"import": on_import, "run": loaded(), "code": code}}))
+        """
+    )
+
+
+def test_import_and_kd_load_none_of_audit_pointer_wigner():
+    got = _loaded_by("kd", "--state", STATE_D2, "--basis-a", "computational", "--basis-b", "fourier")
+    assert got["code"] == 0
+    assert got["import"] == got["run"] == ["kdq.cli", "kdq.errors", "kdq.hilbert", "kdq.io", "kdq.kd"]
+
+
+def test_audit_on_a_term_rep_loads_neither_pointer_nor_wigner():
+    got = _loaded_by("audit", "--rep", "kd", "--dim", "4", "--all")
+    assert got["code"] == 0
+    assert "kdq.audit" in got["run"]
+    assert not {"kdq.pointer", "kdq.wigner"} & set(got["run"])
+
+
+def test_wigner_report_loads_neither_audit_nor_pointer():
+    got = _loaded_by("wigner", "--state", SLITS_D5, "--report")
+    assert got["code"] == 0
+    assert "kdq.wigner" in got["run"]
+    assert not {"kdq.audit", "kdq.pointer"} & set(got["run"])
+
+
+def test_wrappers_installed_before_their_module_loads_see_the_calls():
+    # coupling_sweep is read through kdq.cli first, as the benchmark's tracer
+    # does; wigner_as_rep is assigned without reading the original at all
+    got = _child(
+        f"""
+        import contextlib, io, json, sys
+        import kdq.cli
+
+        calls, before = [], sorted({{"kdq.pointer", "kdq.wigner"}} & set(sys.modules))
+        sweep = kdq.cli.coupling_sweep
+        kdq.cli.coupling_sweep = lambda *a, **k: calls.append("coupling_sweep") or sweep(*a, **k)
+
+        def wigner_as_rep(dim):
+            calls.append("wigner_as_rep")
+            from kdq.wigner import wigner_as_rep as original
+
+            return original(dim)
+
+        kdq.cli.wigner_as_rep = wigner_as_rep
+        unloaded = "kdq.wigner" not in sys.modules
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(kdq.cli.main(["weak", "--state", {STATE_D2!r}, "--a-index", "0", "--basis-a",
+                                       "computational", "--b-index", "0", "--basis-b", "hadamard2",
+                                       "--couplings", "0.1"]))
+            codes.append(kdq.cli.main(["audit", "--rep", "wigner", "--dim", "3", "--c1"]))
+        print(json.dumps({{"before": before, "unloaded": unloaded, "calls": calls, "codes": codes}}))
+        """
+    )
+    assert got["before"] == [] and got["unloaded"]
+    assert got["calls"] == ["coupling_sweep", "wigner_as_rep"]
+    assert got["codes"] == [0, 0]
+
+
+def test_all_lists_the_public_names_as_the_objects_of_their_modules():
+    assert len(kdq.__all__) == len(set(kdq.__all__))
+    assert set(kdq.__all__) == {name for names in PUBLIC.values() for name in names}
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"kdq.{module}")
+        for name in names:
+            assert getattr(kdq, name) is getattr(mod, name), name
+
+
+def test_dir_and_star_import_cover_every_export():
+    assert set(kdq.__all__) <= set(dir(kdq))
+    namespace = {}
+    exec("from kdq import *", namespace)
+    assert all(namespace[name] is getattr(kdq, name) for name in kdq.__all__)
+
+
+@pytest.mark.parametrize("module", ["kdq", "kdq.cli"])
+def test_unknown_attribute_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(importlib.import_module(module), "no_such_name")

@@ -1,6 +1,7 @@
 """Pointer-simulation tests: exact limits, first-order recovery, convergence."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ from kdq import (
     weak_value_estimate,
 )
 from kdq.audit import MAX_ARRAY_BYTES
+from kdq.cli import main
+from kdq.pointer import _LIVE_GRIDS
 from test_audit_factored import _kdq_child
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -70,6 +73,42 @@ def test_cli_refuses_a_grid_over_the_array_budget():
     assert set(doc) == {"code", "message", "context"}
     assert doc["code"] == "validation"
     assert doc["context"]["limit"] == MAX_ARRAY_BYTES
+
+
+def test_sweep_peak_stays_within_the_budgeted_grid_count():
+    n = 2**12
+    cfg = PointerConfig(grid_points=n)
+    args = (i_state(), proj0(), basis_state(2, 0), cfg, [0.1, 0.2, 0.4])
+    coupling_sweep(*args)  # first-call allocations (FFT plans) are not the sweep's
+    tracemalloc.start()
+    try:
+        coupling_sweep(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _LIVE_GRIDS * 16 * n
+
+
+def test_cli_refuses_the_smallest_grid_over_the_sweep_budget(capsys):
+    # 2**24 points: one grid array is 256 MiB, the arrays a sweep holds 1.5 GiB
+    smallest = 2**24
+    assert _LIVE_GRIDS * 16 * smallest > MAX_ARRAY_BYTES >= _LIVE_GRIDS * 16 * (smallest // 2)
+    PointerConfig(grid_points=smallest // 2)
+    tracemalloc.start()
+    try:
+        code = main([
+            "weak", "--state", str(FIXTURES / "state_plus_d2.json"), "--a-index", "0", "--basis-a", "computational",
+            "--b-index", "0", "--basis-b", "hadamard2", "--couplings", "0.1", "--grid-points", str(smallest),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["code"] == "validation"
+    assert doc["context"] == {"bytes": _LIVE_GRIDS * 16 * smallest, "limit": MAX_ARRAY_BYTES}
+    assert peak < 16 * smallest // 64  # refused before a grid array was allocated
 
 
 def test_config_rejects_small_extent():

@@ -106,6 +106,21 @@ def test_one_per_row_kernels_match_the_dense_slices(monkeypatch, block_cells):
         assert ref.witness_key(new.witness) == ref.witness_key(old.witness)
 
 
+@pytest.mark.parametrize("dim", [3, 5, 31])
+def test_one_per_row_slice_sum_matches_scatter_add_bit_for_bit(dim):
+    # np.add.at adds the cells in order; the slice sum must keep its bits, signed zeros included
+    rep = wigner_as_rep(dim)
+    for side in (0, 1):
+        for k in range(dim):
+            x = _slice(rep, side, k)
+            ref = np.zeros((dim, dim), dtype=complex)
+            np.add.at(ref, (np.arange(dim), np.broadcast_to(x.cols, x.vals.shape)), x.vals)
+            got = _slice_sum(x)
+            for part in ("real", "imag"):
+                new, old = getattr(got, part), getattr(ref, part)
+                assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old)), (side, k)
+
+
 def test_checks_and_evaluate_never_build_the_family():
     rep = wigner_as_rep(7)
     rho = random_density(7, 7, seed=4)
