@@ -117,11 +117,24 @@ class DensityOperator:
         trace = complex(mat.trace())
         if abs(trace - 1.0) > _tol(tol, TOL_NORM):
             raise ValidationError(f"density matrix has trace {trace}, expected 1", trace=trace)
-        lo = float(np.linalg.eigvalsh((mat + adj) / 2.0)[0])  # eigenvalues ascend
-        if lo < -_tol(tol_psd, TOL_PSD):
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo
-            )
+        # Cholesky of sym + tol_psd I, sym = (mat + adj) / 2, succeeds exactly when
+        # sym's smallest eigenvalue exceeds -tol_psd, within d eps |rho| (Higham,
+        # ch. 10); twice that matrix has the same verdict.  The eigenvalue is
+        # computed only when the factorization fails.
+        tol_psd = _tol(tol_psd, TOL_PSD)
+        twice = mat + adj
+        twice.ravel()[:: mat.shape[0] + 1] += 2.0 * tol_psd
+        try:
+            # OpenBLAS passes an overflowed (NaN) pivot, and it spreads to the last one
+            factored = math.isfinite(np.linalg.cholesky(twice)[-1, -1].real)
+        except np.linalg.LinAlgError:
+            factored = False
+        if not factored:
+            lo = float(np.linalg.eigvalsh((mat + adj) / 2.0)[0])  # unshifted; eigenvalues ascend
+            if lo < -tol_psd:
+                raise ValidationError(
+                    f"density matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo
+                )
         object.__setattr__(self, "matrix", mat)
 
     @property

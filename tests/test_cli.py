@@ -381,6 +381,26 @@ def test_env_var_tolerance(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_tol_does_not_reach_the_psd_bound(tmp_path, capsys, monkeypatch):
+    # the PSD bound is the library keyword tol_psd only: --tol and KDQ_TOL
+    # leave a smallest eigenvalue of -1e-6 refused at the default -1e-9
+    lam = [0.5, 0.3, 0.2 + 1e-6, -1e-6]
+    data = [[[lam[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    state = tmp_path / "neg.json"
+    state.write_text(json.dumps({"schema": "kdq/1", "dim": 4, "kind": "mixed", "data": data}))
+    argv = ["kd", "--state", str(state), "--basis-a", "computational", "--basis-b", "fourier"]
+    for tol_args, env_tol in (([], None), (["--tol", "1e-3"], None), ([], "1e-3")):
+        if env_tol is not None:
+            monkeypatch.setenv("KDQ_TOL", env_tol)
+        code, out, err = run_cli(capsys, *argv, *tol_args)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "validation"
+        assert "negative eigenvalue" in doc["message"]
+        assert doc["context"]["min_eigenvalue"] == pytest.approx(-1e-6, rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "tol_args, env_tol",
     [(["--tol", "nan"], None), (["--tol", "inf"], None), (["--tol", "0"], None), (["--tol", "-1"], None), ([], "nan")],

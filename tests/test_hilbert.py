@@ -11,12 +11,16 @@ from kdq import (
     DimMismatchError,
     LinearOperator,
     NotNormalizedError,
+    Ordering,
     OrthonormalBasis,
+    TOL_PSD,
     StateVector,
     ValidationError,
     basis_state,
     computational_basis,
     fourier_basis,
+    kd_inverse,
+    kd_transform,
     make_pure_density,
     maximally_mixed,
     overlap,
@@ -149,6 +153,96 @@ def test_rejected_values_match_the_plain_numpy_expressions(dim):
         assert err.value.context["deviation"] == float(
             np.max(np.abs(m.conj().T @ m - np.eye(dim)))
         )
+
+
+# ---------------------------------------------------------------------------
+# positivity: one Cholesky factorization accepts, eigvalsh only reports
+
+
+def _unit_trace_hermitian(rng, dim, lo):
+    """U diag(lam) U^dag with lam_min = ``lo`` and unit trace, Hermitian bit for bit."""
+    rest = rng.uniform(0.5, 1.5, dim - 1)
+    lam = np.concatenate([[lo], rest * (1.0 - lo) / rest.sum()])
+    u = np.linalg.qr(_random_complex(rng, dim, dim))[0]
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _smallest_sym_eigenvalue(h):
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
+
+
+@pytest.mark.parametrize("tol_psd", [None, 1e-6, 1e-3], ids=["default", "1e-6", "1e-3"])
+@pytest.mark.parametrize("dim", [2, 3, 16, 64])
+def test_psd_verdict_matches_the_smallest_eigenvalue_at_the_bound(dim, tol_psd):
+    bound = TOL_PSD if tol_psd is None else tol_psd
+    rng = np.random.default_rng(dim)
+    for factor in (-0.5, -0.999, -1.001, -2.0):
+        for _ in range(5):
+            h = _unit_trace_hermitian(rng, dim, factor * bound)
+            lo = _smallest_sym_eigenvalue(h)
+            assert (lo < -bound) == (factor < -1.0)  # the cases sit on both sides
+            if lo < -bound:
+                with pytest.raises(ValidationError, match="negative eigenvalue") as err:
+                    DensityOperator(h, tol_psd=tol_psd)
+                assert err.value.context["min_eigenvalue"] == lo
+            else:
+                assert DensityOperator(h, tol_psd=tol_psd).dim == dim
+
+
+@pytest.mark.parametrize("rank", [1, 2, 32, 63])
+def test_rank_deficient_densities_are_accepted_at_d64(rank):
+    # their zero eigenvalues are rounding noise of either sign
+    for seed in range(5):
+        assert random_density(64, rank, seed=seed).dim == 64
+        assert make_pure_density(random_state(64, seed)).dim == 64
+
+
+def test_huge_indefinite_matrix_reports_the_eigenvalue():
+    # their Cholesky pivots overflow to NaN rather than failing
+    rng = np.random.default_rng(200)
+    for dim in (2, 16, 64):
+        x = _random_complex(rng, dim, dim) * 1e200
+        h = x + x.conj().T
+        np.fill_diagonal(h, 1.0 / dim)
+        with pytest.raises(ValidationError, match="negative eigenvalue") as err:
+            DensityOperator(h)
+        assert err.value.context["min_eigenvalue"] == _smallest_sym_eigenvalue(h)
+        assert err.value.context["min_eigenvalue"] < -1e199
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_valid_densities_never_call_eigvalsh(monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    for dim in range(2, 65):
+        a, b = computational_basis(dim), fourier_basis(dim)
+        for rho in (
+            random_density(dim, 1, seed=dim),
+            random_density(dim, dim, seed=dim),
+            make_pure_density(random_state(dim, seed=dim)),
+            maximally_mixed(dim),
+        ):
+            for ordering in Ordering:
+                assert kd_inverse(kd_transform(rho, a, b, ordering)).dim == dim
+    assert calls == []
+
+
+def test_a_rejected_density_calls_eigvalsh_once(monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        DensityOperator(np.diag([1.5, -0.5]))
+    assert calls == [(2, 2)]
 
 
 # ---------------------------------------------------------------------------
