@@ -76,6 +76,24 @@ def _frozen_complex(data, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _shaped(data, ndim: int) -> tuple[np.ndarray, bool]:
+    """A read-only complex128 copy of ``data``; is it of rank ``ndim``, non-empty and, as a matrix, square?"""
+    arr = np.array(data, dtype=np.complex128)
+    arr.setflags(write=False)
+    return arr, arr.ndim == ndim and arr.size > 0 and arr.shape[0] == arr.shape[-1]
+
+
+def _accepts(arr: np.ndarray, ndim: int, what: str, deviation: float, tol, default: float) -> bool:
+    """``deviation <= tol``, or else the ordered checks: ``_frozen_complex``, ``_tol``, then False if over."""
+    try:
+        if deviation <= _tol(tol, default):  # NaN or inf for a non-finite entry: accepted arrays are finite
+            return True
+    except ValidationError:
+        pass
+    _frozen_complex(arr, ndim, what)
+    return not deviation > _tol(tol, default)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state: a length-d complex vector."""
@@ -84,9 +102,9 @@ class StateVector:
     tol: InitVar[float | None] = None
 
     def __post_init__(self, tol):
-        amps = _frozen_complex(self.amplitudes, 1, "state vector")
-        norm_sq = float((abs(amps) ** 2).sum())
-        if abs(norm_sq - 1.0) > _tol(tol, TOL_NORM):
+        amps, shaped = _shaped(self.amplitudes, 1)
+        norm_sq = float((abs(amps) ** 2).sum()) if shaped else math.nan
+        if not _accepts(amps, 1, "state vector", abs(norm_sq - 1.0), tol, TOL_NORM):
             raise NotNormalizedError(
                 f"state vector has squared norm {norm_sq!r}, expected 1", norm_sq=norm_sq
             )
@@ -106,10 +124,10 @@ class DensityOperator:
     tol_psd: InitVar[float | None] = None
 
     def __post_init__(self, tol, tol_psd):
-        mat = _frozen_complex(self.matrix, 2, "density matrix")
+        mat, shaped = _shaped(self.matrix, 2)
         adj = mat.conj().T
-        herm_dev = _max_abs(mat - adj)
-        if herm_dev > _tol(tol, TOL_HERM):
+        herm_dev = _max_abs(mat - adj) if shaped else math.nan
+        if not _accepts(mat, 2, "density matrix", herm_dev, tol, TOL_HERM):
             raise ValidationError(
                 f"density matrix is not Hermitian (max deviation {herm_dev:.3e})",
                 deviation=herm_dev,
@@ -169,11 +187,13 @@ class OrthonormalBasis:
     tol: InitVar[float | None] = None
 
     def __post_init__(self, tol):
-        mat = _frozen_complex(self.matrix, 2, "basis matrix")
-        gram = mat.conj().T @ mat
-        gram.ravel()[:: mat.shape[0] + 1] -= 1.0  # gram - identity
-        gram_dev = _max_abs(gram)
-        if gram_dev > _tol(tol, TOL_ORTHO):
+        mat, shaped = _shaped(self.matrix, 2)
+        gram_dev = math.nan
+        if shaped:
+            gram = mat.conj().T @ mat
+            gram.ravel()[:: mat.shape[0] + 1] -= 1.0  # gram - identity
+            gram_dev = _max_abs(gram)
+        if not _accepts(mat, 2, "basis matrix", gram_dev, tol, TOL_ORTHO):
             raise ValidationError(
                 f"basis vectors are not orthonormal (max Gram deviation {gram_dev:.3e})",
                 deviation=gram_dev,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import io as _io
 import json
 import math
+from contextlib import suppress
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -79,11 +81,18 @@ def _from_pair(obj, what: str) -> complex:
 
 
 def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
-    """A vector (``ndim`` 1) or rectangular matrix (``ndim`` 2) of [re, im] pairs, read pair by pair."""
+    """A vector (``ndim`` 1) or rectangular matrix (``ndim`` 2) of [re, im] pairs."""
     bad_shape = f"{what}: expected {'a list' if ndim == 1 else 'nested lists'} of [re, im] pairs"
     rows = [obj] if ndim == 1 else obj
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in rows):
         raise ValidationError(bad_shape)
+    # 2-lists of int and float: one numpy call, bit for bit complex(re, im); else pair by pair
+    pairs = list(chain.from_iterable(rows))
+    two_lists = {*map(type, pairs)} == {list} and {*map(len, pairs)} == {2}
+    if two_lists and {*map(type, chain(*pairs))} <= {int, float}:
+        with suppress(ValueError, OverflowError):  # ragged rows, an integer beyond the float range
+            arr = np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
+            return arr[0] if ndim == 1 else arr
     values = [[_from_pair(x, what) for x in row] for row in rows]
     if len({len(row) for row in values}) > 1:  # ragged
         raise ValidationError(bad_shape)
@@ -238,7 +247,7 @@ def kd_from_dict(doc: dict, tol: float | None = None) -> KDDistribution:
     table = _complex_array(doc.get("table"), 2, "joint table")
     if table.shape != (dim, dim):
         raise ValidationError(f"joint table file: table shape {table.shape} vs dim {dim}")
-    return KDDistribution(basis_a, basis_b, ordering, table, tol=tol)
+    return KDDistribution(basis_a, basis_b, ordering, table, tol=tol, tol_imag=tol)
 
 
 def load_kd(path: str | Path, tol: float | None = None) -> KDDistribution:

@@ -14,7 +14,7 @@ the table a complete parametrization of the density operator.
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .hilbert import (
     LinearOperator,
     OrthonormalBasis,
     StateVector,
+    _accepts,
     _max_abs,
     _require_same_dim,
     _tol,
@@ -60,6 +61,9 @@ class KDDistribution:
     table: np.ndarray
     tol: InitVar[float | None] = None
     tol_imag: InitVar[float | None] = None
+    # private: the row and column sums the imaginary-part check took; cross[b, a] = <b|a> from kd_transform
+    _sums: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _cross: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol, tol_imag):
         d = self.basis_a.dim
@@ -67,19 +71,20 @@ class KDDistribution:
         tab = np.array(self.table, dtype=np.complex128)
         if tab.shape != (d, d):
             raise ValidationError(f"table must have shape {(d, d)}, got {tab.shape}")
-        if not np.isfinite(tab).all():
-            raise ValidationError("table contains non-finite entries")
         total = complex(tab.sum())
-        if abs(total - 1.0) > _tol(tol, TOL_NORM):
+        if not _accepts(tab, 2, "table", abs(total - 1.0), tol, TOL_NORM):
             raise ValidationError(f"table sums to {total}, expected 1", total=total)
-        worst_imag = max(_max_abs(tab.sum(axis=1).imag), _max_abs(tab.sum(axis=0).imag))
+        sums = tab.sum(axis=1), tab.sum(axis=0)
+        worst_imag = max(_max_abs(sums[0].imag), _max_abs(sums[1].imag))
         if worst_imag > _tol(tol_imag, TOL_IMAG):
             raise ValidationError(
                 f"row/column sums have imaginary part {worst_imag:.3e}",
                 worst_imag=worst_imag,
             )
-        tab.setflags(write=False)
+        for arr in (tab, *sums):
+            arr.setflags(write=False)
         object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "_sums", sums)
 
     @property
     def dim(self) -> int:
@@ -109,14 +114,22 @@ def kd_transform(
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
     am, bm = basis_a.matrix, basis_b.matrix
-    cross = bm.conj().T @ am  # cross[b, a] = <b|a>
+    cross = _cross_overlaps(am, bm)
     if ordering is Ordering.AB:
         mixed = am.conj().T @ rho.matrix @ bm  # mixed[a, b] = <a|rho|b>
         table = cross.T * mixed
     else:
         mixed = bm.conj().T @ rho.matrix @ am  # mixed[b, a] = <b|rho|a>
         table = (cross.conj() * mixed).T
-    return KDDistribution(basis_a, basis_b, ordering, table, tol=tol, tol_imag=tol_imag)
+    dist = KDDistribution(basis_a, basis_b, ordering, table, tol=tol, tol_imag=tol_imag)
+    cross.setflags(write=False)
+    object.__setattr__(dist, "_cross", cross)
+    return dist
+
+
+def _cross_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
+    """cross[b, a] = <b|a> for basis matrices ``am`` and ``bm``: each cell's weight, divided back out."""
+    return bm.conj().T @ am
 
 
 def _real_marginal(
@@ -140,14 +153,14 @@ def kd_marginal_a(
     dist: KDDistribution, tol: float | None = None, tol_imag: float | None = None
 ) -> np.ndarray:
     """Row sums of the table: the outcome probabilities of the first basis."""
-    return _real_marginal(dist.table.sum(axis=1), "a", tol, tol_imag)
+    return _real_marginal(dist._sums[0], "a", tol, tol_imag)
 
 
 def kd_marginal_b(
     dist: KDDistribution, tol: float | None = None, tol_imag: float | None = None
 ) -> np.ndarray:
     """Column sums of the table: the outcome probabilities of the second basis."""
-    return _real_marginal(dist.table.sum(axis=0), "b", tol, tol_imag)
+    return _real_marginal(dist._sums[1], "b", tol, tol_imag)
 
 
 def kd_inverse(
@@ -162,7 +175,7 @@ def kd_inverse(
     """
     tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
     am, bm = dist.basis_a.matrix, dist.basis_b.matrix
-    cross_t = (bm.conj().T @ am).T  # cross_t[a, b] = <b|a>
+    cross_t = (_cross_overlaps(am, bm) if dist._cross is None else dist._cross).T  # cross_t[a, b] = <b|a>
     mags = abs(cross_t)
     if float(mags.min()) <= tol_overlap:
         a_bad, b_bad = np.unravel_index(int(np.argmin(mags)), mags.shape)

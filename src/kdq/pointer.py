@@ -111,10 +111,12 @@ class SweepPoint(NamedTuple):
     postselect_prob: float
 
 
-def _initial_gaussian(cfg: PointerConfig) -> np.ndarray:
+def _grids(cfg: PointerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Positions, momenta, the initial Gaussian and its FFT: the same at every coupling."""
     x = cfg.positions()
     phi = np.exp(-(x**2) / (4.0 * cfg.sigma**2)).astype(np.complex128)
-    return phi / np.sqrt(np.sum(np.abs(phi) ** 2) * cfg.dx)
+    phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * cfg.dx)
+    return x, cfg.momenta(), phi, np.fft.fft(phi)
 
 
 def _validate_projector(a_proj: LinearOperator) -> None:
@@ -136,6 +138,12 @@ def simulate_weak_measurement(
     ``DegeneratePostselectionError`` when the post-selection probability
     falls under 1e-12 (the conditioned state is then undefined).
     """
+    return _readout(psi, a_proj, b, cfg, _grids(cfg))
+
+
+def _readout(
+    psi: StateVector, a_proj: LinearOperator, b: StateVector, cfg: PointerConfig, grids: tuple
+) -> PointerReadout:
     _validate_projector(a_proj)
     _require_same_dim(psi.dim, a_proj.dim)
     _require_same_dim(psi.dim, b.dim)
@@ -147,13 +155,12 @@ def simulate_weak_measurement(
             dx=cfg.dx,
         )
 
-    phi = _initial_gaussian(cfg)
-    k = cfg.momenta()
-    shifted = np.fft.ifft(np.fft.fft(phi) * np.exp(-1j * k * g))
-
+    x, k, phi, phi_hat = grids
     c_proj = complex(np.vdot(b.amplitudes, a_proj.matrix @ psi.amplitudes))  # <b|P|psi>
     c_rest = complex(np.vdot(b.amplitudes, psi.amplitudes)) - c_proj  # <b|(1-P)|psi>
-    chi = c_proj * shifted + c_rest * phi
+    chi = np.fft.ifft(phi_hat * np.exp(-1j * k * g))  # the shifted pointer
+    chi *= c_proj
+    chi += c_rest * phi
 
     weights = np.abs(chi) ** 2
     prob = float(np.sum(weights) * cfg.dx)
@@ -162,7 +169,8 @@ def simulate_weak_measurement(
             f"post-selection probability {prob:.3e} is below {_POSTSELECT_FLOOR:g}",
             postselect_prob=prob,
         )
-    mean_x = float(np.sum(cfg.positions() * weights) * cfg.dx / prob)
+    mean_x = float(np.sum(x * weights) * cfg.dx / prob)
+    del weights  # the grid arrays held at once are budgeted: ``_LIVE_GRIDS``
     spectral = np.abs(np.fft.fft(chi)) ** 2
     mean_p = float(np.sum(k * spectral) / np.sum(spectral))
     return PointerReadout(mean_x, mean_p, min(prob, 1.0), g)
@@ -198,9 +206,8 @@ def coupling_sweep(
     # simulate before touching the exact reference, so a vanishing
     # post-selection probability surfaces as the degenerate-readout error
     # rather than as a singular overlap in the comparison column
-    readouts = [
-        simulate_weak_measurement(psi, a_proj, b, replace(cfg, coupling=g)) for g in couplings
-    ]
+    grids = _grids(cfg)
+    readouts = [_readout(psi, a_proj, b, replace(cfg, coupling=g), grids) for g in couplings]
     exact = conditional_weak_value(a_proj, psi, b)
     points = []
     for readout in readouts:

@@ -74,9 +74,7 @@ def discrete_wigner(rho: DensityOperator, tol: float | None = None) -> WignerTab
     _require_odd(d)
     x = np.arange(d)
     kernel = np.exp(4j * np.pi * np.outer(x, x) / d)  # kernel[p, x]
-    anti = np.empty((d, d), dtype=np.complex128)  # anti[q, x] = <q+x|rho|q-x>
-    for q in range(d):
-        anti[q] = rho.matrix[(q + x) % d, (q - x) % d]
+    anti = rho.matrix[(x[:, None] + x) % d, (x[:, None] - x) % d]  # anti[q, x] = <q+x|rho|q-x>
     w = anti @ kernel.T / d
     worst_imag = _max_abs(w.imag)
     if worst_imag > _REALITY_TOL:
@@ -117,17 +115,10 @@ def condition3_violation_report(
     holds for this state on the position side.
     """
     tol = _tol(tol, TOL_NORM)
-    d = rho.dim
-    _require_odd(d)
+    _require_odd(rho.dim)
     w = discrete_wigner(rho, tol=tol).table
-    marg = position_marginal(rho)
-    out: list[tuple[int, int, float]] = []
-    for q in range(d):
-        if marg[q] <= tol:
-            for p in range(d):
-                if abs(w[q, p]) > tol:
-                    out.append((q, p, float(w[q, p])))
-    return out
+    dark = (position_marginal(rho) <= tol)[:, None] & (abs(w) > tol)
+    return [(q, p, float(w[q, p])) for q, p in np.argwhere(dark).tolist()]  # C order: the loop's
 
 
 def momentum_basis(dim: int) -> OrthonormalBasis:

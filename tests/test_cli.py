@@ -522,3 +522,25 @@ def test_non_finite_error_context_prints_as_strict_json(tmp_path):
     doc = _strict_json(proc.stderr)
     assert doc["code"] == "not_normalized"
     assert doc["context"] == {"norm_sq": "Infinity"}
+
+
+def test_reconstruct_tol_reaches_the_loaded_tables_imaginary_part_check(tmp_path, capsys, monkeypatch):
+    # +-1e-8 i in one row leaves the row sums and the total as they were and
+    # gives the column sums imaginary parts of +-1e-8, over the 1e-10 default
+    state = FIXTURES / "state_i_d2.json"
+    code, out, _ = run_cli(capsys, "kd", "--state", str(state), "--basis-a", "computational", "--basis-b", "hadamard2")
+    assert code == 0
+    doc = json.loads(out)
+    doc["table"][0][0][1] += 1e-8
+    doc["table"][0][1][1] -= 1e-8
+    kd_file = tmp_path / "kd.json"
+    kd_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "reconstruct", "--kd", str(kd_file))
+    assert code == 2 and out == ""
+    assert "row/column sums have imaginary part 1.000e-08" in json.loads(err)["message"]
+    code, out, _ = run_cli(capsys, "reconstruct", "--kd", str(kd_file), "--tol", "1e-6")
+    assert code == 0
+    assert json.loads(out)["kind"] == "mixed"
+    monkeypatch.setenv("KDQ_TOL", "1e-6")
+    code, out, _ = run_cli(capsys, "reconstruct", "--kd", str(kd_file))
+    assert code == 0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdq import (
     DensityOperator,
@@ -125,6 +127,66 @@ def test_pairs_take_json_numbers_only(pair, message):
 def test_pairs_take_ints_and_floats():
     doc = {"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [[1, 0], [0.0, -0.0]]}
     assert np.array_equal(kio.state_from_dict(doc).amplitudes, [1, 0])
+
+
+def _pairwise_reference(obj, ndim: int, what: str) -> np.ndarray:
+    """The pair-by-pair decoder the numpy fast path sits in front of, as a test oracle."""
+    bad_shape = f"{what}: expected {'a list' if ndim == 1 else 'nested lists'} of [re, im] pairs"
+    rows = [obj] if ndim == 1 else obj
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError(bad_shape)
+    values = [[kio._from_pair(x, what) for x in row] for row in rows]
+    if len({len(row) for row in values}) > 1:
+        raise ValidationError(bad_shape)
+    arr = np.array(values, dtype=np.complex128)
+    return arr[0] if ndim == 1 else arr
+
+
+def _decoded(decode, obj, ndim):
+    try:
+        arr = decode(obj, ndim, "data")
+    except Exception as exc:  # any error at all must be the reference's
+        return type(exc), str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**1024 - 2**970, 2**1024 - 2**971, -(2**1023), 10**400, -0.0, 5e-324]),
+)
+_ODD = st.sampled_from([True, False, None, "1", 1j, [1.0], (1.0, 2.0), [1.0, 2.0, 3.0], [], {}, [1, True], [1.5, "2"]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=16, max_size=16),
+    st.one_of(st.none(), _ODD),
+    st.booleans(),
+)
+def test_pair_decoding_matches_the_pairwise_reader(ndim, n, m, pool, odd, ragged):
+    # lists of [re, im] numbers take one numpy call, anything else the
+    # pairwise reader: results agree bit for bit and errors word for word
+    rows = [[pool[(i * m + j) % 16] for j in range(m)] for i in range(n)]
+    if odd is not None and rows and rows[0]:
+        rows[0][-1] = odd
+    if ragged and rows:
+        rows[-1] = rows[-1][:-1]
+    obj = rows[0] if ndim == 1 and rows else rows
+    assert _decoded(kio._complex_array, obj, ndim) == _decoded(_pairwise_reference, obj, ndim)
+
+
+def test_numeric_pairs_decode_bit_for_bit():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((64, 64)) * 10.0 ** rng.integers(-300, 300, (64, 64))
+    data = np.stack([z, z[::-1]], -1).tolist()
+    data[3][5] = [2**60 + 1, -(2**1023)]
+    data[7][1] = [float("nan"), float("-inf")]
+    for obj, ndim in ((data, 2), (data[0], 1)):
+        assert _decoded(kio._complex_array, obj, ndim) == _decoded(_pairwise_reference, obj, ndim)
 
 
 def test_basis_round_trip_bit_exact():

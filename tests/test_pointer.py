@@ -235,6 +235,20 @@ def test_sweep_single_point_matches_simulation():
     assert point.postselect_prob == pytest.approx(readout.postselect_prob, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [2**12, 2**16])
+def test_sweep_shares_its_grids_and_agrees_with_each_simulation(n):
+    # the readouts agree within 1e-16 absolute (numpy's sums and FFTs may
+    # round by alignment); the estimate divides them by g and by 2 g Var_p
+    cfg = PointerConfig(grid_points=n)
+    couplings = [0.4, 0.2, 0.1, 0.05, 0.02]
+    points = coupling_sweep(plus_state(), proj0(), i_state(), cfg, couplings)
+    for g, point in zip(couplings, points):
+        readout = simulate_weak_measurement(plus_state(), proj0(), i_state(), PointerConfig(grid_points=n, coupling=g))
+        scale = max(1.0, 1.0 / (2.0 * g * cfg.momentum_variance))
+        assert abs(point.estimate - weak_value_estimate(readout, cfg)) <= 1e-16 * scale / g + 4e-16
+        assert abs(point.postselect_prob - readout.postselect_prob) <= 1e-16
+
+
 def test_sweep_rejects_duplicates_and_zero():
     cfg = PointerConfig()
     with pytest.raises(ValidationError):

@@ -65,6 +65,42 @@ def test_wigner_matches_elementwise_oracle():
         np.testing.assert_allclose(discrete_wigner(rho).table, oracle.real, atol=1e-12)
 
 
+def _loop_wigner(rho_mat: np.ndarray) -> np.ndarray:
+    """The row-by-row gather the table used before one fancy index, as a test oracle."""
+    d = rho_mat.shape[0]
+    x = np.arange(d)
+    kernel = np.exp(4j * np.pi * np.outer(x, x) / d)
+    anti = np.empty((d, d), dtype=np.complex128)
+    for q in range(d):
+        anti[q] = rho_mat[(q + x) % d, (q - x) % d]
+    return (anti @ kernel.T / d).real
+
+
+def _loop_report(rho, tol):
+    """The cell-by-cell violation scan the mask replaced, as a test oracle."""
+    w = _loop_wigner(rho.matrix)
+    marg = np.diagonal(rho.matrix).real
+    out = []
+    for q in range(rho.dim):
+        if marg[q] <= tol:
+            for p in range(rho.dim):
+                if abs(w[q, p]) > tol:
+                    out.append((q, p, float(w[q, p])))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5, 9, 31])
+def test_table_and_report_equal_the_loops_byte_for_byte(dim):
+    states = [random_density(dim, max(1, dim // 2), seed=dim)]
+    states += [make_pure_density(double_slit_state(dim, s, s + 2)) for s in range(dim - 2)]
+    for rho in states:
+        assert discrete_wigner(rho).table.tobytes() == _loop_wigner(rho.matrix).tobytes()
+        for tol in (1e-10, 1e-3, 0.1):
+            report = condition3_violation_report(rho, tol=tol)
+            assert report == _loop_report(rho, tol)
+            assert [tuple(map(type, cell)) for cell in report] == [(int, int, float)] * len(report)
+
+
 def test_wigner_even_dimension_rejected():
     with pytest.raises(EvenDimensionError):
         discrete_wigner(maximally_mixed(4))
