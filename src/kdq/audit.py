@@ -18,9 +18,9 @@ complement states is kept alongside as an independent witness generator.
 
 The checks walk the family one row Pi(a, .) or column Pi(., b) at a time.
 A dense family hands each step a (d, d, d) slice of its operators.  The
-shipped families are sums of rank-1 terms coef |ket><bra| per cell, and
-hand each step the factors instead: the slice kernels then work on
-d-vectors and t x t blocks, and no d^4 array is ever formed.  A family
+shipped families are sums of rank-1 terms coef |ket><bra| per cell; their
+kernels form each factor product once per side and take norms from a
+Gram-Schmidt of the factors, so no d^4 array is ever formed.  A family
 with one nonzero per operator row (the phase-point operators) makes each
 slice on request in that compact form, from a formula; where the side's
 basis vector is a coordinate vector in the slice's frame, the compression
@@ -64,7 +64,8 @@ class QuasiProbRep:
     terms, and ``operators`` is expanded from them only when first read.
     The private ``_slices(side, k)`` source returns row k (side 0) or
     column k (side 1) of the family as a ``_OnePerRow`` slice; those reps
-    likewise stack ``operators`` only when it is read.
+    likewise stack ``operators`` only when it is read.  Its ``_tables(m)``,
+    if given, returns the (n, d, d) tables <m_s|Pi(a, b)|m_s> of states m (n, d).
     """
 
     def __init__(
@@ -76,12 +77,13 @@ class QuasiProbRep:
         *,
         terms=None,
         _slices: Callable[[int, int], _OnePerRow] | None = None,
+        _tables: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         d = basis_a.dim
         _require_same_dim(d, basis_b.dim)
         self.basis_a, self.basis_b, self.label = basis_a, basis_b, label
         self.terms = None if terms is None else tuple(terms)
-        self._slices, self._ops = _slices, None
+        self._slices, self._tables, self._ops = _slices, _tables, None
         if _slices is not None:
             return
         if self.terms is not None:
@@ -231,12 +233,12 @@ def _densify(x: _OnePerRow) -> np.ndarray:
     return out.reshape(c, d, d)
 
 
-# Cells handed at once to the dense compression and span kernels.  Their
-# temporaries for a whole slice (16 d^3 bytes each) are large enough that
-# the allocator hands them back to the operating system when freed, so
-# every slice faulted its pages in again; blocks this small are reused from
-# the heap, which made these two kernels 2-3x faster at d = 31 and 63.
-_BLOCK_BYTES = 1 << 18
+# Bytes of the arrays a kernel makes at once (cells of a dense slice, a tile
+# of a term rep's cells, eigenstate tables).  Larger arrays are handed back to
+# the operating system when freed and faulted in again for the next block; on
+# mixed:0.3 at d = 32 the term kernels ran 10-50% faster at 64 than at 256 KiB.
+_BLOCK_BYTES = 1 << 16
+_TILE_CELLS = 64  # the fewest cells in a term kernel's tile
 
 
 def _dense_blocks(x):
@@ -270,8 +272,7 @@ def _slice(rep: QuasiProbRep, side: int, k: int):
         return rep._slices(side, k)
     if rep.terms is None:
         return rep.operators[k] if side == 0 else rep.operators[:, k]
-    d, t = rep.dim, len(rep.terms)
-    _require_budget(16 * d * d * (t + 2), f"term slice at dim {d}")  # the span check adds two terms
+    _require_term_budget(rep)
 
     def cut(f):  # f broadcasts over (i, a, b); an axis of size 1 stays size 1
         i = min(k, f.shape[side + 1] - 1)
@@ -282,34 +283,71 @@ def _slice(rep: QuasiProbRep, side: int, k: int):
     return _Terms(coef, [cut(f) for f in kets], [cut(f) for f in bras])
 
 
-def _stack(factors: list, c: int, coef: np.ndarray | None = None) -> np.ndarray:
-    """out[t, c] = coef[c, t] * factors[t][:, c] (coef 1 if None), as one (t, c, d) array."""
-    out = np.empty((len(factors), c, len(factors[0])), dtype=np.complex128)
-    for j, f in enumerate(factors):
-        out[j] = f.T if coef is None else f.T * coef[:, j, None]
+def _require_term_budget(rep: QuasiProbRep) -> None:
+    """Refuse a term rep whose per-side arrays (16 d^2 bytes a factor; the span adds two) would be over the limit."""
+    _require_budget(16 * rep.dim**2 * (len(rep.terms) + 2), f"term factors at dim {rep.dim}")
+
+
+def _side(rep: QuasiProbRep, side: int):
+    """coef (d, d, t) and C-ordered kets and bras (1 or d, 1 or d, d) over (row, cell, i) of a term rep's side."""
+    _require_term_budget(rep)
+    axes = (1, 2, 0) if side == 0 else (2, 1, 0)
+    _, kets, bras = zip(*rep.terms)
+    coef = rep._coef if side == 0 else rep._coef.transpose(1, 0, 2)
+    return coef, *([np.ascontiguousarray(f.transpose(axes)) for f in fs] for fs in (kets, bras))
+
+
+def _tiled(rep: QuasiProbRep, side: int, terms: Callable) -> np.ndarray:
+    """out[k, c] = _lowrank_norms(*terms(rows, cells, coef, kets, bras)) over a term rep's side, tile by tile.
+
+    A tile's arrays stay within _BLOCK_BYTES but hold at least _TILE_CELLS
+    cells (a tile costs ~100 numpy calls); a row splits evenly, so that no
+    tile has one cell, whose per-cell factors would look shared.
+    """
+    coef, kets, bras = _side(rep, side)
+    d = rep.dim
+    per = max(_TILE_CELLS, _BLOCK_BYTES // (16 * d))  # cells in a tile
+    n, m = max(1, per // d), -(-d // per)  # rows in a band; tiles in a row, of near-equal size
+    bands = [slice(a, a + n) for a in range(0, d, n)]
+    out = np.empty((d, d))
+    for rows, cells in [(r, slice(d * i // m, d * (i + 1) // m)) for r in bands for i in range(m)]:
+        def tile(f):  # an axis of size 1 stays size 1
+            return f[rows if len(f) > 1 else slice(None), cells if f.shape[1] > 1 else slice(None)]
+
+        ks, ls = [tile(f) for f in kets], [tile(f) for f in bras]
+        out[rows, cells] = _lowrank_norms(*terms(rows, cells, coef[rows, cells].transpose(2, 0, 1), ks, ls))
     return out
 
 
-def _lowrank_norms(coef: np.ndarray, kets: list, bras: list) -> np.ndarray:
-    """||sum_t coef[c, t] |kets[t][:, c]><bras[t][:, c]| ||_F for every cell c.
+def _lowrank_norms(coef: list, kets: list, bras: list) -> np.ndarray:
+    """||sum_t coef[t] |kets[t]><bras[t]| ||_F for every cell of a tile.
 
-    With bras_c = Q_c R_c (thin QR) the norm is that of the (d, t) matrix
-    kets_c diag(coef_c) R_c^+, formed explicitly: terms that cancel do so
-    entry by entry, as in a dense matrix, not in a sum of squared norms.
-    The QR goes to the side with fewer distinct factors (the adjoint has
-    the same norm): where every cell shares its bras, one QR serves them all.
+    Factors are (rows or 1, cells or 1, d), coefs broadcast to (rows, cells).
+    With [bras] = Q R (Gram-Schmidt, bras shared by a row's cells first), the
+    norm is that of sum_t coef[t] |kets[t]> R[:, t]^dag formed explicitly, so
+    terms cancel entry by entry, not in a sum of squared norms.  The side
+    with fewer per-cell factors serves as the bras (X^dag has X's norm).
     """
-    def width(fs):
-        return max(f.shape[1] for f in fs)
-
-    if width(bras) > width(kets):
-        coef, kets, bras = coef.conj(), bras, kets
-    c, t = coef.shape
-    # R_c is the upper triangle of the leading rows of h_c^T
-    h = np.linalg.qr(_stack(bras, width(bras)).transpose(1, 2, 0), mode="raw")[0].swapaxes(1, 2)
-    k = min(h.shape[1], t)
-    r = h[:, :k] * np.triu(np.ones((k, t)))
-    return _frobenius(_stack(kets, c, coef).transpose(1, 2, 0) @ r.conj().swapaxes(1, 2))
+    if sum(f.shape[1] > 1 for f in bras) > sum(f.shape[1] > 1 for f in kets):
+        coef, kets, bras = [np.conj(c) for c in coef], bras, kets
+    order = sorted(range(len(bras)), key=lambda t: bras[t].shape[1] > 1)
+    qs, r = [], {}
+    for t in order:
+        # Kahan's rule: a sweep that keeps over half the norm leaves w orthogonal to
+        # the q's; else w is swept again, and if that again halves it, w is dropped
+        # (cell by cell, so that a cell's norm does not depend on its tile)
+        w, norms, redo = bras[t], [np.sqrt(np.vecdot(bras[t], bras[t]).real)], True
+        for sweep in range(2 if qs else 0):
+            if sweep and not (redo := norms[1] < 0.5 * norms[0]).any():
+                break
+            for j, q in enumerate(qs):
+                h = np.vecdot(q, w) * redo
+                w, r[j, t] = w - q * h[..., None], r.get((j, t), 0.0) + h
+            norms.append(np.sqrt(np.vecdot(w, w).real))
+        r[len(qs), t] = norm = np.where(norms[2] < 0.5 * norms[1], 0.0, norms[2]) if len(norms) == 3 else norms[-1]
+        qs.append(w / np.where(norm > 0, norm, np.inf)[..., None])  # a dropped or zero column is zero
+    ys = (sum(kets[t] * (coef[t] * np.conj(r[j, t]))[..., None] for t in order if (j, t) in r) for j in range(len(qs)))
+    return np.sqrt(sum(np.vecdot(y, y).real for y in ys))
 
 
 def _expectations(x, m: np.ndarray) -> np.ndarray:
@@ -330,10 +368,7 @@ def _expectations(x, m: np.ndarray) -> np.ndarray:
 
 
 def _slice_sum(x) -> np.ndarray:
-    """sum_c X_c over the cells of a slice."""
-    if isinstance(x, _Terms):
-        c, d = len(x.coef), len(x.kets[0])
-        return _stack(x.kets, c, x.coef).reshape(-1, d).T @ _stack(x.bras, c).reshape(-1, d).conj()
+    """sum_c X_c over the cells of a dense or one-per-row slice."""
     if isinstance(x, _OnePerRow):
         d = x.vals.shape[1]
         # bincount adds its weights in input order, so with the flat positions
@@ -399,6 +434,30 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
+def _term_marginals(rep: QuasiProbRep, side: int, vecs: np.ndarray) -> np.ndarray:
+    """||sum_c X_c - |v_k><v_k| ||_F for every row k of a term rep, v_k = vecs[:, k].
+
+    A term whose bra (ket) is shared by a row's cells sums to one rank-1 term
+    (sum_c coef[c] |ket(c)>)<bra|; one with neither adds a term per cell.
+    """
+    def cell_sum(f, w):  # sum_c w[r, c] f[r, c], an (n, 1, d) factor
+        if f.shape[1] == 1:
+            return f * w.sum(axis=1)[:, None, None]
+        return (w @ f[0])[:, None] if len(f) == 1 else np.einsum("rc,rci->ri", w, f)[:, None]
+
+    coef, kets, bras = _side(rep, side)
+    cs, ks, ls = [-1.0], [vecs.T[:, None]], [vecs.T[:, None]]
+    for w, k, l in zip(coef.transpose(2, 0, 1), kets, bras):
+        if l.shape[1] == 1:
+            cs.append(1.0), ks.append(cell_sum(k, w)), ls.append(l)
+        elif k.shape[1] == 1:
+            cs.append(1.0), ks.append(k), ls.append(cell_sum(l, w.conj()))
+        else:
+            cs.extend(w.T[:, :, None])
+            ks.extend(k.transpose(1, 0, 2)[:, :, None]), ls.extend(l.transpose(1, 0, 2)[:, :, None])
+    return _lowrank_norms(cs, ks, ls)[:, 0]
+
+
 def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
     """Operator marginals: sum_b Pi(a,b) = P_a and sum_a Pi(a,b) = P_b."""
     d = rep.dim
@@ -407,25 +466,17 @@ def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
         (0, rep.basis_a, "row a={k}: ||sum_b Pi(a,b) - P_a||_F = {dev:.3e}"),
         (1, rep.basis_b, "column b={k}: ||sum_a Pi(a,b) - P_b||_F = {dev:.3e}"),
     ):
-        devs = np.empty(d)
-        for k in range(d):
-            v = basis.matrix[:, k]
-            # einsum, not np.outer, which rounds some entries of |k><k| differently
-            dev = _slice_sum(_slice(rep, side, k)) - np.einsum("i,j->ij", v, v.conj())
-            devs[k] = _frobenius(dev[None])[0]
+        if rep.terms is not None:
+            devs = _term_marginals(rep, side, basis.matrix)
+        else:
+            devs = np.empty(d)
+            for k in range(d):
+                v = basis.matrix[:, k]
+                # einsum, not np.outer, which rounds some entries of |k><k| differently
+                dev = _slice_sum(_slice(rep, side, k)) - np.einsum("i,j->ij", v, v.conj())
+                devs[k] = _frobenius(dev[None])[0]
         worst.bump(devs, lambda k: text.format(k=k, dev=devs[k]))
     return worst.report("C1", tol)
-
-
-def _eigenstate_tables(rep: QuasiProbRep) -> np.ndarray:
-    """tables[s, k, a, b] = <k|Pi(a,b)|k> for |k> = |A_k> (s = 0) or |B_k> (s = 1)."""
-    d = rep.dim
-    _require_budget(32 * d**3, f"eigenstate tables at dim {d}")
-    vecs = np.concatenate([rep.basis_a.matrix, rep.basis_b.matrix], axis=1).T  # (2d, d)
-    tables = np.empty((2 * d, d, d), dtype=np.complex128)
-    for a in range(d):
-        tables[:, a, :] = _expectations(_slice(rep, 0, a), vecs)
-    return tables.reshape(2, d, d, d)
 
 
 def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
@@ -433,47 +484,65 @@ def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
     d = rep.dim
     cross = rep.basis_b.matrix.conj().T @ rep.basis_a.matrix  # cross[b, a] = <b|a>
     born = np.abs(cross.T) ** 2  # born[a, b] = |<a|b>|^2
-    tables = _eigenstate_tables(rep)
+    vecs = np.concatenate([rep.basis_a.matrix, rep.basis_b.matrix], axis=1).T  # |A_0>..|A_d-1>, |B_0>..
+    step = max(1, _BLOCK_BYTES // (16 * d * d))  # states whose tables are formed and scanned at once
+    blocks = [slice(s, s + step) for s in range(0, 2 * d, step)]
+    if rep._tables is not None:
+        def tables(j):
+            return rep._tables(vecs[j])
+    elif rep.terms is not None:
+        _require_term_budget(rep)
+
+        def overlaps(f):  # <v|f(a, b)> over (state, a, b): once for all states, unless f varies with a and b
+            def block(j):
+                return (vecs[j].conj() @ f.reshape(d, -1)).reshape(-1, *f.shape[1:])
+
+            return block if f[0].size > d else block(slice(None)).__getitem__
+
+        parts = [(rep._coef[:, :, t], overlaps(k), overlaps(l)) for t, (_, k, l) in enumerate(rep.terms)]
+
+        def tables(j):
+            return sum(c * k(j) * l(j).conj() for c, k, l in parts)
+    else:  # walking the rows reads the whole family, so the blocks are the two bases
+        blocks = [slice(0, d), slice(d, 2 * d)]
+
+        def tables(j):
+            return np.stack([_expectations(_slice(rep, 0, a), vecs[j]) for a in range(d)], axis=1)
     cell = np.arange(d)
     worst = _Worst("all eigenstate tables have the required delta structure")
-    for s in range(2):
-        for k in range(d):
-            # |A_k> may only populate row a = k, |B_k> only column b = k
-            allowed = (cell == k)[:, None] if s == 0 else cell == k
-            table = tables[s, k]
-            # devs[0] forbidden-cell magnitudes, devs[1] allowed-cell deviations:
-            # C order visits the forbidden scan before the allowed scan
-            devs = np.stack(
-                [np.where(allowed, 0.0, np.abs(table)), np.where(allowed, np.abs(table - born), 0.0)]
-            )
+    for block in blocks:
+        states = np.arange(2 * d)[block]
+        table = tables(block)
+        k = (states % d)[:, None, None]
+        # |A_k> may only populate row a = k, |B_k> only column b = k
+        allowed = np.where((states < d)[:, None, None], cell[:, None] == k, cell == k)
+        # devs[:, 0] forbidden-cell magnitudes, devs[:, 1] allowed-cell deviations:
+        # C order visits each state's forbidden scan before its allowed scan
+        dev = np.abs(table - np.where(allowed, born, 0.0))
+        devs = np.stack([np.where(allowed, 0.0, dev), np.where(allowed, dev, 0.0)], axis=1)
 
-            def describe(kind, a, b):
-                tag = f"eigenstate |{'AB'[s]}_{k}>"
-                if kind == 0:
-                    return f"{tag}: forbidden cell (a={a}, b={b}) has |{table[a, b]:.3e}|"
-                return f"{tag}: allowed cell (a={a}, b={b}) deviates by {devs[1, a, b]:.3e}"
+        def describe(i, kind, a, b):
+            s, k = divmod(int(states[i]), d)
+            tag = f"eigenstate |{'AB'[s]}_{k}>"
+            if kind == 0:
+                return f"{tag}: forbidden cell (a={a}, b={b}) has |{table[i, a, b]:.3e}|"
+            return f"{tag}: allowed cell (a={a}, b={b}) deviates by {devs[i, 1, a, b]:.3e}"
 
-            worst.bump(devs, describe)
+        worst.bump(devs, describe)
     return worst.report("C2", tol)
 
 
 def _compression_norms(x, v: np.ndarray) -> np.ndarray:
-    """||Q X_c Q||_F for every cell X_c of a slice, with Q = 1 - |v><v|.
+    """||Q X_c Q||_F for every cell X_c of a dense or one-per-row slice, with Q = 1 - |v><v|.
 
-    Q X Q is formed explicitly: a dense block as Y - (Y|v>)<v| with
-    Y = X - |v>(<v|X), a term slice by projecting its factors.  The
-    squared-norm identity ||X||^2 - ||X v||^2 - ... cancels down to ~1e-8
-    noise, too coarse for the audit tolerance.  A one-per-row slice with a
-    pivot k needs neither: Q = 1 - |k><k| deletes row k and column k, so the
-    norm sums the squares of the nonzeros left, a sum of positive terms.
-    The norm is unitarily invariant, so a slice given in another frame is
-    compressed there.
+    Q X Q is formed explicitly, as Y - (Y|v>)<v| with Y = X - |v>(<v|X):
+    the squared-norm identity ||X||^2 - ||X v||^2 - ... cancels down to
+    ~1e-8 noise, too coarse for the audit tolerance.  A one-per-row slice
+    with a pivot k needs neither: Q = 1 - |k><k| deletes row k and column k,
+    so the norm sums the squares of the nonzeros left, a sum of positive
+    terms.  The norm is unitarily invariant, so a slice given in another
+    frame is compressed there.
     """
-    if isinstance(x, _Terms):
-        def off_v(fs):
-            return [f - v[:, None] * (v.conj() @ f) for f in fs]
-
-        return _lowrank_norms(x.coef, off_v(x.kets), off_v(x.bras))
     if isinstance(x, _OnePerRow):
         if x.frame is not None:  # Q F Y F^dag Q = F (Q' Y Q') F^dag with Q' = 1 - F^dag |v><v| F
             f, x = x.frame
@@ -521,9 +590,15 @@ def check_condition3(
     worst = _Worst("all compressions and sampled states vanish")
     for side, axis, vecs, at in sides:
         q = side.lower()
-        for k in range(d):
-            dev = _compression_norms(_slice(rep, axis, k), vecs[:, k])
-            worst.bump(dev, lambda c: f"compression ||Q_{q} Pi Q_{q}||_F = {dev[c]:.3e} at {at(k, c)}")
+        if rep.terms is not None:  # Q X Q formed explicitly, as for a dense block: the factors go off |v_k>
+            def terms(rows, cells, coef, kets, bras):
+                v = vecs.T[rows, None]
+                return list(coef), *([f - v * np.vecdot(v, f)[..., None] for f in fs] for fs in (kets, bras))
+
+            devs = _tiled(rep, axis, terms)
+        else:
+            devs = np.stack([_compression_norms(_slice(rep, axis, k), vecs[:, k]) for k in range(d)])
+        worst.bump(devs, lambda k, c: f"compression ||Q_{q} Pi Q_{q}||_F = {devs[k, c]:.3e} at {at(k, c)}")
     rng = np.random.default_rng(seed)
     for side, axis, vecs, at in sides:
         for k in range(d):
@@ -537,43 +612,42 @@ def check_condition3(
     return worst.report("C3", tol, samples_used=samples, seed=seed)
 
 
-def _span_row(
-    x, va: np.ndarray, bm: np.ndarray, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
+def _term_span(
+    rep: QuasiProbRep, am: np.ndarray, bm: np.ndarray, cross: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
 ) -> np.ndarray:
-    """span_residual for the cells of row a: the distance of X_b from span{U_b, W_b}.
+    """span_residual of a term rep; the arguments are span_residual's, over (a, b).
 
-    U_b = |b><a|, W_b = V_b - c_b^2 U_b with V_b = |a><b|, and W_b counts as
-    zero where ||W_b||^2 <= w_sq_cut[b].  Degenerate cells get ||X_b||_F.
+    Terms |b><a| and |a><b| of the family fold into U and V, so X is its
+    other terms plus xu U + xv V, and the residual X - (<U, X> - g c^2) U - g V,
+    g = <W, X> / ||W||^2, is X with xu - <U, X> + g c^2 and xv - g instead.
     """
-    if isinstance(x, _Terms):
-        a1 = va[:, None]
+    u, v = (bm[:, None, :], am[:, :, None]), (am[:, :, None], bm[:, None, :])
+    fold = [1 if all(map(np.array_equal, f, u)) else 2 if all(map(np.array_equal, f, v)) else 0 for _, *f in rep.terms]
+    rest = [t for t, f in enumerate(fold) if not f]
 
-        def sandwich(left, right):  # <left_b|X_b|right_b> for every cell b
-            return sum(
-                cf * np.vecdot(left, k, axis=0) * np.vecdot(l, right, axis=0)
-                for cf, k, l in zip(x.coef.T, x.kets, x.bras)
-            )
+    def terms(rows, cells, coef, kets, bras):
+        a3, b3, c = am.T[rows, None], bm.T[None, cells], cross[rows, cells]  # |a>, |b> over (row, cell, i)
+        xu, xv = (sum(coef[t] for t, f in enumerate(fold) if f == n) for n in (1, 2))
+        cs, ks, ls = [coef[t] for t in rest], [*(kets[t] for t in rest), b3, a3], [*(bras[t] for t in rest), a3, b3]
+        def sandwich(p, q):  # <p|X_b|q> for every cell
+            return sum(w * np.vecdot(p, k) * np.vecdot(l, q) for w, k, l in zip([*cs, xu, xv], ks, ls))
 
-        ux, vx = sandwich(bm, a1), sandwich(a1, bm)  # <U_b, X_b>, <V_b, X_b>
+        ux, vx = sandwich(b3, a3), sandwich(a3, b3)  # <U_b, X_b>, <V_b, X_b>, U_b = |b><a|, V_b = |a><b|
         # ||W_b||^2 = 1 - |c_b|^4 = (1 + |c_b|^2) ||Q_a |b>||^2, with Q_a = 1 - |a><a|
-        qb = bm - a1 * (va.conj() @ bm)
-        w_sq = np.vecdot(qb, qb, axis=0).real * (1.0 + np.abs(c) ** 2)
-        g = (vx - (c * c).conj() * ux) / np.where(w_sq > w_sq_cut, w_sq, np.inf)  # <W, X> / ||W||^2
-        # X - <U, X> U - g W, written as X - (<U, X> - g c^2) U - g V
-        coef = np.column_stack([x.coef, g * c * c - ux, -g])
-        res = _lowrank_norms(coef, x.kets + [bm, a1], x.bras + [a1, bm])
-        return np.where(degenerate, _lowrank_norms(*x), res) if degenerate.any() else res
-    if isinstance(x, _OnePerRow) and x.pivot is not None:
-        return _pivot_span_row(x, bm, c, w_sq_cut, degenerate)
-    return np.concatenate([
-        _dense_span_row(block, va, bm[:, b], c[b], w_sq_cut[b], degenerate[b]) for b, block in _dense_blocks(x)
-    ])
+        qb = b3 - a3 * np.vecdot(a3, b3)[..., None]
+        w_sq = np.vecdot(qb, qb).real * (1.0 + np.abs(c) ** 2)
+        g = (vx - (c * c).conj() * ux) / np.where(w_sq > w_sq_cut[rows, cells], w_sq, np.inf)  # <W, X> / ||W||^2
+        dg = degenerate[rows, cells]  # a degenerate cell keeps X whole
+        ux, g = np.where(dg, 0.0, ux), np.where(dg, 0.0, g)
+        return [*cs, xu - ux + g * c * c, xv - g], ks, ls
+
+    return _tiled(rep, 0, terms)
 
 
 def _pivot_span_row(
     x: _OnePerRow, bm: np.ndarray, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
 ) -> np.ndarray:
-    """_span_row for a one-per-row row slice whose vector |a> is the coordinate vector |k>, k = x.pivot.
+    """span_residual for a one-per-row row slice whose vector |a> is the coordinate vector |k>, k = x.pivot.
 
     U_b = |b><k| lives in column k and V_b = |k><b| in row k, so the
     residual differs from X_b only there: it is formed explicitly on those
@@ -603,7 +677,11 @@ def _pivot_span_row(
 def _dense_span_row(
     x: np.ndarray, va: np.ndarray, bm: np.ndarray, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
 ) -> np.ndarray:
-    """_span_row for a (c, d, d) block of operators."""
+    """span_residual for a (c, d, d) block of the operators of row a.
+
+    U_b = |b><a|, W_b = V_b - c_b^2 U_b with V_b = |a><b|, and W_b counts as
+    zero where ||W_b||^2 <= w_sq_cut[b].  Degenerate cells get ||X_b||_F.
+    """
     n = len(x)
 
     def inner(p, q):  # Frobenius <p_c, q_c> for every c of two (c, d, d) stacks
@@ -632,13 +710,19 @@ def span_residual(rep: QuasiProbRep, tol_overlap: float = TOL_OVERLAP) -> SpanRe
     tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
     d = rep.dim
     am, bm = rep.basis_a.matrix, rep.basis_b.matrix
-    cross = bm.conj().T @ am  # cross[b, a] = <b|a>
-    degenerate = (np.abs(cross) <= tol_overlap).T
+    cross = (bm.conj().T @ am).T  # cross[a, b] = <b|a>
+    degenerate = np.abs(cross) <= tol_overlap
     w_sq_cut = (np.finfo(float).eps * d * d * (1.0 + np.abs(cross) ** 2)) ** 2
+    if rep.terms is not None:
+        return SpanResidual(_term_span(rep, am, bm, cross, w_sq_cut, degenerate), degenerate)
     residuals = np.empty((d, d))
     for a in range(d):
-        x = _slice(rep, 0, a)
-        residuals[a] = _span_row(x, am[:, a], bm, cross[:, a], w_sq_cut[:, a], degenerate[a])
+        x, args = _slice(rep, 0, a), (cross[a], w_sq_cut[a], degenerate[a])
+        if isinstance(x, _OnePerRow) and x.pivot is not None:
+            residuals[a] = _pivot_span_row(x, bm, *args)
+        else:
+            blocks = _dense_blocks(x)
+            residuals[a] = np.concatenate([_dense_span_row(y, am[:, a], bm[:, b], *(z[b] for z in args)) for b, y in blocks])
     return SpanResidual(residuals, degenerate)
 
 

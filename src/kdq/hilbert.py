@@ -84,14 +84,14 @@ def _shaped(data, ndim: int) -> tuple[np.ndarray, bool]:
 
 
 def _accepts(arr: np.ndarray, ndim: int, what: str, deviation: float, tol, default: float) -> bool:
-    """``deviation <= tol``, or else the ordered checks: ``_frozen_complex``, ``_tol``, then False if over."""
+    """``deviation <= tol``, or else the ordered checks: ``_frozen_complex``, ``_tol``, then that test (NaN fails)."""
     try:
         if deviation <= _tol(tol, default):  # NaN or inf for a non-finite entry: accepted arrays are finite
             return True
     except ValidationError:
         pass
     _frozen_complex(arr, ndim, what)
-    return not deviation > _tol(tol, default)
+    return deviation <= _tol(tol, default)
 
 
 @dataclass(frozen=True, eq=False)

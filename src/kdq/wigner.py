@@ -179,4 +179,9 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
         framed = _OnePerRow(cols[k][None], phase[reverse, x[k]], pivot=k)
         return _OnePerRow(cols, phase[k][x], frame=(momentum.matrix, framed))
 
-    return QuasiProbRep(computational_basis(dim), momentum, label="wigner", _slices=slices)
+    def tables(m):
+        # <m|A(q, p)|m> = sum_y phase[p, y] conj(m[q - y]) m[q + y], the discrete Wigner function
+        # of |m><m|: one GEMM against the phase table (x[q, y] = q - y indexes m[q - y] here)
+        return (m.conj()[:, x] * m[:, (r[:, None] + r) % dim]) @ phase.T
+
+    return QuasiProbRep(computational_basis(dim), momentum, label="wigner", _slices=slices, _tables=tables)

@@ -5,7 +5,9 @@ before it compares a deviation with its tolerance, and returns the array
 the shell would store or raises the first error in that order.  The shells
 compare the deviation first and run these checks only to explain a
 failure; ``tests/test_validation_order.py`` holds them to the same
-verdicts, errors and stored arrays.
+verdicts, errors and stored arrays.  A deviation that overflows to NaN
+from finite entries (a Gram matrix or a table total past the float range)
+fails its check here, as it does in the shells.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def frozen_complex(data, ndim: int, what: str) -> np.ndarray:
 def state_vector(amplitudes, tol=None) -> np.ndarray:
     amps = frozen_complex(amplitudes, 1, "state vector")
     norm_sq = float((abs(amps) ** 2).sum())
-    if abs(norm_sq - 1.0) > _tol(tol, TOL_NORM):
+    if not abs(norm_sq - 1.0) <= _tol(tol, TOL_NORM):
         raise NotNormalizedError(
             f"state vector has squared norm {norm_sq!r}, expected 1", norm_sq=norm_sq
         )
@@ -50,7 +52,7 @@ def density_operator(matrix, tol=None, tol_psd=None) -> np.ndarray:
     mat = frozen_complex(matrix, 2, "density matrix")
     adj = mat.conj().T
     herm_dev = _max_abs(mat - adj)
-    if herm_dev > _tol(tol, TOL_HERM):
+    if not herm_dev <= _tol(tol, TOL_HERM):
         raise ValidationError(
             f"density matrix is not Hermitian (max deviation {herm_dev:.3e})",
             deviation=herm_dev,
@@ -79,7 +81,7 @@ def orthonormal_basis(matrix, tol=None) -> np.ndarray:
     gram = mat.conj().T @ mat
     gram.ravel()[:: mat.shape[0] + 1] -= 1.0
     gram_dev = _max_abs(gram)
-    if gram_dev > _tol(tol, TOL_ORTHO):
+    if not gram_dev <= _tol(tol, TOL_ORTHO):
         raise ValidationError(
             f"basis vectors are not orthonormal (max Gram deviation {gram_dev:.3e})",
             deviation=gram_dev,
@@ -96,7 +98,7 @@ def kd_table(basis_a, basis_b, table, tol=None, tol_imag=None) -> np.ndarray:
     if not np.isfinite(tab).all():
         raise ValidationError("table contains non-finite entries")
     total = complex(tab.sum())
-    if abs(total - 1.0) > _tol(tol, TOL_NORM):
+    if not abs(total - 1.0) <= _tol(tol, TOL_NORM):
         raise ValidationError(f"table sums to {total}, expected 1", total=total)
     worst_imag = max(_max_abs(tab.sum(axis=1).imag), _max_abs(tab.sum(axis=0).imag))
     if worst_imag > _tol(tol_imag, TOL_IMAG):

@@ -544,3 +544,36 @@ def test_reconstruct_tol_reaches_the_loaded_tables_imaginary_part_check(tmp_path
     monkeypatch.setenv("KDQ_TOL", "1e-6")
     code, out, _ = run_cli(capsys, "reconstruct", "--kd", str(kd_file))
     assert code == 0
+
+
+def test_overflowing_basis_file_exit_2(tmp_path, capsys):
+    # finite entries near 1e200, whose Gram matrix overflows to NaN: the
+    # basis check refuses them instead of accepting a NaN deviation
+    rng = np.random.default_rng(3)
+    x = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * 1e200
+    doc = {"schema": "kdq/1", "dim": 3, "label": "huge", "unitary": [[[z.real, z.imag] for z in row] for row in x]}
+    basis = tmp_path / "huge.json"
+    basis.write_text(json.dumps(doc))
+    state = FIXTURES / "state_doubleslit_d3.json"
+    code, out, err = run_cli(capsys, "kd", "--state", str(state), "--basis-a", f"@{basis}", "--basis-b", "computational")
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["code"] == "validation"
+    assert "max Gram deviation nan" in obj["message"], obj
+
+
+def test_reconstruct_overflowing_table_total_exit_2(tmp_path, capsys):
+    # every entry is finite, but the total overflows to NaN: the table's own
+    # check refuses it before any state is reconstructed
+    state = FIXTURES / "state_i_d2.json"
+    code, out, _ = run_cli(capsys, "kd", "--state", str(state), "--basis-a", "computational", "--basis-b", "fourier")
+    assert code == 0
+    doc = json.loads(out)
+    doc["table"] = [[[1e308, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [-1e308, 0.0]]]
+    kd_file = tmp_path / "kd.json"
+    kd_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "reconstruct", "--kd", str(kd_file))
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["code"] == "validation"
+    assert obj["message"].startswith("table sums to") and "nan" in obj["message"], obj

@@ -173,13 +173,13 @@ def test_an_invalid_array_is_explained_before_an_invalid_tolerance(build, oracle
 
 
 def test_huge_finite_bases_keep_the_ordered_verdict():
-    # the Gram matrix of entries near 1e200 overflows to NaN; NaN > tol is
-    # false, so the ordered validator accepts them, and the shell gives the
-    # same verdict on finite entries with a NaN deviation
+    # the Gram matrix of entries near 1e200 overflows to NaN; a NaN deviation
+    # fails the check, in the ordered validator and in the shell alike
     rng = np.random.default_rng(3)
     for d in (2, 3, 8):
         x = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * 1e200
         expected = _outcome(lambda: ref.orthonormal_basis(x))
+        assert expected[0] is ValidationError and "Gram deviation nan" in expected[1], expected
         assert _outcome(lambda: OrthonormalBasis(x).matrix) == expected
 
 
