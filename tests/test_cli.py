@@ -1,10 +1,16 @@
 """CLI behavior: outputs, exit codes, and error objects.
 
-Most invocations run in-process through ``main`` for speed; one subprocess
-test checks the ``python -m kdq`` entry point end to end.
+Most invocations run in-process through ``main`` for speed; subprocess tests
+check the ``python -m kdq`` process end to end, which ends through
+``kdq.cli.run`` in ``os._exit`` (``run`` is never called in-process, since it
+would end the test process).
 """
 
+import contextlib
+import io
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -577,3 +583,114 @@ def test_reconstruct_overflowing_table_total_exit_2(tmp_path, capsys):
     obj = json.loads(err)
     assert obj["code"] == "validation"
     assert obj["message"].startswith("table sums to") and "nan" in obj["message"], obj
+
+
+def test_allocation_failure_in_a_command_exit_2(capsys, monkeypatch):
+    import kdq.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(kdq.cli, "check_condition1", exhausted)
+    code, out, err = run_cli(capsys, "audit", "--rep", "kd", "--dim", "3", "--c1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "out_of_memory", "message": "out of memory", "context": {"command": "audit"}}
+
+
+KD_I = ["kd", "--state", str(FIXTURES / "state_i_d2.json"), "--basis-a", "computational", "--basis-b", "fourier"]
+
+
+def _child(argv, unbuffered=False, limit=None, **kwargs):
+    """``python -m kdq argv``, with ``PYTHONUNBUFFERED`` set or unset, under an address-space limit if given."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {}, OPENBLAS_NUM_THREADS="1")
+    preexec = None if limit is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return subprocess.run(
+        [sys.executable, "-m", "kdq", *argv], env=env, preexec_fn=preexec, text=True, timeout=60, **kwargs
+    )
+
+
+def test_allocation_failure_in_a_child_exit_2():
+    # the identity basis alone takes 549 MiB at d=6000, over a 400 MiB limit,
+    # so numpy refuses it whatever the interpreter and BLAS have mapped before
+    proc = _child(["audit", "--rep", "kd", "--dim", "6000", "--c1"], limit=400 << 20, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    doc = json.loads(proc.stderr)
+    assert doc["code"] == "out_of_memory"
+    assert doc["message"].startswith("Unable to allocate 549. MiB")
+    assert doc["context"] == {"command": "audit"}
+
+
+@pytest.fixture(scope="module")
+def child_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("child")
+    # a table over one basis twice: its overlaps <b|a> vanish off the diagonal
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([*KD_I[:-1], "computational"]) == 0
+    singular = tmp / "kd-singular.json"
+    singular.write_text(out.getvalue())
+    psi = np.random.default_rng(64).normal(size=(64, 2))
+    psi /= np.linalg.norm(psi)
+    d64 = tmp / "state-d64.json"
+    d64.write_text(json.dumps({"schema": "kdq/1", "dim": 64, "kind": "pure", "data": psi.tolist()}))
+    return {"singular": str(singular), "d64": str(d64)}
+
+
+# one op per exit code, and a d=64 csv table, larger than a pipe's buffer
+CHILD_OPS = {
+    "kd-0": (0, lambda f: KD_I),
+    "audit-violator-1": (1, lambda f: ["audit", "--rep", "violator:0.1", "--dim", "4", "--c1", "--c2", "--span"]),
+    "dim-mismatch-2": (
+        2,
+        lambda f: ["kd", "--state", str(FIXTURES / "state_doubleslit_d5.json"), "--basis-a", "hadamard2",
+                   "--basis-b", "fourier"],
+    ),
+    "singular-overlap-3": (3, lambda f: ["reconstruct", "--kd", f["singular"]]),
+    "degenerate-postselection-4": (
+        4,
+        lambda f: ["weak", "--state", str(FIXTURES / "state_zero_d2.json"), "--a-index", "0", "--basis-a",
+                   "computational", "--b-index", "1", "--basis-b", "computational", "--couplings", "0.2"],
+    ),
+    "kd-csv-d64": (0, lambda f: ["kd", "--state", f["d64"], "--basis-a", "computational", "--basis-b", "fourier",
+                                 "--format", "csv"]),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("op", list(CHILD_OPS))
+def test_child_output_equals_in_process_main(op, unbuffered, child_files, capsys):
+    expected_code, make_argv = CHILD_OPS[op]
+    argv = make_argv(child_files)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code
+    proc = _child(argv, unbuffered, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if op == "kd-csv-d64":
+        assert len(out) > 1 << 16
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("op", ["kd-0", "kd-csv-d64"])
+def test_closed_stdout_exit_2(op, unbuffered, child_files):
+    # buffered, the small table fails at run's final flush and the large one
+    # inside main; unbuffered, both fail at their first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = _child(CHILD_OPS[op][1](child_files), unbuffered, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    # one error object and nothing else: no traceback, no second flush at shutdown
+    assert json.loads(proc.stderr) == {"code": "broken_pipe", "message": "standard output is closed", "context": {}}
+
+
+@pytest.mark.parametrize("argv, runs", [(KD_I, False), (["kd"], True)], ids=["run-exits", "argparse-exits"])
+def test_atexit_handlers_run_only_on_the_interpreters_exit(argv, runs):
+    script = (
+        "import atexit, sys; atexit.register(print, 'atexit ran'); "
+        f"sys.argv[1:] = {argv!r}; from kdq.cli import run; run()"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == (2 if runs else 0)
+    assert ("atexit ran" in proc.stdout) is runs
