@@ -22,9 +22,9 @@ shipped families are sums of rank-1 terms coef |ket><bra| per cell; their
 kernels form each factor product once per side and take norms from a
 Gram-Schmidt of the factors, so no d^4 array is ever formed.  A family
 with one nonzero per operator row (the phase-point operators) makes each
-slice on request in that compact form, from a formula; where the side's
-basis vector is a coordinate vector in the slice's frame, the compression
-and span kernels work on those nonzeros alone, O(d) per cell.
+slice on request in that compact form, in a frame where the side's basis
+vector is a coordinate vector |k>; every kernel then works on those
+nonzeros alone, O(d) per cell.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class QuasiProbRep:
     ``terms`` instead, in the ``_family`` format with each ket and bra a
     (d, 1 or d, 1 or d) array over (i, a, b); the checks run on those
     terms, and ``operators`` is expanded from them only when first read.
-    The private ``_slices(side, k)`` source returns row k (side 0) or
-    column k (side 1) of the family as a ``_OnePerRow`` slice; those reps
-    likewise stack ``operators`` only when it is read.  Its ``_tables(m)``,
+    The private ``_slices(side, k)`` source returns row k (side 0) or column
+    k (side 1) of the family as a ``_OnePerRow`` slice (a column in a frame
+    of its own); ``operators`` stacks its rows when read.  Its ``_tables(m)``,
     if given, returns the (n, d, d) tables <m_s|Pi(a, b)|m_s> of states m (n, d).
     """
 
@@ -209,27 +209,25 @@ class _Terms(NamedTuple):
 
 
 class _OnePerRow(NamedTuple):
-    """Row or column slice whose every operator has one nonzero per row.
+    """Row or column slice whose every operator has one nonzero per row, all in the same columns.
 
-    X_c[i, cols[c, i]] = vals[c, i]; ``cols`` is (1, d) where every cell of
-    the slice shares it.  Two optional facts let the C3 and span kernels
-    skip densifying: ``pivot`` k says that the basis vector of the slice's
-    side is |k>, and ``frame`` (F, y) gives the same cells in another frame,
-    X_c = F Y_c F^dag for the cells Y_c of the one-per-row slice y (whose
-    own ``pivot``, if set, refers to the side's vector there, F^dag |v>).
+    X_c = F Y_c F^dag with Y_c[i, cols[i]] = vals[c, i], and F^dag |v> = |k>
+    for the basis vector |v> of the slice's side and k = ``pivot``.  Only a
+    column carries a unitary ``frame`` F; a row is Y itself, so what walks
+    the rows (``evaluate``, the span, ``operators``) never reads F.
     """
 
-    cols: np.ndarray  # (c or 1, d) int
+    cols: np.ndarray  # (d,) int
     vals: np.ndarray  # (c, d) complex
-    pivot: int | None = None
-    frame: tuple | None = None  # (F (d, d) unitary, _OnePerRow)
+    pivot: int
+    frame: np.ndarray | None = None  # (d, d) unitary
 
 
 def _densify(x: _OnePerRow) -> np.ndarray:
-    """The (c, d, d) operators of a one-per-row slice."""
+    """The (c, d, d) operators of a one-per-row row."""
     c, d = x.vals.shape
     out = np.zeros((c, d * d), dtype=np.complex128)
-    out[np.arange(c)[:, None], np.arange(d) * d + x.cols] = x.vals
+    out[:, np.arange(d) * d + x.cols] = x.vals
     return out.reshape(c, d, d)
 
 
@@ -241,22 +239,15 @@ _BLOCK_BYTES = 1 << 16
 _TILE_CELLS = 64  # the fewest cells in a term kernel's tile
 
 
-def _dense_blocks(x):
-    """(cells, operators) for consecutive blocks of cells of a dense or one-per-row slice."""
-    dense = isinstance(x, np.ndarray)
-    c, d = x.shape[:2] if dense else x.vals.shape
-    step = max(1, _BLOCK_BYTES // (16 * d * d))
-    for start in range(0, c, step):
-        cells = slice(start, start + step)
-        if dense:
-            yield cells, x[cells]
-        else:
-            cols = x.cols if len(x.cols) == 1 else x.cols[cells]
-            yield cells, _densify(_OnePerRow(cols, x.vals[cells]))
+def _dense_blocks(x: np.ndarray):
+    """(cells, operators) for consecutive blocks of cells of a dense (c, d, d) slice."""
+    step = max(1, _BLOCK_BYTES // (16 * x.shape[1] ** 2))
+    for start in range(0, len(x), step):
+        yield slice(start, start + step), x[start : start + step]
 
 
 def _off_pivot_sq(x: _OnePerRow) -> np.ndarray:
-    """sum_i |X_c[i, cols[c, i]]|^2 over the nonzeros off row and column ``x.pivot``, per cell."""
+    """sum_i |Y_c[i, cols[i]]|^2 over the nonzeros off row and column ``x.pivot``, per cell."""
     k = x.pivot
     off = (x.cols != k) & (np.arange(x.vals.shape[1]) != k)
     return ((x.vals.real**2 + x.vals.imag**2) * off).sum(axis=1)
@@ -357,29 +348,11 @@ def _expectations(x, m: np.ndarray) -> np.ndarray:
         return sum(cf * (mc @ k) * (m @ l.conj()) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
     if isinstance(x, _OnePerRow):
         if x.frame is not None:  # <m|F Y F^dag|m> = <F^dag m|Y|F^dag m>: one (n, d) x (d, d) GEMM
-            f, y = x.frame
-            return _expectations(y, m @ f.conj())
-        if len(x.cols) == 1:  # every cell shares its columns: one (n, d) x (d, c) GEMM
-            return (m.conj() * m[:, x.cols[0]]) @ x.vals.T
-        return np.einsum("sci,si,ci->sc", m[:, x.cols], m.conj(), x.vals)  # gathered (n, c, d)
+            m = m @ x.frame.conj()
+        return (m.conj() * m[:, x.cols]) @ x.vals.T  # one (n, d) x (d, c) GEMM
     c, d, _ = x.shape
     xm = (m @ x.reshape(c * d, d).T).reshape(len(m), c, d)  # xm[s, c] = X_c |m_s>
     return np.vecdot(m[:, None, :], xm)
-
-
-def _slice_sum(x) -> np.ndarray:
-    """sum_c X_c over the cells of a dense or one-per-row slice."""
-    if isinstance(x, _OnePerRow):
-        d = x.vals.shape[1]
-        # bincount adds its weights in input order, so with the flat positions
-        # i*d + cols[c, i] taken cell by cell it adds the cells in order, as
-        # the dense sum does
-        flat = np.broadcast_to(np.arange(d) * d + x.cols, x.vals.shape).ravel()
-        out = np.empty((d, d), dtype=np.complex128)
-        out.real = np.bincount(flat, x.vals.real.ravel(), d * d).reshape(d, d)
-        out.imag = np.bincount(flat, x.vals.imag.ravel(), d * d).reshape(d, d)
-        return out
-    return x.sum(axis=0)
 
 
 def _traces(x, rho: np.ndarray) -> np.ndarray:
@@ -387,7 +360,7 @@ def _traces(x, rho: np.ndarray) -> np.ndarray:
     if isinstance(x, _Terms):
         return sum(cf * np.vecdot(l, rho @ k, axis=0) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
     if isinstance(x, _OnePerRow):
-        return (x.vals * rho[x.cols, np.arange(x.vals.shape[1])]).sum(axis=1)
+        return (x.vals * rho[x.cols, np.arange(len(x.cols))]).sum(axis=1)
     return np.einsum("cij,ji->c", x, rho)
 
 
@@ -458,6 +431,19 @@ def _term_marginals(rep: QuasiProbRep, side: int, vecs: np.ndarray) -> np.ndarra
     return _lowrank_norms(cs, ks, ls)[:, 0]
 
 
+def _marginal_dev(x, v: np.ndarray) -> float:
+    """||sum_c X_c - |v><v| ||_F for a dense or one-per-row slice whose side's basis vector is v."""
+    if isinstance(x, _OnePerRow):  # in its frame, where |v> = |k>; the cells share their columns
+        d = len(x.cols)
+        dev = np.zeros((d, d), dtype=np.complex128)
+        # numpy adds C-ordered cells in order, as a scatter-add does, and F-ordered ones (a row's) pairwise
+        dev[np.arange(d), x.cols] = np.ascontiguousarray(x.vals).sum(axis=0)
+        dev[x.pivot, x.pivot] -= 1.0
+    else:  # einsum, not np.outer, which rounds some entries of |k><k| differently
+        dev = x.sum(axis=0) - np.einsum("i,j->ij", v, v.conj())
+    return _frobenius(dev[None])[0]
+
+
 def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
     """Operator marginals: sum_b Pi(a,b) = P_a and sum_a Pi(a,b) = P_b."""
     d = rep.dim
@@ -469,12 +455,7 @@ def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
         if rep.terms is not None:
             devs = _term_marginals(rep, side, basis.matrix)
         else:
-            devs = np.empty(d)
-            for k in range(d):
-                v = basis.matrix[:, k]
-                # einsum, not np.outer, which rounds some entries of |k><k| differently
-                dev = _slice_sum(_slice(rep, side, k)) - np.einsum("i,j->ij", v, v.conj())
-                devs[k] = _frobenius(dev[None])[0]
+            devs = np.array([_marginal_dev(_slice(rep, side, k), basis.matrix[:, k]) for k in range(d)])
         worst.bump(devs, lambda k: text.format(k=k, dev=devs[k]))
     return worst.report("C1", tol)
 
@@ -538,17 +519,12 @@ def _compression_norms(x, v: np.ndarray) -> np.ndarray:
     Q X Q is formed explicitly, as Y - (Y|v>)<v| with Y = X - |v>(<v|X):
     the squared-norm identity ||X||^2 - ||X v||^2 - ... cancels down to
     ~1e-8 noise, too coarse for the audit tolerance.  A one-per-row slice
-    with a pivot k needs neither: Q = 1 - |k><k| deletes row k and column k,
-    so the norm sums the squares of the nonzeros left, a sum of positive
-    terms.  The norm is unitarily invariant, so a slice given in another
-    frame is compressed there.
+    needs neither: the norm is unitarily invariant, and in the slice's frame
+    Q = 1 - |k><k| deletes row and column k, so the norm sums the squares
+    of the nonzeros left, a sum of positive terms.
     """
     if isinstance(x, _OnePerRow):
-        if x.frame is not None:  # Q F Y F^dag Q = F (Q' Y Q') F^dag with Q' = 1 - F^dag |v><v| F
-            f, x = x.frame
-            v = f.conj().T @ v
-        if x.pivot is not None:
-            return np.sqrt(_off_pivot_sq(x))
+        return np.sqrt(_off_pivot_sq(x))
     return np.concatenate([_dense_compression(block, v) for _, block in _dense_blocks(x)])
 
 
@@ -647,7 +623,7 @@ def _term_span(
 def _pivot_span_row(
     x: _OnePerRow, bm: np.ndarray, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
 ) -> np.ndarray:
-    """span_residual for a one-per-row row slice whose vector |a> is the coordinate vector |k>, k = x.pivot.
+    """span_residual for a one-per-row row, whose vector |a> is the coordinate vector |k>, k = x.pivot.
 
     U_b = |b><k| lives in column k and V_b = |k><b| in row k, so the
     residual differs from X_b only there: it is formed explicitly on those
@@ -656,10 +632,9 @@ def _pivot_span_row(
     """
     k, (n, d) = x.pivot, x.vals.shape
     bt = bm.T  # bt[b] = |b>
-    cols = np.broadcast_to(x.cols, x.vals.shape)
-    xcol = np.where(cols == k, x.vals, 0.0)  # column k of X_b
+    xcol = np.where(x.cols == k, x.vals, 0.0)  # column k of X_b
     xrow = np.zeros((n, d), dtype=np.complex128)  # row k of X_b, off the diagonal
-    xrow[np.arange(n), cols[:, k]] = x.vals[:, k]
+    xrow[:, x.cols[k]] = x.vals[:, k]
     xrow[:, k] = 0.0
     wcol = -(c * c)[:, None] * bt  # W_b = V_b - c_b^2 U_b on column k ...
     wcol[:, k] += bt[:, k].conj()
@@ -718,7 +693,7 @@ def span_residual(rep: QuasiProbRep, tol_overlap: float = TOL_OVERLAP) -> SpanRe
     residuals = np.empty((d, d))
     for a in range(d):
         x, args = _slice(rep, 0, a), (cross[a], w_sq_cut[a], degenerate[a])
-        if isinstance(x, _OnePerRow) and x.pivot is not None:
+        if isinstance(x, _OnePerRow):
             residuals[a] = _pivot_span_row(x, bm, *args)
         else:
             blocks = _dense_blocks(x)

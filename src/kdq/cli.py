@@ -111,7 +111,8 @@ def _emit(obj, file=None) -> None:
 
 
 def _report(code: str, message: str, context: dict) -> None:
-    _emit({"code": code, "message": message, "context": context}, file=sys.stderr)
+    if sys.stderr is not None:  # None when started without a stderr; print(file=None) would write to stdout
+        _emit({"code": code, "message": message, "context": context}, file=sys.stderr)
 
 
 def _as_density(state: StateVector | DensityOperator, tol: float | None) -> DensityOperator:

@@ -152,10 +152,9 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
 
     The family is never stored: each A(q,p) has one nonzero per row, so a
     row A(q, .) or column A(., p) of the family is made on request from
-    d x d index and phase tables, and memory stays O(d^3).
+    d x d index and phase tables, and memory stays O(d^2).
 
-    A row's basis vector is the position state |q>, which lets the C3 and
-    span kernels work on the nonzeros alone.  A column is also handed in
+    A row's basis vector is the position state |q>.  A column is handed in
     the momentum frame, where its vector is |p>: the phase-point operators
     are Fourier covariant, M^dag A(q, p) M = A(p, -q) for the momentum
     basis M (Gibbons, Hoffman and Wootters, PRA 70, 062101 (2004)), so there
@@ -164,7 +163,7 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     from .audit import QuasiProbRep, _OnePerRow  # only this function needs the audit module
 
     _require_odd(dim)
-    _require_budget(16 * dim**3, f"wigner slice at dim {dim}")  # one densified row
+    _require_budget(16 * dim**2, f"wigner tables at dim {dim}")  # the phase table, the bases
     r = np.arange(dim)
     x = (r[:, None] - r) % dim  # x[q, i]: row i of A(q, p) is row q - x
     cols = (r[:, None] + x) % dim  # cols[q, i] = 2q - i, whatever p is
@@ -173,11 +172,9 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     reverse = (-r)[:, None] % dim
 
     def slices(side: int, k: int) -> _OnePerRow:
-        if side == 0:  # A(k, p) over p: one column pattern for the whole row
-            return _OnePerRow(cols[k][None], phase[:, x[k]], pivot=k)
-        # A(q, k) over q, and in the momentum frame A(k, -q) over q
-        framed = _OnePerRow(cols[k][None], phase[reverse, x[k]], pivot=k)
-        return _OnePerRow(cols, phase[k][x], frame=(momentum.matrix, framed))
+        if side == 0:  # A(k, p) over p
+            return _OnePerRow(cols[k], phase[:, x[k]], k)
+        return _OnePerRow(cols[k], phase[reverse, x[k]], k, momentum.matrix)  # A(., k) as A(k, -q) over q
 
     def tables(m):
         # <m|A(q, p)|m> = sum_y phase[p, y] conj(m[q - y]) m[q + y], the discrete Wigner function

@@ -242,12 +242,12 @@ def _kdq_child(*argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--rep", "wigner", "--dim", "407", "--c1"],
+        ["--rep", "wigner", "--dim", "8193", "--c1"],
         ["--rep", "kd", "--dim", "20000", "--c1"],
         ["--rep", "kd", "--dim", "4", "--samples", "1000000000", "--c3"],
         ["--rep", "kd", "--dim", "1", "--c3", "--basis-b", "computational"],
     ],
-    ids=["wigner-d407", "kd-d20000", "samples-1e9", "c3-dim-1"],
+    ids=["wigner-d8193", "kd-d20000", "samples-1e9", "c3-dim-1"],
 )
 def test_cli_refuses_oversized_or_empty_audits(argv):
     code, out, err = _kdq_child("audit", *argv)

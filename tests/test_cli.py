@@ -685,6 +685,17 @@ def test_closed_stdout_exit_2(op, unbuffered, child_files):
     assert json.loads(proc.stderr) == {"code": "broken_pipe", "message": "standard output is closed", "context": {}}
 
 
+def test_closed_stderr_keeps_the_error_off_stdout(tmp_path):
+    # started with fd 2 closed, the child's sys.stderr is None, and print(file=None)
+    # writes to stdout, where a caller reads the artifact
+    argv = ["kd", "--state", str(tmp_path / "missing.json"), "--basis-a", "computational", "--basis-b", "fourier"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kdq", *argv], stdout=subprocess.PIPE, text=True, timeout=60,
+        preexec_fn=lambda: os.close(2),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
 @pytest.mark.parametrize("argv, runs", [(KD_I, False), (["kd"], True)], ids=["run-exits", "argparse-exits"])
 def test_atexit_handlers_run_only_on_the_interpreters_exit(argv, runs):
     script = (

@@ -28,7 +28,7 @@ from kdq import (
     span_residual,
     wigner_as_rep,
 )
-from kdq.audit import _OnePerRow, _complement_samples, _compression_norms, _expectations, _slice, _slice_sum, _traces
+from kdq.audit import _OnePerRow, _complement_samples, _compression_norms, _expectations, _marginal_dev, _slice, _traces
 from kdq.wigner import momentum_basis, phase_point_operator
 from test_audit_factored import _kdq_child
 from test_audit_reference import _assert_checks_match, _assert_same_report
@@ -61,64 +61,60 @@ def test_phase_point_operator_matches_its_defining_sum(dim):
             np.testing.assert_allclose(phase_point_operator(dim, q, p), mat, rtol=0, atol=2e-15)
 
 
-def _random_one_per_row_rep(d, seed):
-    """A family with one random nonzero per operator row, placed by a only.
+def _random_slice(d, rng, k, framed=False):
+    """A random one-per-row slice of d cells with pivot k, its dense cells F Y_c F^dag, and F|k>.
 
-    Like the Wigner family, its rows share their column pattern and its
-    columns do not; unlike it, every cell differs, so a kernel that mixes
-    up cells changes the numbers.
+    Its cells share their columns, drawn with repeats, so column k may hold
+    several nonzeros of a cell and row k's nonzero need not sit on the
+    diagonal; every cell differs, so a kernel that mixes up cells changes
+    the numbers.  Framed, F is a random unitary; else it is the identity.
     """
-    rng = np.random.default_rng(seed)
-    cols = rng.integers(0, d, (d, d))  # cols[a, i]
-    vals = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))  # vals[a, b, i]
-
-    def slices(side, k):
-        return _OnePerRow(cols[k][None], vals[k]) if side == 0 else _OnePerRow(cols, vals[:, k])
-
-    a, b = random_basis(d, seed=seed), random_basis(d, seed=seed + 1)
-    return QuasiProbRep(a, b, label="random", _slices=slices)
+    cols = rng.integers(0, d, d)
+    vals = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))  # vals[c, i]
+    f = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] if framed else np.eye(d)
+    y = np.zeros((d, d, d), dtype=complex)
+    y[:, np.arange(d), cols] = vals
+    return _OnePerRow(cols, vals, k, f if framed else None), f @ y @ f.conj().T, f[:, k]
 
 
 @pytest.mark.parametrize("block_cells", [1, 2, 64])
 def test_one_per_row_kernels_match_the_dense_slices(monkeypatch, block_cells):
+    # the dense kernels take their cells a block at a time, whatever the block size
     d = 5
     monkeypatch.setattr(kdq.audit, "_BLOCK_BYTES", 16 * d * d * block_cells)
-    rep = _random_one_per_row_rep(d, seed=3)
-    dense = QuasiProbRep(rep.basis_a, rep.basis_b, rep.operators)
+    rng = np.random.default_rng(3)
     m = np.stack([random_state(d, seed=s).amplitudes for s in range(7)])
     rho = random_density(d, d, seed=2).matrix
 
     def close(new, old):
         np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
 
-    for side, basis in ((0, rep.basis_a), (1, rep.basis_b)):
+    for framed in (False, True):
         for k in range(d):
-            x, y = _slice(rep, side, k), _slice(dense, side, k)
+            x, y, v = _random_slice(d, rng, k, framed)
             close(_expectations(x, m), _expectations(y, m))
-            close(_compression_norms(x, basis.matrix[:, k]), _compression_norms(y, basis.matrix[:, k]))
-            close(_slice_sum(x), _slice_sum(y))
-            close(_traces(x, rho), _traces(y, rho))
-    close(span_residual(rep).residuals, span_residual(dense).residuals)
-    for check in (check_condition1, check_condition2, check_condition3, check_span):
-        new, old = check(rep), check(dense)
-        assert new.passed == old.passed
-        assert new.worst_violation == pytest.approx(old.worst_violation, rel=1e-12)
-        assert ref.witness_key(new.witness) == ref.witness_key(old.witness)
+            close(_compression_norms(x, v), _compression_norms(y, v))
+            close(_marginal_dev(x, v), _marginal_dev(y, v))
+            if not framed:  # only a column carries a frame, and _traces walks rows
+                close(_traces(x, rho), _traces(y, rho))
 
 
 @pytest.mark.parametrize("dim", [3, 5, 31])
 def test_one_per_row_slice_sum_matches_scatter_add_bit_for_bit(dim):
-    # np.add.at adds the cells in order; the slice sum must keep its bits, signed zeros included
+    # C1 sums a row with one reduction of its vals over cells; np.add.at adds the
+    # cells in order, and a row's deviation from |q><q| must keep that sum's bits
     rep = wigner_as_rep(dim)
-    for side in (0, 1):
-        for k in range(dim):
-            x = _slice(rep, side, k)
-            ref = np.zeros((dim, dim), dtype=complex)
-            np.add.at(ref, (np.arange(dim), np.broadcast_to(x.cols, x.vals.shape)), x.vals)
-            got = _slice_sum(x)
-            for part in ("real", "imag"):
-                new, old = getattr(got, part), getattr(ref, part)
-                assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old)), (side, k)
+    for k in range(dim):
+        x, v = _slice(rep, 0, k), rep.basis_a.matrix[:, k]
+        dev = np.zeros((dim, dim), dtype=complex)
+        np.add.at(dev, (np.arange(dim), np.broadcast_to(x.cols, x.vals.shape)), x.vals)
+        dev = (dev - np.einsum("i,j->ij", v, v.conj())).ravel()
+        assert _marginal_dev(x, v) == np.sqrt(np.vecdot(dev, dev).real), k
+
+
+def test_wigner_audits_past_a_dense_row():
+    # a dense row of the family would be 16 d^3 = 1.09 GB at d=409, over the 1 GiB limit
+    assert check_condition1(wigner_as_rep(409)).passed
 
 
 def test_checks_and_evaluate_never_build_the_family():
@@ -191,21 +187,14 @@ def test_phase_point_kernels_match_the_dense_slices(dim):
 
 
 @pytest.mark.parametrize("basis_b", ["random", "computational"])
-@pytest.mark.parametrize("shared", [True, False], ids=["shared-columns", "own-columns"])
-def test_pivot_kernels_match_the_dense_kernels_on_any_one_per_row_row(shared, basis_b):
-    # random rows over the position basis, each claiming its pivot: column k
-    # may hold several nonzeros of a cell, and row k's nonzero need not sit
-    # on the diagonal; identical bases make the off-diagonal cells degenerate
+def test_pivot_kernels_match_the_dense_kernels_on_any_one_per_row_row(basis_b):
+    # random pivoted rows over the position basis; identical bases make the
+    # off-diagonal cells degenerate
     d = 6
     rng = np.random.default_rng(5)
-    cols = rng.integers(0, d, (d, 1 if shared else d, d))  # cols[a, b or 0, i]
-    vals = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))  # vals[a, b, i]
-
-    def slices(side, k):
-        return _OnePerRow(cols[k], vals[k], pivot=k) if side == 0 else _OnePerRow(cols[:, k % cols.shape[1]], vals[:, k])
-
+    rows = [_random_slice(d, rng, k)[0] for k in range(d)]
     b = random_basis(d, seed=6) if basis_b == "random" else computational_basis(d)
-    rep = QuasiProbRep(computational_basis(d), b, label="pivoted", _slices=slices)
+    rep = QuasiProbRep(computational_basis(d), b, label="pivoted", _slices=lambda side, k: rows[k])
     dense = QuasiProbRep(rep.basis_a, rep.basis_b, rep.operators)
     for k in range(d):
         v = rep.basis_a.matrix[:, k]
@@ -215,6 +204,8 @@ def test_pivot_kernels_match_the_dense_kernels_on_any_one_per_row_row(shared, ba
     new, old = span_residual(rep), span_residual(dense)
     np.testing.assert_array_equal(new.degenerate, old.degenerate)
     np.testing.assert_allclose(new.residuals, old.residuals, rtol=0, atol=1e-12)
+    rho = random_density(d, d, seed=7)
+    np.testing.assert_allclose(evaluate(rep, rho), evaluate(dense, rho), rtol=0, atol=1e-12)
 
 
 def _count_fast_paths(monkeypatch):
@@ -242,8 +233,3 @@ def test_fast_paths_fire_on_the_phase_point_slices_only(monkeypatch):
     # compressions on both sides, then the span's off-pivot squares per row;
     # the momentum columns' samples enter their frame
     assert calls == {"_off_pivot_sq": 3 * d, "_pivot_span_row": d, "frame": d}
-    calls.update(dict.fromkeys(calls, 0))
-    rep = _random_one_per_row_rep(d, seed=3)
-    for check in (check_condition1, check_condition2, check_condition3, check_span):
-        check(rep)
-    assert calls == {"_off_pivot_sq": 0, "_pivot_span_row": 0, "frame": 0}
