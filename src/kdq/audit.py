@@ -16,15 +16,16 @@ norm: over the complex field, <m|X|m> = 0 for every m in a subspace iff
 the compression Q X Q of X to that subspace vanishes.  Random sampling of
 complement states is kept alongside as an independent witness generator.
 
-The checks walk the family one row Pi(a, .) or column Pi(., b) at a time.
-A dense family hands each step a (d, d, d) slice of its operators.  The
-shipped families are sums of rank-1 terms coef |ket><bra| per cell; their
-kernels form each factor product once per side and take norms from a
-Gram-Schmidt of the factors, so no d^4 array is ever formed.  A family
-with one nonzero per operator row (the phase-point operators) makes each
+A family takes one of two forms.  The shipped families are term reps, sums
+of rank-1 terms coef |ket><bra| per cell; their kernels read the factors of
+a whole side, laid out over (row, cell, i) by ``_side``, and take norms from
+a Gram-Schmidt of the factors, so no d^4 array is ever formed.  Any other
+family is a slice source, walked one row Pi(a, .) or column Pi(., b) at a
+time: a dense family hands out (d, d, d) views of its stored operators, and
+one with one nonzero per operator row (the phase-point operators) makes each
 slice on request in that compact form, in a frame where the side's basis
-vector is a coordinate vector |k>; every kernel then works on those
-nonzeros alone, O(d) per cell.
+vector is a coordinate vector |k>, so every kernel works on those nonzeros
+alone, O(d) per cell.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .hilbert import (
     _require_same_dim,
     _tol,
 )
-from .kd import TOL_OVERLAP, Ordering
+from .kd import TOL_OVERLAP, Ordering, _cross_overlaps
 
 DEFAULT_AUDIT_TOL = 1e-10
 
@@ -58,14 +59,14 @@ DEFAULT_AUDIT_TOL = 1e-10
 class QuasiProbRep:
     """Candidate representation: operators[a, b] is the cell operator.
 
-    Dense reps take the (d, d, d, d) ``operators`` array.  Term reps take
-    ``terms`` instead, in the ``_family`` format with each ket and bra a
-    (d, 1 or d, 1 or d) array over (i, a, b); the checks run on those
-    terms, and ``operators`` is expanded from them only when first read.
-    The private ``_slices(side, k)`` source returns row k (side 0) or column
-    k (side 1) of the family as a ``_OnePerRow`` slice (a column in a frame
-    of its own); ``operators`` stacks its rows when read.  Its ``_tables(m)``,
-    if given, returns the (n, d, d) tables <m_s|Pi(a, b)|m_s> of states m (n, d).
+    Term reps take ``terms`` in the ``_family`` format, each ket and bra a
+    (d, 1 or d, 1 or d) array over (i, a, b); the checks run on those terms,
+    and ``operators`` is expanded from them only when first read.  Any other
+    rep is a slice source: the private ``_slices(side, k)`` returns row k
+    (side 0) or column k (side 1), a (d, d, d) view for a rep built from the
+    (d, d, d, d) ``operators`` array, else a ``_OnePerRow`` slice (a column in
+    a frame of its own), whose rows ``operators`` stacks when read.  Its
+    ``_tables(m)``, if given, returns the (n, d, d) tables <m_s|Pi(a, b)|m_s>.
     """
 
     def __init__(
@@ -104,6 +105,7 @@ class QuasiProbRep:
             raise ValidationError("operators contain non-finite entries")
         ops.setflags(write=False)
         self._ops = ops
+        self._slices = lambda side, k: ops[k] if side == 0 else ops[:, k]
 
     @property
     def operators(self) -> np.ndarray:
@@ -172,7 +174,7 @@ def _kd_term(
     """``_family`` term for weight * |b><b|a><a| (AB) or weight * |a><a|b><b| (BA)."""
     _require_same_dim(basis_a.dim, basis_b.dim)
     am, bm = basis_a.matrix, basis_b.matrix
-    ov = (bm.conj().T @ am).T  # ov[a, b] = <b|a>
+    ov = _cross_overlaps(am, bm).T  # ov[a, b] = <b|a>
     if ordering is Ordering.AB:
         return weight * ov, bm[:, None, :], am[:, :, None]
     return weight * ov.conj(), am[:, :, None], bm[:, None, :]
@@ -195,17 +197,6 @@ def mixed_rep(
         _kd_term(basis_a, basis_b, Ordering.BA, 1.0 - weight_ab),
     ]
     return QuasiProbRep(basis_a, basis_b, label=f"mixed:{weight_ab:g}", terms=terms)
-
-
-class _Terms(NamedTuple):
-    """Row or column slice of a term rep: X_c = sum_t coef[c, t] |kets[t][:, c]><bras[t][:, c]|.
-
-    Each factor is a (d, c) array, or (d, 1) where it is the same for every cell.
-    """
-
-    coef: np.ndarray  # (c, t)
-    kets: list
-    bras: list
 
 
 class _OnePerRow(NamedTuple):
@@ -253,35 +244,12 @@ def _off_pivot_sq(x: _OnePerRow) -> np.ndarray:
     return ((x.vals.real**2 + x.vals.imag**2) * off).sum(axis=1)
 
 
-def _slice(rep: QuasiProbRep, side: int, k: int):
-    """Row Pi(k, .) (side 0) or column Pi(., k) (side 1) of the family.
-
-    A dense rep gives its (c, d, d) operators, a term rep its ``_Terms``,
-    a slice-source rep its ``_OnePerRow``.
-    """
-    if rep._slices is not None:
-        return rep._slices(side, k)
-    if rep.terms is None:
-        return rep.operators[k] if side == 0 else rep.operators[:, k]
-    _require_term_budget(rep)
-
-    def cut(f):  # f broadcasts over (i, a, b); an axis of size 1 stays size 1
-        i = min(k, f.shape[side + 1] - 1)
-        return f[:, i] if side == 0 else f[:, :, i]
-
-    coef = rep._coef[k] if side == 0 else rep._coef[:, k]
-    _, kets, bras = zip(*rep.terms)
-    return _Terms(coef, [cut(f) for f in kets], [cut(f) for f in bras])
-
-
-def _require_term_budget(rep: QuasiProbRep) -> None:
-    """Refuse a term rep whose per-side arrays (16 d^2 bytes a factor; the span adds two) would be over the limit."""
-    _require_budget(16 * rep.dim**2 * (len(rep.terms) + 2), f"term factors at dim {rep.dim}")
-
-
 def _side(rep: QuasiProbRep, side: int):
-    """coef (d, d, t) and C-ordered kets and bras (1 or d, 1 or d, d) over (row, cell, i) of a term rep's side."""
-    _require_term_budget(rep)
+    """coef (d, d, t) and C-ordered kets and bras (1 or d, 1 or d, d) over (row, cell, i) of a term rep's side.
+
+    Refused if those arrays (16 d^2 bytes a factor; the span adds two) would be over the limit.
+    """
+    _require_budget(16 * rep.dim**2 * (len(rep.terms) + 2), f"term factors at dim {rep.dim}")
     axes = (1, 2, 0) if side == 0 else (2, 1, 0)
     _, kets, bras = zip(*rep.terms)
     coef = rep._coef if side == 0 else rep._coef.transpose(1, 0, 2)
@@ -341,11 +309,17 @@ def _lowrank_norms(coef: list, kets: list, bras: list) -> np.ndarray:
     return np.sqrt(sum(np.vecdot(y, y).real for y in ys))
 
 
+def _term_expectations(coef: np.ndarray, kets: list, bras: list, m: np.ndarray) -> np.ndarray:
+    """vals[s, c] = <m_s|X_c|m_s> for the states m (n, d) and X_c = sum_t coef[c, t] |kets[t][c]><bras[t][c]|.
+
+    coef (c, t) and the factors, (c, d) or (1, d) if shared by the cells, are row k of ``_side``.
+    """
+    mc = m.conj()
+    return sum(cf * (mc @ k.T) * (m @ l.conj().T) for cf, k, l in zip(coef.T, kets, bras))
+
+
 def _expectations(x, m: np.ndarray) -> np.ndarray:
-    """vals[s, c] = <m_s|X_c|m_s> for the states m (n, d) and the cells X_c of a slice."""
-    if isinstance(x, _Terms):
-        mc = m.conj()
-        return sum(cf * (mc @ k) * (m @ l.conj()) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
+    """vals[s, c] = <m_s|X_c|m_s> for the states m (n, d) and the cells X_c of a dense or one-per-row slice."""
     if isinstance(x, _OnePerRow):
         if x.frame is not None:  # <m|F Y F^dag|m> = <F^dag m|Y|F^dag m>: one (n, d) x (d, d) GEMM
             m = m @ x.frame.conj()
@@ -356,9 +330,7 @@ def _expectations(x, m: np.ndarray) -> np.ndarray:
 
 
 def _traces(x, rho: np.ndarray) -> np.ndarray:
-    """Tr(X_c rho) for every cell of a slice."""
-    if isinstance(x, _Terms):
-        return sum(cf * np.vecdot(l, rho @ k, axis=0) for cf, k, l in zip(x.coef.T, x.kets, x.bras))
+    """Tr(X_c rho) for every cell of a dense or one-per-row slice."""
     if isinstance(x, _OnePerRow):
         return (x.vals * rho[x.cols, np.arange(len(x.cols))]).sum(axis=1)
     return np.einsum("cij,ji->c", x, rho)
@@ -367,7 +339,10 @@ def _traces(x, rho: np.ndarray) -> np.ndarray:
 def evaluate(rep: QuasiProbRep, rho: DensityOperator) -> np.ndarray:
     """Complex table: table[a, b] = Tr(operators[a, b] . rho)."""
     _require_same_dim(rep.dim, rho.dim)
-    return np.stack([_traces(_slice(rep, 0, a), rho.matrix) for a in range(rep.dim)])
+    if rep.terms is not None:  # Tr(|k><l| rho) = <l|rho|k>
+        coef, kets, bras = _side(rep, 0)
+        return sum(coef[..., t] * np.vecdot(l, k @ rho.matrix.T) for t, (k, l) in enumerate(zip(kets, bras)))
+    return np.stack([_traces(rep._slices(0, a), rho.matrix) for a in range(rep.dim)])
 
 
 class _Worst:
@@ -455,7 +430,7 @@ def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
         if rep.terms is not None:
             devs = _term_marginals(rep, side, basis.matrix)
         else:
-            devs = np.array([_marginal_dev(_slice(rep, side, k), basis.matrix[:, k]) for k in range(d)])
+            devs = np.array([_marginal_dev(rep._slices(side, k), basis.matrix[:, k]) for k in range(d)])
         worst.bump(devs, lambda k: text.format(k=k, dev=devs[k]))
     return worst.report("C1", tol)
 
@@ -463,7 +438,7 @@ def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
 def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
     """Eigenstate inputs: forbidden cells vanish, allowed cells equal |<a|b>|^2."""
     d = rep.dim
-    cross = rep.basis_b.matrix.conj().T @ rep.basis_a.matrix  # cross[b, a] = <b|a>
+    cross = _cross_overlaps(rep.basis_a.matrix, rep.basis_b.matrix)  # cross[b, a] = <b|a>
     born = np.abs(cross.T) ** 2  # born[a, b] = |<a|b>|^2
     vecs = np.concatenate([rep.basis_a.matrix, rep.basis_b.matrix], axis=1).T  # |A_0>..|A_d-1>, |B_0>..
     step = max(1, _BLOCK_BYTES // (16 * d * d))  # states whose tables are formed and scanned at once
@@ -472,15 +447,15 @@ def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
         def tables(j):
             return rep._tables(vecs[j])
     elif rep.terms is not None:
-        _require_term_budget(rep)
+        coef, kets, bras = _side(rep, 0)
 
         def overlaps(f):  # <v|f(a, b)> over (state, a, b): once for all states, unless f varies with a and b
             def block(j):
-                return (vecs[j].conj() @ f.reshape(d, -1)).reshape(-1, *f.shape[1:])
+                return (vecs[j].conj() @ f.reshape(-1, d).T).reshape(-1, *f.shape[:2])
 
-            return block if f[0].size > d else block(slice(None)).__getitem__
+            return block if f.size > d * d else block(slice(None)).__getitem__
 
-        parts = [(rep._coef[:, :, t], overlaps(k), overlaps(l)) for t, (_, k, l) in enumerate(rep.terms)]
+        parts = [(coef[:, :, t], overlaps(k), overlaps(l)) for t, (k, l) in enumerate(zip(kets, bras))]
 
         def tables(j):
             return sum(c * k(j) * l(j).conj() for c, k, l in parts)
@@ -488,7 +463,7 @@ def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> Audit
         blocks = [slice(0, d), slice(d, 2 * d)]
 
         def tables(j):
-            return np.stack([_expectations(_slice(rep, 0, a), vecs[j]) for a in range(d)], axis=1)
+            return np.stack([_expectations(rep._slices(0, a), vecs[j]) for a in range(d)], axis=1)
     cell = np.arange(d)
     worst = _Worst("all eigenstate tables have the required delta structure")
     for block in blocks:
@@ -557,7 +532,7 @@ def check_condition3(
     # the largest per-slice block of the sampled expectations
     width = d if rep.terms is None else len(rep.terms)
     _require_budget(16 * samples * d * width, f"{samples} sampled states at dim {d}")
-    # per side: its name, its axis in _slice, its basis, and the location text
+    # per side: its name, its axis in _side and _slices, its basis, and the location text
     # of cell c in the slice for basis index k
     sides = (
         ("A", 0, rep.basis_a.matrix, lambda k, c: f"(a={k}, b={c})"),
@@ -573,13 +548,19 @@ def check_condition3(
 
             devs = _tiled(rep, axis, terms)
         else:
-            devs = np.stack([_compression_norms(_slice(rep, axis, k), vecs[:, k]) for k in range(d)])
+            devs = np.stack([_compression_norms(rep._slices(axis, k), vecs[:, k]) for k in range(d)])
         worst.bump(devs, lambda k, c: f"compression ||Q_{q} Pi Q_{q}||_F = {devs[k, c]:.3e} at {at(k, c)}")
     rng = np.random.default_rng(seed)
     for side, axis, vecs, at in sides:
+        if rep.terms is not None:
+            coef, kets, bras = _side(rep, axis)
         for k in range(d):
             m = _complement_samples(rng, vecs[:, k], samples)
-            vals = np.abs(_expectations(_slice(rep, axis, k), m))
+            if rep.terms is None:
+                vals = np.abs(_expectations(rep._slices(axis, k), m))
+            else:  # row k of each factor; one of size 1 is shared by the rows
+                rows = ([f[min(k, len(f) - 1)] for f in fs] for fs in (kets, bras))
+                vals = np.abs(_term_expectations(coef[k], *rows, m))
             worst.bump(
                 vals,
                 lambda s, c: f"sampled state #{s} orthogonal to |{side}_{k}> gives "
@@ -685,14 +666,14 @@ def span_residual(rep: QuasiProbRep, tol_overlap: float = TOL_OVERLAP) -> SpanRe
     tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
     d = rep.dim
     am, bm = rep.basis_a.matrix, rep.basis_b.matrix
-    cross = (bm.conj().T @ am).T  # cross[a, b] = <b|a>
+    cross = _cross_overlaps(am, bm).T  # cross[a, b] = <b|a>
     degenerate = np.abs(cross) <= tol_overlap
     w_sq_cut = (np.finfo(float).eps * d * d * (1.0 + np.abs(cross) ** 2)) ** 2
     if rep.terms is not None:
         return SpanResidual(_term_span(rep, am, bm, cross, w_sq_cut, degenerate), degenerate)
     residuals = np.empty((d, d))
     for a in range(d):
-        x, args = _slice(rep, 0, a), (cross[a], w_sq_cut[a], degenerate[a])
+        x, args = rep._slices(0, a), (cross[a], w_sq_cut[a], degenerate[a])
         if isinstance(x, _OnePerRow):
             residuals[a] = _pivot_span_row(x, bm, *args)
         else:

@@ -187,12 +187,11 @@ def _cmd_audit(args, tol: float | None) -> int:
     if not wanted:
         flags = " ".join(f"--{flag}" for flag in _CHECKS)
         raise ValidationError(f"select at least one check: {flags} or --all")
-    all_passed = True
-    for check in wanted:
-        report = check(rep, args, check_tol)
+    # every check runs before any report is printed, so a refused check leaves stdout empty
+    reports = [check(rep, args, check_tol) for check in wanted]
+    for report in reports:
         _emit(report.to_json_dict())
-        all_passed = all_passed and report.passed
-    return EXIT_OK if all_passed else EXIT_AUDIT_FAILED
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_AUDIT_FAILED
 
 
 def _cmd_weak(args, tol: float | None) -> int:

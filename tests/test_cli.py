@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdq.cli import main
 
@@ -250,10 +252,9 @@ def test_audit_reaches_wrappers_installed_under_cli_names(capsys, monkeypatch):
 
 
 def test_audit_negative_seed_exit_2(capsys):
-    # C1 is printed before C3 refuses the seed
+    # C1 passes before C3 refuses the seed, and its report is not printed either
     code, out, err = run_cli(capsys, "audit", "--rep", "kd", "--dim", "2", "--c1", "--c3", "--seed", "-1")
-    assert code == 2
-    assert [json.loads(line)["condition"] for line in out.splitlines()] == ["C1"]
+    assert (code, out) == (2, "")
     doc = json.loads(err)
     assert doc["code"] == "validation"
     assert doc["message"] == "seed must be a non-negative integer, got -1"
@@ -595,6 +596,64 @@ def test_allocation_failure_in_a_command_exit_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "audit", "--rep", "kd", "--dim", "3", "--c1")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"code": "out_of_memory", "message": "out of memory", "context": {"command": "audit"}}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--rep", "kd", "--dim", "4", "--samples", "0"], "bad_sample_count"),
+        (["--rep", "wigner", "--dim", "1"], "validation"),
+    ],
+    ids=["samples-0", "wigner-d1"],
+)
+def test_refused_audit_prints_no_report(capsys, argv, code):
+    # C1 and C2 pass before C3 refuses; a refused audit prints no report at all
+    exit_code, out, err = run_cli(capsys, "audit", *argv, "--all")
+    assert (exit_code, out) == (2, "")
+    assert json.loads(err)["code"] == code
+
+
+def test_allocation_failure_in_a_later_check_prints_no_report(capsys, monkeypatch):
+    import kdq.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(kdq.cli, "check_condition3", exhausted)
+    code, out, err = run_cli(capsys, "audit", "--rep", "kd", "--dim", "3", "--all")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "out_of_memory", "message": "out of memory", "context": {"command": "audit"}}
+
+
+AUDIT_REPS = ["kd", "kd-ba", "wigner", "junk"] + [
+    f"{name}:{x}" for name in ("mixed", "violator") for x in ("0", "0.3", "-1", "1e-3", "nan", "inf")
+]
+REPORT_FIELDS = {"condition", "passed", "worst_violation", "witness", "samples_used", "seed"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rep=st.sampled_from(AUDIT_REPS),
+    dim=st.integers(-1, 6),
+    checks=st.sets(st.sampled_from(["--c1", "--c2", "--c3", "--span", "--all"])),
+    samples=st.sampled_from([-1, 0, 1, 3]),
+    seed=st.sampled_from([-1, 0, 7]),
+    basis_b=st.sampled_from(["fourier", "computational"]),
+)
+def test_every_audit_ends_in_its_reports_or_one_error(rep, dim, checks, samples, seed, basis_b):
+    argv = ["audit", "--rep", rep, "--dim", str(dim), *sorted(checks), "--samples", str(samples), "--seed", str(seed),
+            "--basis-b", basis_b]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert set(_strict_json(err.getvalue())) == {"code", "message", "context"}, argv
+    else:
+        assert err.getvalue() == "", argv
+        reports = [_strict_json(line) for line in out.getvalue().splitlines()]
+        assert reports and all(set(doc) == REPORT_FIELDS for doc in reports), argv
+        assert (code == 0) == all(doc["passed"] for doc in reports), argv
 
 
 KD_I = ["kd", "--state", str(FIXTURES / "state_i_d2.json"), "--basis-a", "computational", "--basis-b", "fourier"]

@@ -28,7 +28,7 @@ from kdq import (
     span_residual,
     wigner_as_rep,
 )
-from kdq.audit import _OnePerRow, _complement_samples, _compression_norms, _expectations, _marginal_dev, _slice, _traces
+from kdq.audit import _OnePerRow, _complement_samples, _compression_norms, _expectations, _marginal_dev, _traces
 from kdq.wigner import momentum_basis, phase_point_operator
 from test_audit_factored import _kdq_child
 from test_audit_reference import _assert_checks_match, _assert_same_report
@@ -105,7 +105,7 @@ def test_one_per_row_slice_sum_matches_scatter_add_bit_for_bit(dim):
     # cells in order, and a row's deviation from |q><q| must keep that sum's bits
     rep = wigner_as_rep(dim)
     for k in range(dim):
-        x, v = _slice(rep, 0, k), rep.basis_a.matrix[:, k]
+        x, v = rep._slices(0, k), rep.basis_a.matrix[:, k]
         dev = np.zeros((dim, dim), dtype=complex)
         np.add.at(dev, (np.arange(dim), np.broadcast_to(x.cols, x.vals.shape)), x.vals)
         dev = (dev - np.einsum("i,j->ij", v, v.conj())).ravel()
@@ -170,7 +170,7 @@ def test_phase_point_kernels_match_the_dense_slices(dim):
 
     for side, basis in ((0, rep.basis_a), (1, rep.basis_b)):
         for k in range(dim):
-            x, y = _slice(rep, side, k), _slice(dense, side, k)
+            x, y = rep._slices(side, k), dense._slices(side, k)
             v = basis.matrix[:, k]
             close(_compression_norms(x, v), _compression_norms(y, v))
             m = _complement_samples(rng, v, 6)
@@ -199,7 +199,7 @@ def test_pivot_kernels_match_the_dense_kernels_on_any_one_per_row_row(basis_b):
     for k in range(d):
         v = rep.basis_a.matrix[:, k]
         np.testing.assert_allclose(
-            _compression_norms(_slice(rep, 0, k), v), _compression_norms(_slice(dense, 0, k), v), rtol=0, atol=1e-12
+            _compression_norms(rep._slices(0, k), v), _compression_norms(dense._slices(0, k), v), rtol=0, atol=1e-12
         )
     new, old = span_residual(rep), span_residual(dense)
     np.testing.assert_array_equal(new.degenerate, old.degenerate)
