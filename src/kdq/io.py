@@ -10,7 +10,6 @@ written as one of the strings "NaN", "Infinity" and "-Infinity".
 
 from __future__ import annotations
 
-import io as _io
 import json
 import math
 from contextlib import suppress
@@ -57,15 +56,13 @@ def finite_json(obj):
     return obj
 
 
-def _csv(header: list[str], rows, keys: int = 0) -> str:
-    """CSV text: ``header``, then ``rows``, whose first ``keys`` cells are indices and the rest floats."""
-    import csv  # only the CSV outputs need it
+def _csv(header: list[str], lines) -> str:
+    """CSV text: ``header``, then ``lines``, each its fields already joined by commas.
 
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([*row[:keys], *(repr(float(x)) for x in row[keys:])] for row in rows)
-    return buf.getvalue()
+    Every field is an int, the shortest repr of a float or a fixed column name,
+    so none needs quoting and this is the text ``csv.writer`` would write.
+    """
+    return "\n".join(chain([",".join(header)], lines, [""]))
 
 
 def _from_pair(obj, what: str) -> complex:
@@ -256,13 +253,14 @@ def load_kd(path: str | Path, tol: float | None = None) -> KDDistribution:
 
 def kd_to_csv(dist: KDDistribution, tol: float | None = None) -> str:
     """Long-format table: one row per cell, with both marginals repeated."""
-    marg_a = kd_marginal_a(dist, tol=tol, tol_imag=tol)
-    marg_b = kd_marginal_b(dist, tol=tol, tol_imag=tol)
-    return _csv(
-        ["a", "b", "re", "im", "marginal_a", "marginal_b"],
-        ([a, b, z.real, z.imag, marg_a[a], marg_b[b]] for (a, b), z in np.ndenumerate(dist.table)),
-        keys=2,
+    marg_a = map(repr, kd_marginal_a(dist, tol=tol, tol_imag=tol).tolist())
+    marg_b = [*map(repr, kd_marginal_b(dist, tol=tol, tol_imag=tol).tolist())]
+    lines = (
+        f"{a},{b},{x!r},{y!r},{ma},{mb}"
+        for a, (ma, xs, ys) in enumerate(zip(marg_a, dist.table.real.tolist(), dist.table.imag.tolist()))
+        for b, (x, y, mb) in enumerate(zip(xs, ys, marg_b))
     )
+    return _csv(["a", "b", "re", "im", "marginal_a", "marginal_b"], lines)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +283,9 @@ def wigner_to_dict(table: WignerTable, violations: list[tuple[int, int, float]] 
 def wigner_to_csv(table: WignerTable, violations: list[tuple[int, int, float]] | None = None) -> str:
     """Rows are positions q, columns momenta p; then a q,p,value section if ``violations`` is given."""
     header = ["q"] + [f"p{p}" for p in range(table.dim)]
-    text = _csv(header, [[q, *row] for q, row in enumerate(table.table)], keys=1)
+    text = _csv(header, (",".join([str(q), *map(repr, row)]) for q, row in enumerate(table.table.tolist())))
     if violations is not None:
-        text += _csv(["q", "p", "value"], violations, keys=2)
+        text += _csv(["q", "p", "value"], (f"{q},{p},{float(w)!r}" for q, p, w in violations))
     return text
 
 
@@ -295,8 +293,8 @@ SWEEP_COLUMNS = ["g", "re_est", "im_est", "re_exact", "im_exact", "abs_err", "po
 
 
 def sweep_to_csv(points: list[SweepPoint]) -> str:
-    rows = ([g, est.real, est.imag, exact.real, exact.imag, err, prob] for g, est, exact, err, prob in points)
-    return _csv(SWEEP_COLUMNS, rows)
+    rows = ((g, est.real, est.imag, exact.real, exact.imag, err, prob) for g, est, exact, err, prob in points)
+    return _csv(SWEEP_COLUMNS, (",".join(map(repr, map(float, row))) for row in rows))
 
 
 def report_to_json(report: AuditReport) -> str:

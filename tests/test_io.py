@@ -286,3 +286,52 @@ def test_finite_json_spells_out_non_finite_floats():
         '{"condition": "C3", "passed": false, "worst_violation": "Infinity", "witness": "w", '
         '"samples_used": 1, "seed": 0}'
     )
+
+
+def _writer_csv(header, rows, keys=0):
+    """Reference: ``csv.writer`` over ``rows``, the first ``keys`` cells as written, the rest as float reprs."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([*row[:keys], *(repr(float(x)) for x in row[keys:])] for row in rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("dim", [2, 7, 32])
+def test_kd_csv_is_the_csv_writer_text(dim):
+    from kdq import kd_marginal_a, kd_marginal_b
+
+    dist = kd_transform(random_density(dim, min(dim, 2), seed=dim), random_basis(dim, seed=1), fourier_basis(dim))
+    marg_a, marg_b = kd_marginal_a(dist), kd_marginal_b(dist)
+    expected = _writer_csv(
+        ["a", "b", "re", "im", "marginal_a", "marginal_b"],
+        ([a, b, z.real, z.imag, marg_a[a], marg_b[b]] for (a, b), z in np.ndenumerate(dist.table)),
+        keys=2,
+    )
+    assert kio.kd_to_csv(dist) == expected
+
+
+@pytest.mark.parametrize("dim", [3, 5, 31])
+def test_wigner_csv_is_the_csv_writer_text(dim):
+    from kdq import condition3_violation_report, discrete_wigner, double_slit_state
+
+    rho = make_pure_density(double_slit_state(dim, 0, dim - 1))
+    table, violations = discrete_wigner(rho), condition3_violation_report(rho)
+    assert violations  # the dark midpoint carries weight
+    expected = _writer_csv(["q", *(f"p{p}" for p in range(dim))], [[q, *row] for q, row in enumerate(table.table)], 1)
+    assert kio.wigner_to_csv(table) == expected
+    assert kio.wigner_to_csv(table, violations) == expected + _writer_csv(["q", "p", "value"], violations, 2)
+    assert kio.wigner_to_csv(table, []) == expected + "q,p,value\n"
+
+
+def test_sweep_csv_is_the_csv_writer_text():
+    points = [
+        SweepPoint(0.1, 0.5 + 0.49j, 0.5 + 0.5j, 0.01, 0.5),
+        SweepPoint(np.float64(-0.2), complex(-0.0, 1e-300), np.complex128(1 / 3 - 2j), np.float64(np.nan), 1.0),
+    ]
+    rows = ([g, est.real, est.imag, exact.real, exact.imag, err, prob] for g, est, exact, err, prob in points)
+    assert kio.sweep_to_csv(points) == _writer_csv(kio.SWEEP_COLUMNS, rows)
+    assert kio.sweep_to_csv([]) == _writer_csv(kio.SWEEP_COLUMNS, [])
