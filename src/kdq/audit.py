@@ -245,26 +245,29 @@ def _off_pivot_sq(x: _OnePerRow) -> np.ndarray:
 
 
 def _side(rep: QuasiProbRep, side: int):
-    """coef (d, d, t) and C-ordered kets and bras (1 or d, 1 or d, d) over (row, cell, i) of a term rep's side.
+    """coef (d, d, t) and kets and bras (1 or d, 1 or d, d) over (row, cell, i) of a term rep's side.
 
-    Refused if those arrays (16 d^2 bytes a factor; the span adds two) would be over the limit.
+    A factor shared by the rows (kd's bm.T) stays a view; the others are
+    copied into C order.  Refused if those arrays (16 d^2 bytes a factor;
+    the span adds two) would be over the limit.
     """
     _require_budget(16 * rep.dim**2 * (len(rep.terms) + 2), f"term factors at dim {rep.dim}")
     axes = (1, 2, 0) if side == 0 else (2, 1, 0)
     _, kets, bras = zip(*rep.terms)
     coef = rep._coef if side == 0 else rep._coef.transpose(1, 0, 2)
-    return coef, *([np.ascontiguousarray(f.transpose(axes)) for f in fs] for fs in (kets, bras))
+    laid = [[f.transpose(axes) for f in fs] for fs in (kets, bras)]
+    return coef, *([f if len(f) == 1 else np.ascontiguousarray(f) for f in fs] for fs in laid)
 
 
-def _tiled(rep: QuasiProbRep, side: int, terms: Callable) -> np.ndarray:
-    """out[k, c] = _lowrank_norms(*terms(rows, cells, coef, kets, bras)) over a term rep's side, tile by tile.
+def _tiled(factors: tuple, terms: Callable) -> np.ndarray:
+    """out[k, c] = _lowrank_norms(*terms(rows, cells, coef, kets, bras)) over a side's ``_side`` factors, tile by tile.
 
     A tile's arrays stay within _BLOCK_BYTES but hold at least _TILE_CELLS
     cells (a tile costs ~100 numpy calls); a row splits evenly, so that no
     tile has one cell, whose per-cell factors would look shared.
     """
-    coef, kets, bras = _side(rep, side)
-    d = rep.dim
+    coef, kets, bras = factors
+    d = len(coef)
     per = max(_TILE_CELLS, _BLOCK_BYTES // (16 * d))  # cells in a tile
     n, m = max(1, per // d), -(-d // per)  # rows in a band; tiles in a row, of near-equal size
     bands = [slice(a, a + n) for a in range(0, d, n)]
@@ -532,33 +535,35 @@ def check_condition3(
     # the largest per-slice block of the sampled expectations
     width = d if rep.terms is None else len(rep.terms)
     _require_budget(16 * samples * d * width, f"{samples} sampled states at dim {d}")
-    # per side: its name, its axis in _side and _slices, its basis, and the location text
-    # of cell c in the slice for basis index k
-    sides = (
-        ("A", 0, rep.basis_a.matrix, lambda k, c: f"(a={k}, b={c})"),
-        ("B", 1, rep.basis_b.matrix, lambda k, c: f"(a={c}, b={k})"),
-    )
+    # per side: its name, its axis in _side and _slices, its basis, the location text
+    # of cell c in the slice for basis index k, and a term rep's factors, laid out once
+    sides = [
+        (side, axis, basis.matrix, at, None if rep.terms is None else _side(rep, axis))
+        for side, axis, basis, at in (
+            ("A", 0, rep.basis_a, lambda k, c: f"(a={k}, b={c})"),
+            ("B", 1, rep.basis_b, lambda k, c: f"(a={c}, b={k})"),
+        )
+    ]
     worst = _Worst("all compressions and sampled states vanish")
-    for side, axis, vecs, at in sides:
+    for side, axis, vecs, at, factors in sides:
         q = side.lower()
-        if rep.terms is not None:  # Q X Q formed explicitly, as for a dense block: the factors go off |v_k>
+        if factors is not None:  # Q X Q formed explicitly, as for a dense block: the factors go off |v_k>
             def terms(rows, cells, coef, kets, bras):
                 v = vecs.T[rows, None]
                 return list(coef), *([f - v * np.vecdot(v, f)[..., None] for f in fs] for fs in (kets, bras))
 
-            devs = _tiled(rep, axis, terms)
+            devs = _tiled(factors, terms)
         else:
             devs = np.stack([_compression_norms(rep._slices(axis, k), vecs[:, k]) for k in range(d)])
         worst.bump(devs, lambda k, c: f"compression ||Q_{q} Pi Q_{q}||_F = {devs[k, c]:.3e} at {at(k, c)}")
     rng = np.random.default_rng(seed)
-    for side, axis, vecs, at in sides:
-        if rep.terms is not None:
-            coef, kets, bras = _side(rep, axis)
+    for side, axis, vecs, at, factors in sides:
         for k in range(d):
             m = _complement_samples(rng, vecs[:, k], samples)
-            if rep.terms is None:
+            if factors is None:
                 vals = np.abs(_expectations(rep._slices(axis, k), m))
             else:  # row k of each factor; one of size 1 is shared by the rows
+                coef, kets, bras = factors
                 rows = ([f[min(k, len(f) - 1)] for f in fs] for fs in (kets, bras))
                 vals = np.abs(_term_expectations(coef[k], *rows, m))
             worst.bump(
@@ -598,7 +603,7 @@ def _term_span(
         ux, g = np.where(dg, 0.0, ux), np.where(dg, 0.0, g)
         return [*cs, xu - ux + g * c * c, xv - g], ks, ls
 
-    return _tiled(rep, 0, terms)
+    return _tiled(_side(rep, 0), terms)
 
 
 def _pivot_span_row(

@@ -3,7 +3,11 @@
 State vectors, density operators, orthonormal bases, general (possibly
 non-Hermitian) operators, product traces, and seeded random generation.
 All containers freeze their arrays after validation, and every operation
-is a pure function, so objects are safe to share between threads.
+is a pure function of its arguments, so objects are safe to share between
+threads.  A ``DensityOperator`` keeps the read-only products the kd
+functions formed for the last basis pair it met, as one tuple that a call
+replaces whole: concurrent calls may form a product again, but never read
+one of another pair.
 
 Randomness uses ``numpy.random.default_rng`` (PCG64); the same seed always
 reproduces the same output within this implementation.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -122,6 +126,8 @@ class DensityOperator:
     matrix: np.ndarray
     tol: InitVar[float | None] = None
     tol_psd: InitVar[float | None] = None
+    # private: (basis_a, basis_b, <b|a> or None, <a|rho|b> or None) of the last pair kdq.kd met
+    _kd: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol, tol_psd):
         mat, shaped = _shaped(self.matrix, 2)

@@ -113,16 +113,13 @@ def kd_transform(
     """Joint quasi-probability table of ``rho`` over the two bases."""
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
-    am, bm = basis_a.matrix, basis_b.matrix
-    cross = _cross_overlaps(am, bm)
+    cross = _kept(rho, basis_a, basis_b, mixed=False)
     if ordering is Ordering.AB:
-        mixed = am.conj().T @ rho.matrix @ bm  # mixed[a, b] = <a|rho|b>
-        table = cross.T * mixed
+        table = cross.T * _kept(rho, basis_a, basis_b, mixed=True)
     else:
-        mixed = bm.conj().T @ rho.matrix @ am  # mixed[b, a] = <b|rho|a>
+        mixed = basis_b.matrix.conj().T @ rho.matrix @ basis_a.matrix  # mixed[b, a] = <b|rho|a>
         table = (cross.conj() * mixed).T
     dist = KDDistribution(basis_a, basis_b, ordering, table, tol=tol, tol_imag=tol_imag)
-    cross.setflags(write=False)
     object.__setattr__(dist, "_cross", cross)
     return dist
 
@@ -130,6 +127,28 @@ def kd_transform(
 def _cross_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
     """cross[b, a] = <b|a> for basis matrices ``am`` and ``bm``: each cell's weight, divided back out."""
     return bm.conj().T @ am
+
+
+def _kept(
+    rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, mixed: bool
+) -> np.ndarray:
+    """cross[b, a] = <b|a>, or with ``mixed`` mixed[a, b] = <a|rho|b>, read-only.
+
+    ``rho`` keeps what was formed for the last basis pair it met, matched by
+    identity; a miss forms the value from the same expression as always and
+    replaces the entry whole, so outputs do not depend on call order.
+    """
+    entry = rho._kd
+    if entry is None or entry[0] is not basis_a or entry[1] is not basis_b:
+        entry = (basis_a, basis_b, None, None)
+    k = 3 if mixed else 2
+    value = entry[k]
+    if value is None:
+        am, bm = basis_a.matrix, basis_b.matrix
+        value = am.conj().T @ rho.matrix @ bm if mixed else _cross_overlaps(am, bm)
+        value.setflags(write=False)
+        object.__setattr__(rho, "_kd", entry[:k] + (value,) + entry[k + 1 :])
+    return value
 
 
 def _real_marginal(
@@ -226,7 +245,5 @@ def total_probability(
     _require_same_dim(m_op.dim, rho.dim)
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
-    am, bm = basis_a.matrix, basis_b.matrix
-    cond = bm.conj().T @ m_op.matrix @ am  # cond[b, a] = <b|M|a>
-    mixed = am.conj().T @ rho.matrix @ bm  # mixed[a, b] = <a|rho|b>
-    return complex(np.einsum("ba,ab->", cond, mixed))
+    cond = basis_b.matrix.conj().T @ m_op.matrix @ basis_a.matrix  # cond[b, a] = <b|M|a>
+    return complex(np.einsum("ba,ab->", cond, _kept(rho, basis_a, basis_b, mixed=True)))

@@ -1,13 +1,19 @@
 """Joint quasi-probability tests: cell operators, transform, inverse, weak values."""
 
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
+import kdq.kd
 from kdq import (
     DensityOperator,
     KDDistribution,
     LinearOperator,
     Ordering,
+    OrthonormalBasis,
     SingularOverlapError,
     StateVector,
     ValidationError,
@@ -30,6 +36,7 @@ from kdq import (
     span_residual,
     total_probability,
 )
+from test_validation_order import _count
 
 SQ2 = np.sqrt(2.0)
 
@@ -418,3 +425,102 @@ def test_rejected_sums_match_the_plain_numpy_expressions(dim):
                 marginal(loose)
             expected = float(np.max(np.abs(tab.sum(axis=axis).imag)))
             assert err.value.context["worst_imag"] == expected
+
+
+# ---------------------------------------------------------------------------
+# products kept on the state for its last basis pair
+
+
+def _fresh(rho, a, b):
+    return DensityOperator(rho.matrix), OrthonormalBasis(a.matrix), OrthonormalBasis(b.matrix)
+
+
+def _run(calls, rho, a, b, m):
+    """Bytes of each named call on these objects; ``inv-AB`` inverts the table ``AB`` made before it."""
+    out, dists = {}, {}
+    for name in calls:
+        if name in ("AB", "BA"):
+            dists[name] = kd_transform(rho, a, b, Ordering[name])
+            out[name] = dists[name].table.tobytes()
+        elif name == "prob":
+            out[name] = np.complex128(total_probability(m, rho, a, b)).tobytes()
+        else:
+            out[name] = kd_inverse(dists[name[4:]]).matrix.tobytes()
+    return out
+
+
+CALLS = ("AB", "BA", "inv-AB", "inv-BA", "prob")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 64])
+def test_every_call_order_on_one_state_gives_the_fresh_objects_bytes(dim):
+    rho = random_density(dim, 2, seed=dim)
+    a, b = random_basis(dim, seed=dim + 1), fourier_basis(dim)
+    m = LinearOperator(random_density(dim, 1, seed=dim + 2).matrix)
+    expected = {name: _run([name.replace("inv-", ""), name], *_fresh(rho, a, b), m)[name] for name in CALLS}
+    orders = [
+        order
+        for order in itertools.permutations(CALLS)
+        if order.index("inv-AB") > order.index("AB") and order.index("inv-BA") > order.index("BA")
+    ]
+    assert len(orders) == 30
+    for order in orders:
+        assert _run(order, *_fresh(rho, a, b), m) == expected, order
+
+
+def test_a_new_basis_pair_never_reads_a_stale_entry(monkeypatch):
+    dim = 5
+    rho = random_density(dim, 3, seed=5)
+    a, b = random_basis(dim, seed=1), random_basis(dim, seed=2)
+    m = LinearOperator(random_density(dim, 1, seed=3).matrix)
+    calls = _count(monkeypatch, kdq.kd, "_cross_overlaps")
+    # the same bases in new objects, swapped, or replaced by another basis; then the first pair again
+    pairs = [(a, b), (OrthonormalBasis(a.matrix), b), (a, OrthonormalBasis(b.matrix)), (b, a),
+             (a, fourier_basis(dim)), (computational_basis(dim), b), (a, b)]
+    for pair in pairs:
+        expected = _run(CALLS, *_fresh(rho, *pair), m)
+        calls.clear()
+        assert _run(CALLS, rho, *pair, m) == expected
+        assert len(calls) == 1  # formed for this pair, then read by every later call
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_both_orderings_and_the_inverse_form_one_overlap_product(monkeypatch, dim):
+    rho = random_density(dim, dim, seed=dim)
+    a, b = computational_basis(dim), fourier_basis(dim)
+    calls = _count(monkeypatch, kdq.kd, "_cross_overlaps")
+    ab = kd_transform(rho, a, b, Ordering.AB)
+    ba = kd_transform(rho, a, b, Ordering.BA)
+    kd_inverse(ab)
+    kd_inverse(ba)
+    assert len(calls) == 1
+    assert ab._cross is ba._cross is rho._kd[2]
+    # total_probability reads <a|rho|b> as the AB table formed it
+    entry = rho._kd
+    total_probability(LinearOperator(np.eye(dim)), rho, a, b)
+    assert rho._kd is entry and not entry[3].flags.writeable and not entry[2].flags.writeable
+
+
+def test_kept_products_leave_no_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        dim = 16
+        rho = random_density(dim, 2, seed=1)
+        a, b = random_basis(dim, seed=2), fourier_basis(dim)
+        m = LinearOperator(random_density(dim, 1, seed=3).matrix)
+        _run(CALLS, rho, a, b, m)
+        kd_marginal_a(kd_transform(rho, a, b))
+        conditional_weak_value(m, a.vector(0), b.vector(1))
+        alive = weakref.ref(rho)
+        del rho
+        assert alive() is None  # freed by reference counting
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert not [x for x in gc.garbage if type(x).__module__.startswith("kdq")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()

@@ -101,6 +101,58 @@ def test_wigner_report_loads_neither_audit_nor_pointer():
     assert not {"kdq.audit", "kdq.pointer"} & set(got["run"])
 
 
+def _numpy_random_loaded(*argv) -> tuple[bool, int]:
+    """Whether ``kdq.cli.main(argv)`` in a fresh child loads ``numpy.random``, and its exit code."""
+    got = _child(
+        f"""
+        import contextlib, io, json, sys
+        import kdq.cli
+
+        before = "numpy.random" in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = kdq.cli.main({list(argv)!r})
+        print(json.dumps({{"before": before, "after": "numpy.random" in sys.modules, "code": code}}))
+        """
+    )
+    assert got["before"] is False
+    return got["after"], got["code"]
+
+
+@pytest.fixture(scope="module")
+def kd_file(tmp_path_factory):
+    from kdq import computational_basis, fourier_basis, kd_transform, random_density
+    from kdq.io import kd_to_dict
+
+    path = tmp_path_factory.mktemp("kd") / "kd_d4.json"
+    dist = kd_transform(random_density(4, 2, seed=4), computational_basis(4), fourier_basis(4))
+    path.write_text(json.dumps(kd_to_dict(dist)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["kd", "--state", STATE_D2, "--basis-a", "computational", "--basis-b", "fourier"], False),
+        (["reconstruct", "--kd", None], False),
+        (["weak", "--state", STATE_D2, "--a-index", "0", "--basis-a", "computational", "--b-index", "0",
+          "--basis-b", "hadamard2", "--couplings", "0.1"], False),
+        (["wigner", "--state", SLITS_D5, "--report"], False),
+        (["audit", "--rep", "mixed:0.3", "--dim", "4", "--c1", "--c2", "--span"], False),
+        (["audit", "--rep", "wigner", "--dim", "5", "--c1", "--c2", "--span"], False),
+        (["audit", "--rep", "kd", "--dim", "4", "--c3"], True),
+        (["audit", "--rep", "wigner", "--dim", "5", "--all"], True),
+    ],
+    ids=["kd", "reconstruct", "weak", "wigner", "audit-mixed-c1-c2-span", "audit-wigner-c1-c2-span",
+         "audit-kd-c3", "audit-wigner-all"],
+)
+def test_only_the_sampled_condition3_loads_numpy_random(argv, loads, kd_file):
+    # numpy imports numpy.random lazily; loading it costs a child about 15 ms
+    argv = [kd_file if a is None else a for a in argv]
+    loaded, code = _numpy_random_loaded(*argv)
+    assert code in (0, 1)
+    assert loaded is loads
+
+
 def test_wrappers_installed_before_their_module_loads_see_the_calls():
     # coupling_sweep is read through kdq.cli first, as the benchmark's tracer
     # does; wigner_as_rep is assigned without reading the original at all
