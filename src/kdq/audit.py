@@ -31,7 +31,6 @@ alone, O(d) per cell.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,8 +46,10 @@ from .hilbert import (
     DensityOperator,
     OrthonormalBasis,
     _complement_samples,
+    _Record,
     _require_budget,
     _require_same_dim,
+    _setattr,
     _tol,
 )
 from .kd import TOL_OVERLAP, Ordering, _cross_overlaps
@@ -131,19 +132,17 @@ class QuasiProbRep:
         return LinearOperator(self.operators[a, b])
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Outcome of one condition check."""
+class AuditReport(_Record):
+    """Outcome of one condition check; ``condition`` is "C1", "C2", "C3" or "Span"."""
 
-    condition: str  # "C1" | "C2" | "C3" | "Span"
-    passed: bool
-    worst_violation: float
-    witness: str
-    samples_used: int
-    seed: int
+    __slots__ = ("condition", "passed", "worst_violation", "witness", "samples_used", "seed")
+
+    def __init__(self, condition: str, passed: bool, worst_violation: float, witness: str, samples_used: int, seed: int):
+        for name, value in zip(self.__slots__, (condition, passed, worst_violation, witness, samples_used, seed)):
+            _setattr(self, name, value)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self.__getstate__()
 
 
 class SpanResidual(NamedTuple):

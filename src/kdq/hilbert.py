@@ -9,6 +9,10 @@ functions formed for the last basis pair it met, as one tuple that a call
 replaces whole: concurrent calls may form a product again, but never read
 one of another pair.
 
+Every value type of kdq is a ``_Value``: ``__slots__`` fields set once in ``__init__``,
+``AttributeError`` on assignment or deletion, a dataclass's ``repr``, pickle and ``copy``
+that restore arrays read-only, and identity equality (a ``_Record`` compares its fields).
+
 Randomness uses ``numpy.random.default_rng`` (PCG64); the same seed always
 reproduces the same output within this implementation.
 """
@@ -17,9 +21,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo  # private; tests/test_positivity.py pins it
 
 from .errors import (
     BadRankError,
@@ -36,6 +40,8 @@ TOL_IMAG = 1e-10
 
 # no single array may exceed this; larger requests are refused before allocation
 MAX_ARRAY_BYTES = 1 << 30
+
+_setattr = object.__setattr__  # sets a _Value field: once in __init__, or a private cache
 
 
 def _tol(value, default: float, source: str = "tolerance") -> float:
@@ -98,39 +104,71 @@ def _accepts(arr: np.ndarray, ndim: int, what: str, deviation: float, tol, defau
     return deviation <= _tol(tol, default)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class _Value:
+    """Immutable value: ``__slots__`` fields, set once in ``__init__``."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            for arr in value if type(value) is tuple else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            _setattr(self, name, value)
+
+
+class _Record(_Value):
+    """A ``_Value`` equal to one of its class with equal fields, and hashed by them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__getstate__().values()))
+
+
+class StateVector(_Value):
     """Normalized pure state: a length-d complex vector."""
 
-    amplitudes: np.ndarray
-    tol: InitVar[float | None] = None
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self, tol):
-        amps, shaped = _shaped(self.amplitudes, 1)
+    def __init__(self, amplitudes: np.ndarray, tol: float | None = None):
+        amps, shaped = _shaped(amplitudes, 1)
         norm_sq = float((abs(amps) ** 2).sum()) if shaped else math.nan
         if not _accepts(amps, 1, "state vector", abs(norm_sq - 1.0), tol, TOL_NORM):
             raise NotNormalizedError(
                 f"state vector has squared norm {norm_sq!r}, expected 1", norm_sq=norm_sq
             )
-        object.__setattr__(self, "amplitudes", amps)
+        _setattr(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(_Value):
     """Hermitian, unit-trace, positive-semidefinite d x d matrix."""
 
-    matrix: np.ndarray
-    tol: InitVar[float | None] = None
-    tol_psd: InitVar[float | None] = None
-    # private: (basis_a, basis_b, <b|a> or None, <a|rho|b> or None) of the last pair kdq.kd met
-    _kd: tuple | None = field(default=None, init=False, repr=False)
+    # private _kd: (basis_a, basis_b, <b|a> or None, <a|rho|b> or None) of the last pair kdq.kd met
+    __slots__ = ("matrix", "_kd")
 
-    def __post_init__(self, tol, tol_psd):
-        mat, shaped = _shaped(self.matrix, 2)
+    def __init__(self, matrix: np.ndarray, tol: float | None = None, tol_psd: float | None = None):
+        mat, shaped = _shaped(matrix, 2)
         adj = mat.conj().T
         herm_dev = _max_abs(mat - adj) if shaped else math.nan
         if not _accepts(mat, 2, "density matrix", herm_dev, tol, TOL_HERM):
@@ -144,37 +182,35 @@ class DensityOperator:
         # Cholesky of sym + tol_psd I, sym = (mat + adj) / 2, succeeds exactly when
         # sym's smallest eigenvalue exceeds -tol_psd, within d eps |rho| (Higham,
         # ch. 10); twice that matrix has the same verdict.  The eigenvalue is
-        # computed only when the factorization fails.
+        # computed only when the factorization fails.  LAPACK's gufunc, without
+        # numpy's wrapper, returns a failed factor as NaN, and OpenBLAS passes
+        # an overflowed (NaN) pivot: either way the last pivot is not finite.
         tol_psd = _tol(tol_psd, TOL_PSD)
         twice = mat + adj
         twice.ravel()[:: mat.shape[0] + 1] += 2.0 * tol_psd
-        try:
-            # OpenBLAS passes an overflowed (NaN) pivot, and it spreads to the last one
-            factored = math.isfinite(np.linalg.cholesky(twice)[-1, -1].real)
-        except np.linalg.LinAlgError:
-            factored = False
+        with np.errstate(all="ignore"):
+            factored = math.isfinite(_cholesky_lo(twice, signature="D->D")[-1, -1].real)
         if not factored:
             lo = float(np.linalg.eigvalsh((mat + adj) / 2.0)[0])  # unshifted; eigenvalues ascend
             if lo < -tol_psd:
                 raise ValidationError(
                     f"density matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo
                 )
-        object.__setattr__(self, "matrix", mat)
+        _setattr(self, "matrix", mat)
+        _setattr(self, "_kd", None)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class LinearOperator:
+class LinearOperator(_Value):
     """General d x d complex matrix; no Hermiticity assumed."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        mat = _frozen_complex(self.matrix, 2, "operator matrix")
-        object.__setattr__(self, "matrix", mat)
+    def __init__(self, matrix: np.ndarray):
+        _setattr(self, "matrix", _frozen_complex(matrix, 2, "operator matrix"))
 
     @property
     def dim(self) -> int:
@@ -184,16 +220,13 @@ class LinearOperator:
         return LinearOperator(self.matrix.conj().T)
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
+class OrthonormalBasis(_Value):
     """Ordered orthonormal basis; column k of ``matrix`` is the k-th vector."""
 
-    matrix: np.ndarray
-    label: str = ""
-    tol: InitVar[float | None] = None
+    __slots__ = ("matrix", "label")
 
-    def __post_init__(self, tol):
-        mat, shaped = _shaped(self.matrix, 2)
+    def __init__(self, matrix: np.ndarray, label: str = "", tol: float | None = None):
+        mat, shaped = _shaped(matrix, 2)
         gram_dev = math.nan
         if shaped:
             gram = mat.conj().T @ mat
@@ -204,7 +237,8 @@ class OrthonormalBasis:
                 f"basis vectors are not orthonormal (max Gram deviation {gram_dev:.3e})",
                 deviation=gram_dev,
             )
-        object.__setattr__(self, "matrix", mat)
+        _setattr(self, "matrix", mat)
+        _setattr(self, "label", label)
 
     @property
     def dim(self) -> int:

@@ -14,7 +14,6 @@ the table a complete parametrization of the density operator.
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -29,7 +28,9 @@ from .hilbert import (
     _accepts,
     _max_abs,
     _require_same_dim,
+    _setattr,
     _tol,
+    _Value,
     overlap,
 )
 
@@ -46,8 +47,7 @@ class Ordering(enum.Enum):
         return Ordering.BA if self is Ordering.AB else Ordering.AB
 
 
-@dataclass(frozen=True, eq=False)
-class KDDistribution:
+class KDDistribution(_Value):
     """Complex joint quasi-probability table over two bases.
 
     Invariants checked on construction: the complex total is 1 and every
@@ -55,20 +55,14 @@ class KDDistribution:
     probabilities).
     """
 
-    basis_a: OrthonormalBasis
-    basis_b: OrthonormalBasis
-    ordering: Ordering
-    table: np.ndarray
-    tol: InitVar[float | None] = None
-    tol_imag: InitVar[float | None] = None
-    # private: the row and column sums the imaginary-part check took; cross[b, a] = <b|a> from kd_transform
-    _sums: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    _cross: np.ndarray | None = field(default=None, init=False, repr=False)
+    # private: _sums, the row and column sums the imaginary-part check took; _cross, <b|a> from kd_transform
+    __slots__ = ("basis_a", "basis_b", "ordering", "table", "_sums", "_cross")
 
-    def __post_init__(self, tol, tol_imag):
-        d = self.basis_a.dim
-        _require_same_dim(d, self.basis_b.dim)
-        tab = np.array(self.table, dtype=np.complex128)
+    def __init__(self, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, ordering: Ordering, table: np.ndarray,
+                 tol: float | None = None, tol_imag: float | None = None):
+        d = basis_a.dim
+        _require_same_dim(d, basis_b.dim)
+        tab = np.array(table, dtype=np.complex128)
         if tab.shape != (d, d):
             raise ValidationError(f"table must have shape {(d, d)}, got {tab.shape}")
         total = complex(tab.sum())
@@ -83,8 +77,8 @@ class KDDistribution:
             )
         for arr in (tab, *sums):
             arr.setflags(write=False)
-        object.__setattr__(self, "table", tab)
-        object.__setattr__(self, "_sums", sums)
+        for name, value in zip(self.__slots__, (basis_a, basis_b, ordering, tab, sums, None)):
+            _setattr(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -120,7 +114,7 @@ def kd_transform(
         mixed = basis_b.matrix.conj().T @ rho.matrix @ basis_a.matrix  # mixed[b, a] = <b|rho|a>
         table = (cross.conj() * mixed).T
     dist = KDDistribution(basis_a, basis_b, ordering, table, tol=tol, tol_imag=tol_imag)
-    object.__setattr__(dist, "_cross", cross)
+    _setattr(dist, "_cross", cross)
     return dist
 
 
@@ -147,7 +141,7 @@ def _kept(
         am, bm = basis_a.matrix, basis_b.matrix
         value = am.conj().T @ rho.matrix @ bm if mixed else _cross_overlaps(am, bm)
         value.setflags(write=False)
-        object.__setattr__(rho, "_kd", entry[:k] + (value,) + entry[k + 1 :])
+        _setattr(rho, "_kd", entry[:k] + (value,) + entry[k + 1 :])
     return value
 
 

@@ -17,7 +17,6 @@ g <= sigma/2 at the default grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     ValidationError,
     ZeroCouplingError,
 )
-from .hilbert import LinearOperator, StateVector, _max_abs, _require_budget, _require_same_dim
+from .hilbert import LinearOperator, StateVector, _max_abs, _Record, _require_budget, _require_same_dim, _setattr
 from .kd import conditional_weak_value
 
 _PROJECTOR_TOL = 1e-10
@@ -39,8 +38,7 @@ _POSTSELECT_FLOOR = 1e-12
 _LIVE_GRIDS = 6
 
 
-@dataclass(frozen=True)
-class PointerConfig:
+class PointerConfig(_Record):
     """Pointer grid and coupling parameters.
 
     Positions run over [-grid_extent/2, grid_extent/2); grid_points must be
@@ -48,12 +46,11 @@ class PointerConfig:
     (grid_extent > 8 sigma) so wraparound is negligible.
     """
 
-    grid_points: int = 512
-    grid_extent: float = 20.0
-    sigma: float = 1.0
-    coupling: float = 0.1
+    __slots__ = ("grid_points", "grid_extent", "sigma", "coupling")
 
-    def __post_init__(self):
+    def __init__(self, grid_points: int = 512, grid_extent: float = 20.0, sigma: float = 1.0, coupling: float = 0.1):
+        for name, value in zip(self.__slots__, (grid_points, grid_extent, sigma, coupling)):
+            _setattr(self, name, value)
         n = self.grid_points
         if n < 16 or n & (n - 1) != 0:
             raise ValidationError(f"grid_points must be a power of two >= 16, got {n}")
@@ -87,16 +84,14 @@ class PointerConfig:
         return 1.0 / (4.0 * self.sigma**2)
 
 
-@dataclass(frozen=True)
-class PointerReadout:
+class PointerReadout(_Record):
     """Post-selected pointer means plus the coupling that produced them."""
 
-    mean_x: float
-    mean_p: float
-    postselect_prob: float
-    coupling: float
+    __slots__ = ("mean_x", "mean_p", "postselect_prob", "coupling")
 
-    def __post_init__(self):
+    def __init__(self, mean_x: float, mean_p: float, postselect_prob: float, coupling: float):
+        for name, value in zip(self.__slots__, (mean_x, mean_p, postselect_prob, coupling)):
+            _setattr(self, name, value)
         if not -1e-12 <= self.postselect_prob <= 1.0 + 1e-12:
             raise ValidationError(
                 f"post-selection probability {self.postselect_prob!r} outside [0, 1]"
@@ -207,7 +202,8 @@ def coupling_sweep(
     # post-selection probability surfaces as the degenerate-readout error
     # rather than as a singular overlap in the comparison column
     grids = _grids(cfg)
-    readouts = [_readout(psi, a_proj, b, replace(cfg, coupling=g), grids) for g in couplings]
+    readouts = [_readout(psi, a_proj, b, PointerConfig(cfg.grid_points, cfg.grid_extent, cfg.sigma, g), grids)
+                for g in couplings]
     exact = conditional_weak_value(a_proj, psi, b)
     points = []
     for readout in readouts:

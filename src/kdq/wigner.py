@@ -20,14 +20,13 @@ basis so the family's operator marginals match its labels exactly.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
 from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _tol
-from .hilbert import computational_basis
+from .hilbert import _setattr, _Value, computational_basis
 
 if TYPE_CHECKING:
     from .audit import QuasiProbRep
@@ -35,15 +34,13 @@ if TYPE_CHECKING:
 _REALITY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class WignerTable:
+class WignerTable(_Value):
     """Real d x d phase-space table, rows = position q, columns = momentum p."""
 
-    table: np.ndarray
-    tol: InitVar[float | None] = None
+    __slots__ = ("table",)
 
-    def __post_init__(self, tol):
-        tab = np.array(self.table, dtype=np.float64)
+    def __init__(self, table: np.ndarray, tol: float | None = None):
+        tab = np.array(table, dtype=np.float64)
         if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
             raise ValidationError(f"table must be square, got shape {tab.shape}")
         if tab.shape[0] % 2 == 0:
@@ -54,7 +51,7 @@ class WignerTable:
         if abs(total - 1.0) > _tol(tol, TOL_NORM):
             raise ValidationError(f"table sums to {total!r}, expected 1", total=total)
         tab.setflags(write=False)
-        object.__setattr__(self, "table", tab)
+        _setattr(self, "table", tab)
 
     @property
     def dim(self) -> int:

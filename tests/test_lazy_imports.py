@@ -153,6 +153,37 @@ def test_only_the_sampled_condition3_loads_numpy_random(argv, loads, kd_file):
     assert loaded is loads
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kd", "--state", STATE_D2, "--basis-a", "computational", "--basis-b", "fourier"],
+        ["reconstruct", "--kd", None],
+        ["weak", "--state", STATE_D2, "--a-index", "0", "--basis-a", "computational", "--b-index", "0",
+         "--basis-b", "hadamard2", "--couplings", "0.1"],
+        ["wigner", "--state", SLITS_D5, "--report"],
+        ["audit", "--rep", "kd", "--dim", "4", "--all"],
+        ["audit", "--rep", "wigner", "--dim", "5", "--all"],
+    ],
+    ids=["kd", "reconstruct", "weak", "wigner", "audit-kd-all", "audit-wigner-all"],
+)
+def test_no_command_imports_dataclasses(argv, kd_file):
+    # kdq's value types are slotted classes: generating dataclass methods cost
+    # a child about 6 ms before it read its input
+    argv = [kd_file if a is None else a for a in argv]
+    got = _child(
+        f"""
+        import contextlib, io, json, sys
+        import kdq.__main__, kdq.cli
+
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = kdq.cli.main({argv!r})
+        print(json.dumps({{"loaded": sorted({{"dataclasses", "kdq.audit"}} & set(sys.modules)), "code": code}}))
+        """
+    )
+    assert got["code"] in (0, 1)
+    assert got["loaded"] == (["kdq.audit"] if argv[0] == "audit" else [])
+
+
 def test_wrappers_installed_before_their_module_loads_see_the_calls():
     # coupling_sweep is read through kdq.cli first, as the benchmark's tracer
     # does; wigner_as_rep is assigned without reading the original at all
