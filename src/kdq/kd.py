@@ -26,7 +26,6 @@ from .hilbert import (
     OrthonormalBasis,
     StateVector,
     _accepts,
-    _max_abs,
     _require_same_dim,
     _setattr,
     _tol,
@@ -55,8 +54,8 @@ class KDDistribution(_Value):
     probabilities).
     """
 
-    # private: _sums, the row and column sums the imaginary-part check took; _cross, <b|a> from kd_transform
-    __slots__ = ("basis_a", "basis_b", "ordering", "table", "_sums", "_cross")
+    # private: _sums, (2, d): row sums, column sums; _imag, the largest |imag| of each; _cross, <b|a> from kd_transform
+    __slots__ = ("basis_a", "basis_b", "ordering", "table", "_sums", "_imag", "_cross")
 
     def __init__(self, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, ordering: Ordering, table: np.ndarray,
                  tol: float | None = None, tol_imag: float | None = None):
@@ -65,19 +64,19 @@ class KDDistribution(_Value):
         tab = np.array(table, dtype=np.complex128)
         if tab.shape != (d, d):
             raise ValidationError(f"table must have shape {(d, d)}, got {tab.shape}")
-        total = complex(tab.sum())
+        total = complex(np.add.reduce(tab, None))  # reductions call the ufunc: tab.sum()'s bits, not its wrapper
         if not _accepts(tab, 2, "table", abs(total - 1.0), tol, TOL_NORM):
             raise ValidationError(f"table sums to {total}, expected 1", total=total)
-        sums = tab.sum(axis=1), tab.sum(axis=0)
-        worst_imag = max(_max_abs(sums[0].imag), _max_abs(sums[1].imag))
+        both = np.empty((2, d), dtype=np.complex128)
+        np.add.reduce(tab, 1, None, both[0])  # (array, axis, dtype, out): positional, as keywords cost more
+        np.add.reduce(tab, 0, None, both[1])
+        imag = tuple(np.maximum.reduce(abs(both.imag), 1).tolist())
+        worst_imag = max(imag)
         if worst_imag > _tol(tol_imag, TOL_IMAG):
-            raise ValidationError(
-                f"row/column sums have imaginary part {worst_imag:.3e}",
-                worst_imag=worst_imag,
-            )
-        for arr in (tab, *sums):
-            arr.setflags(write=False)
-        for name, value in zip(self.__slots__, (basis_a, basis_b, ordering, tab, sums, None)):
+            raise ValidationError(f"row/column sums have imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
+        tab.setflags(write=False)
+        both.setflags(write=False)
+        for name, value in zip(self.__slots__, (basis_a, basis_b, ordering, tab, both, imag, None)):
             _setattr(self, name, value)
 
     @property
@@ -146,19 +145,19 @@ def _kept(
 
 
 def _real_marginal(
-    sums: np.ndarray, axis_name: str, tol: float | None, tol_imag: float | None
+    dist: KDDistribution, axis: int, axis_name: str, tol: float | None, tol_imag: float | None
 ) -> np.ndarray:
+    """The table's sums along ``axis`` as probabilities, judged by the largest imaginary part its check kept."""
     tol, tol_imag = _tol(tol, TOL_NORM), _tol(tol_imag, TOL_IMAG)
-    worst_imag = _max_abs(sums.imag)
+    worst_imag = dist._imag[axis]
     if worst_imag > tol_imag:
-        raise ValidationError(
-            f"{axis_name} marginal has imaginary part {worst_imag:.3e}", worst_imag=worst_imag
-        )
-    probs = sums.real.copy()
-    if float(probs.min()) < -tol:
-        raise ValidationError(f"{axis_name} marginal has negative entry {probs.min():.3e}")
-    if abs(float(probs.sum()) - 1.0) > tol:
-        raise ValidationError(f"{axis_name} marginal sums to {probs.sum()!r}")
+        raise ValidationError(f"{axis_name} marginal has imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
+    probs = dist._sums[axis].real.copy()
+    lo, total = np.minimum.reduce(probs, None), np.add.reduce(probs, None)
+    if float(lo) < -tol:
+        raise ValidationError(f"{axis_name} marginal has negative entry {lo:.3e}")
+    if abs(float(total) - 1.0) > tol:
+        raise ValidationError(f"{axis_name} marginal sums to {total!r}")
     return probs
 
 
@@ -166,14 +165,14 @@ def kd_marginal_a(
     dist: KDDistribution, tol: float | None = None, tol_imag: float | None = None
 ) -> np.ndarray:
     """Row sums of the table: the outcome probabilities of the first basis."""
-    return _real_marginal(dist._sums[0], "a", tol, tol_imag)
+    return _real_marginal(dist, 0, "a", tol, tol_imag)
 
 
 def kd_marginal_b(
     dist: KDDistribution, tol: float | None = None, tol_imag: float | None = None
 ) -> np.ndarray:
     """Column sums of the table: the outcome probabilities of the second basis."""
-    return _real_marginal(dist._sums[1], "b", tol, tol_imag)
+    return _real_marginal(dist, 1, "b", tol, tol_imag)
 
 
 def kd_inverse(
@@ -190,7 +189,7 @@ def kd_inverse(
     am, bm = dist.basis_a.matrix, dist.basis_b.matrix
     cross_t = (_cross_overlaps(am, bm) if dist._cross is None else dist._cross).T  # cross_t[a, b] = <b|a>
     mags = abs(cross_t)
-    if float(mags.min()) <= tol_overlap:
+    if float(np.minimum.reduce(mags, None)) <= tol_overlap:
         a_bad, b_bad = np.unravel_index(int(np.argmin(mags)), mags.shape)
         raise SingularOverlapError(
             f"overlap <b|a> vanishes at (a={a_bad}, b={b_bad}): "

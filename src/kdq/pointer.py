@@ -17,6 +17,7 @@ g <= sigma/2 at the default grid.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -38,12 +39,19 @@ _POSTSELECT_FLOOR = 1e-12
 _LIVE_GRIDS = 6
 
 
+def _normal(x: float) -> bool:
+    """Is ``x`` a positive, finite, normal float?"""
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
 class PointerConfig(_Record):
     """Pointer grid and coupling parameters.
 
     Positions run over [-grid_extent/2, grid_extent/2); grid_points must be
     a power of two >= 16 and the extent must leave the Gaussian tails room
-    (grid_extent > 8 sigma) so wraparound is negligible.
+    (grid_extent > 8 sigma) so wraparound is negligible.  sigma^2, 1/(4 sigma^2)
+    and (grid_extent/2)^2 must be finite normal floats: sigma within about
+    [1.5e-154, 3.35e153] and grid_extent below about 2.68e154.
     """
 
     __slots__ = ("grid_points", "grid_extent", "sigma", "coupling")
@@ -61,9 +69,21 @@ class PointerConfig(_Record):
         )
         if not (self.sigma > 0 and np.isfinite(self.sigma)):
             raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
+        var = float(self.sigma) * float(self.sigma)  # inf or 0.0 out of range, where ** raises OverflowError
+        if not (_normal(var) and _normal(1.0 / (4.0 * var))):
+            raise ValidationError(
+                f"sigma {self.sigma} is out of range: sigma^2 and 1/(4 sigma^2) must be finite normal floats",
+                sigma=self.sigma,
+            )
         if not (self.grid_extent > 8 * self.sigma and np.isfinite(self.grid_extent)):
             raise ValidationError(
                 f"grid_extent must exceed 8*sigma = {8 * self.sigma:g}, got {self.grid_extent}"
+            )
+        half = float(self.grid_extent) / 2.0
+        if not _normal(half * half):
+            raise ValidationError(
+                f"grid_extent {self.grid_extent} is out of range: (grid_extent/2)^2 must be a finite normal float",
+                grid_extent=self.grid_extent,
             )
         if not np.isfinite(self.coupling):
             raise ValidationError(f"coupling must be finite, got {self.coupling}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdq.cli import main
@@ -308,6 +308,57 @@ def test_weak_degenerate_postselection_exit_4(capsys):
     )
     assert code == 4
     assert json.loads(err)["code"] == "degenerate_postselection"
+
+
+WEAK_PLUS = ["weak", "--state", str(FIXTURES / "state_plus_d2.json"), "--a-index", "0", "--basis-a", "computational",
+             "--b-index", "0", "--basis-b", "hadamard2"]
+SWEEP_HEADER = "g,re_est,im_est,re_exact,im_exact,abs_err,postselect_prob"
+
+
+@pytest.mark.parametrize(
+    "scale, name",
+    [
+        (["--sigma", "1.4e154"], "sigma 1.4e+154"),  # ended in an OverflowError traceback, exit 1
+        (["--sigma", "1e200"], "sigma 1e+200"),
+        (["--sigma", "1.3e154"], "sigma 1.3e+154"),  # ended in "post-selection probability nan"
+        (["--sigma", "1e-320"], "sigma 1e-320"),
+        (["--sigma", "1e153", "--grid-extent", "1000"], "grid_extent 1e+156"),
+    ],
+)
+def test_weak_out_of_range_scale_exit_2(capsys, scale, name):
+    code, out, err = run_cli(capsys, *WEAK_PLUS, "--couplings", "0.1", *scale)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = _strict_json(err)
+    assert doc["code"] == "validation" and doc["message"].startswith(f"{name} is out of range")
+
+
+WEAK_NUMBERS = ["1e-320", "1e-160", "1e153", "1e154", "1e200", "1e308", "nan", "inf"]
+
+
+@settings(max_examples=100, deadline=None)
+@example(sigma="1.4e154", extent="20", couplings=["0.1"], points=512)  # sigma^2 overflowed: a traceback, exit 1
+@example(sigma="1e200", extent="9", couplings=["0.5", "-0.2"], points=16)
+@given(
+    sigma=st.sampled_from(["1", "0.05", "-1", "1.3e154", "1.4e154", *WEAK_NUMBERS]),
+    extent=st.sampled_from(["20", "9", "4", *WEAK_NUMBERS]),
+    couplings=st.lists(st.sampled_from(["0.1", "-0.2", "0.5", "0", *WEAK_NUMBERS]), max_size=3),
+    points=st.sampled_from([16, 64, 512]),
+)
+def test_every_weak_run_ends_in_its_sweep_or_one_error(sigma, extent, couplings, points):
+    argv = [*WEAK_PLUS, f"--couplings={','.join(couplings)}", f"--sigma={sigma}", f"--grid-extent={extent}",
+            f"--grid-points={points}"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+        header, *rows = out.getvalue().splitlines()
+        assert header == SWEEP_HEADER and len(rows) == len(couplings), argv
+        assert all(len([float(v) for v in row.split(",")]) == 7 for row in rows), argv
+    else:
+        assert out.getvalue() == "", argv
+        assert set(_strict_json(err.getvalue())) == {"code", "message", "context"}, argv
 
 
 def test_weak_mixed_state_rejected(capsys):

@@ -2,11 +2,13 @@
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+import kdq.hilbert
 import kdq.kd
 from kdq import (
     DensityOperator,
@@ -36,6 +38,7 @@ from kdq import (
     span_residual,
     total_probability,
 )
+from kdq.hilbert import _max_abs
 from test_validation_order import _count
 
 SQ2 = np.sqrt(2.0)
@@ -524,3 +527,110 @@ def test_kept_products_leave_no_cycle():
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the sums check, taken once on construction and kept for the marginals
+
+
+def _plain_marginal(tab, axis, name, tol=1e-10, tol_imag=1e-10):
+    """What the plain numpy expressions make of ``tab``'s sums along ``axis``: the bytes, or the error."""
+    sums = tab.sum(axis=axis)
+    worst = float(np.max(np.abs(sums.imag)))
+    if worst > tol_imag:
+        return "error", f"{name} marginal has imaginary part {worst:.3e}", {"worst_imag": worst}
+    probs = sums.real.copy()
+    if float(probs.min()) < -tol:
+        return "error", f"{name} marginal has negative entry {probs.min():.3e}", {}
+    if abs(float(probs.sum()) - 1.0) > tol:
+        return "error", f"{name} marginal sums to {probs.sum()!r}", {}
+    return "ok", probs.tobytes()
+
+
+def _marginal_verdict(marginal, dist, **tols):
+    try:
+        return "ok", marginal(dist, **tols).tobytes()
+    except ValidationError as err:
+        return "error", str(err), err.context
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
+def test_marginals_of_a_transform_run_no_imaginary_part_scan(monkeypatch, dim):
+    """The marginals compare the largest |imaginary part| the table's check kept: no ``_max_abs``, the same bytes."""
+    dist = kd_transform(random_density(dim, 2, seed=dim), random_basis(dim, seed=1), fourier_basis(dim))
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _max_abs(x)
+
+    for owner in (kdq.hilbert, kdq.kd):
+        monkeypatch.setattr(owner, "_max_abs", counted, raising=False)
+    assert kd_marginal_a(dist).tobytes() == dist.table.sum(axis=1).real.tobytes()
+    assert kd_marginal_b(dist).tobytes() == dist.table.sum(axis=0).real.tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16])
+@pytest.mark.parametrize("built_with", [5e-8, 1e-6])
+def test_marginal_tolerances_judge_as_the_plain_expressions(dim, built_with):
+    """Row sums with imaginary parts of +-1e-8, judged by a tol_imag tighter or looser than the table's."""
+    rng = np.random.default_rng(dim)
+    base = kd_transform(random_density(dim, dim, seed=dim), random_basis(dim, seed=dim + 1), fourier_basis(dim))
+    for _ in range(5):
+        tab = np.array(base.table)
+        signs = rng.choice([-1.0, 1.0], size=dim)
+        tab[:, rng.integers(dim)] += 1e-8j * signs  # row i's sum moves by +-1e-8 i; one column's by their total
+        dist = KDDistribution(base.basis_a, base.basis_b, Ordering.AB, tab, tol=1e-6, tol_imag=built_with)
+        for tol_imag in (None, 1e-9, 9.99e-9, 1e-8, 1.0001e-8, 3e-8, built_with, 1e-6, 1e-3):
+            for tol in (None, 1e-6):
+                tols = {k: v for k, v in (("tol", tol), ("tol_imag", tol_imag)) if v is not None}
+                for marginal, axis, name in ((kd_marginal_a, 1, "a"), (kd_marginal_b, 0, "b")):
+                    assert _marginal_verdict(marginal, dist, **tols) == _plain_marginal(tab, axis, name, **{
+                        "tol": tol or 1e-10, "tol_imag": tol_imag or 1e-10})
+
+
+def _d64_inputs(seed):
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    ua, ub = unitary(), unitary()
+    psi = ub[:, 1] + ua[:, 2]
+    psi /= np.linalg.norm(psi)
+    return rho, ua, ub, ua[:, 0].copy(), ub[:, 0].copy(), np.outer(psi, psi.conj())
+
+
+def _kd_stream_op(rho, ua, ub, a, b, m):
+    """What one kd-stream op of the benchmark calls, from raw arrays to outputs."""
+    rho, basis_a, basis_b = DensityOperator(rho), OrthonormalBasis(ua), OrthonormalBasis(ub)
+    a, b, m = StateVector(a), StateVector(b), LinearOperator(m)
+    ab = kd_transform(rho, basis_a, basis_b, Ordering.AB)
+    ba = kd_transform(rho, basis_a, basis_b, Ordering.BA)
+    out = [ab.table, ba.table, kd_marginal_a(ab), kd_marginal_b(ab), kd_inverse(ab).matrix]
+    return out + [conditional_weak_value(m, a, b), total_probability(m, rho, basis_a, basis_b)]
+
+
+# tracemalloc peak of one d=64 op on _d64_inputs(0) in this test before the table kept
+# its sums check (numpy 2.4, CPython 3.11; 961,784 since): glibc returns a heap above its
+# ~1 MB trim threshold to the kernel, and the d=64 ops fault pages in again once they pass it
+D64_OP_PEAK_BYTES = 962_038
+
+
+def test_a_d64_op_allocates_no_more_than_before():
+    inputs = _d64_inputs(0)
+    _kd_stream_op(*inputs)  # warm: lazy imports and first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _kd_stream_op(*inputs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 7
+    assert peak <= D64_OP_PEAK_BYTES, peak

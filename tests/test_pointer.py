@@ -1,6 +1,7 @@
 """Pointer-simulation tests: exact limits, first-order recovery, convergence."""
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -114,6 +115,32 @@ def test_cli_refuses_the_smallest_grid_over_the_sweep_budget(capsys):
 def test_config_rejects_small_extent():
     with pytest.raises(ValidationError):
         PointerConfig(grid_extent=4.0, sigma=1.0)
+
+
+@pytest.mark.parametrize(
+    "grid_extent, sigma, name",
+    [
+        (1e202, 1e200, "sigma"),  # sigma^2 overflows: ** raised OverflowError
+        (2.8e155, 1.4e154, "sigma"),
+        (2.6e155, 1.3e154, "sigma"),  # sigma^2 finite, 1/(4 sigma^2) subnormal
+        (2e-319, 1e-320, "sigma"),  # sigma^2 underflows to 0
+        (1e-158, 1e-160, "sigma"),
+        (2.7e154, 3e153, "grid_extent"),  # the squared positions overflow
+        (1e200, 1.0, "grid_extent"),
+    ],
+)
+def test_config_refuses_scales_outside_the_normal_float_range(grid_extent, sigma, name):
+    value = {"sigma": sigma, "grid_extent": grid_extent}[name]
+    with pytest.raises(ValidationError, match=re.escape(f"{name} {value!r} is out of range")) as err:
+        PointerConfig(512, grid_extent, sigma, 0.1)
+    assert err.value.context == {name: value}
+
+
+@pytest.mark.parametrize("grid_extent, sigma", [(1.3e-153, 1.5e-154), (2.65e154, 3.3e153), (2.68e154, 1.0)])
+def test_config_accepts_scales_at_the_edges_of_the_range(grid_extent, sigma):
+    cfg = PointerConfig(16, grid_extent, sigma, 0.1)
+    assert np.isfinite(cfg.momentum_variance) and cfg.momentum_variance >= np.finfo(float).tiny
+    assert np.isfinite(cfg.positions() ** 2).all()
 
 
 def test_config_grid_helpers():

@@ -55,7 +55,7 @@ CASES = {
     "DensityOperator": (_rho, ("matrix",), ("_kd",)),
     "LinearOperator": (lambda: LinearOperator([[1, 2j], [0, 1]]), ("matrix",), ()),
     "OrthonormalBasis": (lambda: fourier_basis(3), ("matrix", "label"), ()),
-    "KDDistribution": (_dist, ("basis_a", "basis_b", "ordering", "table"), ("_sums", "_cross")),
+    "KDDistribution": (_dist, ("basis_a", "basis_b", "ordering", "table"), ("_sums", "_imag", "_cross")),
     "AuditReport": (lambda: AuditReport("C2", False, 0.25, "cell (a=0, b=1)", 0, 7),
                     ("condition", "passed", "worst_violation", "witness", "samples_used", "seed"), ()),
     "WignerTable": (lambda: discrete_wigner(maximally_mixed(3)), ("table",), ()),
