@@ -170,7 +170,7 @@ def _factors(twice: np.ndarray) -> bool:
 class DensityOperator(_Value):
     """Hermitian, unit-trace, positive-semidefinite d x d matrix."""
 
-    # private _kd: (basis_a, basis_b, <b|a> or None, <a|rho|b> or None) of the last pair kdq.kd met
+    # private _kd: None, or (basis_a, basis_b, <b|a>, <a|rho|b>) of the last basis pair kdq.kd met
     __slots__ = ("matrix", "_kd")
 
     def __init__(self, matrix: np.ndarray, tol: float | None = None, tol_psd: float | None = None):

@@ -6,9 +6,12 @@ the cell operator is |b><b|a><a| and the table reads
 
     table[a, b] = <b|a> <a|rho|b>.
 
-The opposite ordering BA conjugates every cell.  The transform is exactly
-invertible whenever all cross-basis overlaps <b|a> are nonzero, which makes
-the table a complete parametrization of the density operator.
+The opposite ordering BA takes the adjoint cell operator |a><a|b><b|, so for
+a Hermitian rho its table is the AB table conjugated: that is how it is
+computed, and a BA table is inverted as the AB table it conjugates.  The
+transform is exactly invertible whenever all cross-basis overlaps <b|a> are
+nonzero, which makes the table a complete parametrization of the density
+operator.
 """
 
 from __future__ import annotations
@@ -41,9 +44,6 @@ class Ordering(enum.Enum):
 
     AB = "AB"  # project on a first: |b><b|a><a|
     BA = "BA"  # project on b first: |a><a|b><b|
-
-    def flipped(self) -> "Ordering":
-        return Ordering.BA if self is Ordering.AB else Ordering.AB
 
 
 class KDDistribution(_Value):
@@ -87,12 +87,8 @@ class KDDistribution(_Value):
 def kd_operator(a: StateVector, b: StateVector, ordering: Ordering = Ordering.AB) -> LinearOperator:
     """Cell operator |b><b|a><a| (AB) or |a><a|b><b| (BA)."""
     _require_same_dim(a.dim, b.dim)
-    ov = overlap(b, a)  # <b|a>
-    if ordering is Ordering.AB:
-        mat = ov * np.outer(b.amplitudes, a.amplitudes.conj())
-    else:
-        mat = ov.conjugate() * np.outer(a.amplitudes, b.amplitudes.conj())
-    return LinearOperator(mat)
+    mat = overlap(b, a) * np.outer(b.amplitudes, a.amplitudes.conj())  # <b|a> |b><a|
+    return LinearOperator(mat if ordering is Ordering.AB else mat.conj().T)
 
 
 def kd_transform(
@@ -106,12 +102,10 @@ def kd_transform(
     """Joint quasi-probability table of ``rho`` over the two bases."""
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
-    cross = _kept(rho, basis_a, basis_b, mixed=False)
-    if ordering is Ordering.AB:
-        table = cross.T * _kept(rho, basis_a, basis_b, mixed=True)
-    else:
-        mixed = basis_b.matrix.conj().T @ rho.matrix @ basis_a.matrix  # mixed[b, a] = <b|rho|a>
-        table = (cross.conj() * mixed).T
+    cross, mixed = _kept(rho, basis_a, basis_b)
+    table = cross.T * mixed  # table[a, b] = <b|a> <a|rho|b>
+    if ordering is Ordering.BA:
+        np.conjugate(table, out=table)
     dist = KDDistribution(basis_a, basis_b, ordering, table, tol=tol, tol_imag=tol_imag)
     _setattr(dist, "_cross", cross)
     return dist
@@ -123,25 +117,22 @@ def _cross_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
 
 
 def _kept(
-    rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, mixed: bool
-) -> np.ndarray:
-    """cross[b, a] = <b|a>, or with ``mixed`` mixed[a, b] = <a|rho|b>, read-only.
+    rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis
+) -> tuple[np.ndarray, np.ndarray]:
+    """cross[b, a] = <b|a> and mixed[a, b] = <a|rho|b>, read-only.
 
-    ``rho`` keeps what was formed for the last basis pair it met, matched by
-    identity; a miss forms the value from the same expression as always and
-    replaces the entry whole, so outputs do not depend on call order.
+    ``rho`` keeps both for the last basis pair it met, matched by identity;
+    a miss forms them together and replaces the entry whole, so outputs do
+    not depend on call order.
     """
     entry = rho._kd
     if entry is None or entry[0] is not basis_a or entry[1] is not basis_b:
-        entry = (basis_a, basis_b, None, None)
-    k = 3 if mixed else 2
-    value = entry[k]
-    if value is None:
         am, bm = basis_a.matrix, basis_b.matrix
-        value = am.conj().T @ rho.matrix @ bm if mixed else _cross_overlaps(am, bm)
-        value.setflags(write=False)
-        _setattr(rho, "_kd", entry[:k] + (value,) + entry[k + 1 :])
-    return value
+        entry = (basis_a, basis_b, _cross_overlaps(am, bm), am.conj().T @ rho.matrix @ bm)
+        entry[2].setflags(write=False)
+        entry[3].setflags(write=False)
+        _setattr(rho, "_kd", entry)
+    return entry[2:]
 
 
 def _real_marginal(
@@ -180,9 +171,9 @@ def kd_inverse(
 ) -> DensityOperator:
     """Reconstruct the density operator from its joint table.
 
-    Divides each cell by the corresponding basis overlap to recover the
-    mixed matrix element, then changes basis back to the computational
-    representation.  Requires every |<b|a>| to exceed ``tol_overlap``;
+    Divides each cell of the AB table (a BA table's conjugate) by the
+    corresponding basis overlap to recover the mixed matrix element, then
+    changes basis back to the computational representation.  Requires every |<b|a>| to exceed ``tol_overlap``;
     ``tol`` is passed to the ``DensityOperator`` validation.
     """
     tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
@@ -198,13 +189,9 @@ def kd_inverse(
             b=int(b_bad),
             magnitude=float(mags[a_bad, b_bad]),
         )
-    if dist.ordering is Ordering.AB:
-        mixed = dist.table / cross_t  # mixed[a, b] = <a|rho|b>
-        mat = am @ mixed @ bm.conj().T
-    else:
-        mixed = (dist.table / cross_t.conj()).T  # mixed[b, a] = <b|rho|a>
-        mat = bm @ mixed @ am.conj().T
-    return DensityOperator(mat, tol=tol)
+    table = dist.table if dist.ordering is Ordering.AB else dist.table.conj()  # BA's cells are AB's conjugated
+    mixed = table / cross_t  # mixed[a, b] = <a|rho|b>
+    return DensityOperator(am @ mixed @ bm.conj().T, tol=tol)
 
 
 def conditional_weak_value(
@@ -239,4 +226,4 @@ def total_probability(
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
     cond = basis_b.matrix.conj().T @ m_op.matrix @ basis_a.matrix  # cond[b, a] = <b|M|a>
-    return complex(np.einsum("ba,ab->", cond, _kept(rho, basis_a, basis_b, mixed=True)))
+    return complex(np.einsum("ba,ab->", cond, _kept(rho, basis_a, basis_b)[1]))

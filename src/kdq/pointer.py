@@ -17,6 +17,7 @@ g <= sigma/2 at the default grid.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import NamedTuple
 
@@ -149,9 +150,11 @@ def simulate_weak_measurement(
 
     Returns the conditioned pointer's mean position, mean momentum, and the
     post-selection probability.  Raises ``GridTooCoarseError`` when the
-    requested shift is below one grid cell and
+    requested shift is below one grid cell,
     ``DegeneratePostselectionError`` when the post-selection probability
-    falls under 1e-12 (the conditioned state is then undefined).
+    falls under 1e-12 (the conditioned state is then undefined), and
+    ``ValidationError`` when the shift reaches half the grid extent or the
+    means are not finite.
     """
     return _readout(psi, a_proj, b, cfg, _grids(cfg))
 
@@ -168,6 +171,12 @@ def _readout(
             f"coupling {g:g} is below the grid spacing {cfg.dx:g}",
             coupling=g,
             dx=cfg.dx,
+        )
+    half = cfg.grid_extent / 2.0
+    if abs(g) >= half:  # the periodic grid cannot tell such a shift from a smaller one
+        raise ValidationError(
+            f"coupling {g:g} is out of range: |coupling| must be below grid_extent/2 = {half:g}",
+            coupling=g, grid_extent=cfg.grid_extent,
         )
 
     x, k, phi, phi_hat = grids
@@ -188,6 +197,12 @@ def _readout(
     del weights  # the grid arrays held at once are budgeted: ``_LIVE_GRIDS``
     spectral = np.abs(np.fft.fft(chi)) ** 2
     mean_p = float(np.sum(k * spectral) / np.sum(spectral))
+    if not (math.isfinite(mean_x) and math.isfinite(mean_p)):
+        raise ValidationError(
+            f"sigma {cfg.sigma:g} is out of range for this grid: its moments are not finite "
+            f"(mean_x {mean_x!r}, mean_p {mean_p!r})",
+            sigma=cfg.sigma,
+        )
     return PointerReadout(mean_x, mean_p, min(prob, 1.0), g)
 
 

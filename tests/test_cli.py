@@ -9,6 +9,7 @@ would end the test process).
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -323,6 +324,13 @@ SWEEP_HEADER = "g,re_est,im_est,re_exact,im_exact,abs_err,postselect_prob"
         (["--sigma", "1.3e154"], "sigma 1.3e+154"),  # ended in "post-selection probability nan"
         (["--sigma", "1e-320"], "sigma 1e-320"),
         (["--sigma", "1e153", "--grid-extent", "1000"], "grid_extent 1e+156"),
+        # the last --couplings given is the one parsed
+        (["--couplings", "1,2", "--sigma", "1.5e-154", "--grid-extent", "8.01", "--grid-points", "16"],
+         "sigma 1.5e-154"),  # its momenta overflowed the moments: NaN estimates, exit 0
+        (["--couplings", "1e308"], "coupling 1e+308"),  # overflowed the phase: "post-selection probability nan"
+        (["--couplings", "1e300"], "coupling 1e+300"),  # a shift the periodic grid cannot tell: exit 0
+        (["--couplings", "0.1,15"], "coupling 15"),
+        (["--couplings", "-10"], "coupling -10"),
     ],
 )
 def test_weak_out_of_range_scale_exit_2(capsys, scale, name):
@@ -333,12 +341,20 @@ def test_weak_out_of_range_scale_exit_2(capsys, scale, name):
     assert doc["code"] == "validation" and doc["message"].startswith(f"{name} is out of range")
 
 
+def test_weak_accepts_couplings_just_below_half_the_extent(capsys):
+    code, out, err = run_cli(capsys, *WEAK_PLUS, "--couplings", "9.9,-9.9", "--sigma", "2")
+    assert code == 0 and err == "" and len(out.splitlines()) == 3
+
+
 WEAK_NUMBERS = ["1e-320", "1e-160", "1e153", "1e154", "1e200", "1e308", "nan", "inf"]
 
 
 @settings(max_examples=100, deadline=None)
 @example(sigma="1.4e154", extent="20", couplings=["0.1"], points=512)  # sigma^2 overflowed: a traceback, exit 1
 @example(sigma="1e200", extent="9", couplings=["0.5", "-0.2"], points=16)
+@example(sigma="1.5e-154", extent="8.01", couplings=["1", "2"], points=16)  # printed NaN estimates, exit 0
+@example(sigma="1", extent="20", couplings=["1e308"], points=512)  # read as "post-selection probability nan"
+@example(sigma="1", extent="20", couplings=["1e300"], points=512)  # a meaningless estimate, exit 0
 @given(
     sigma=st.sampled_from(["1", "0.05", "-1", "1.3e154", "1.4e154", *WEAK_NUMBERS]),
     extent=st.sampled_from(["20", "9", "4", *WEAK_NUMBERS]),
@@ -355,7 +371,8 @@ def test_every_weak_run_ends_in_its_sweep_or_one_error(sigma, extent, couplings,
         assert err.getvalue() == "", argv
         header, *rows = out.getvalue().splitlines()
         assert header == SWEEP_HEADER and len(rows) == len(couplings), argv
-        assert all(len([float(v) for v in row.split(",")]) == 7 for row in rows), argv
+        fields = [[float(v) for v in row.split(",")] for row in rows]
+        assert all(len(f) == 7 and all(map(math.isfinite, f)) for f in fields), argv
     else:
         assert out.getvalue() == "", argv
         assert set(_strict_json(err.getvalue())) == {"code", "message", "context"}, argv

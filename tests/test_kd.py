@@ -179,7 +179,20 @@ def test_ordering_conjugation():
         rho = random_density(dim, dim, seed=7 * dim + 2)
         ab = kd_transform(rho, a, b, Ordering.AB)
         ba = kd_transform(rho, a, b, Ordering.BA)
-        assert np.abs(ba.table - ab.table.conj()).max() <= 1e-12
+        assert ba.table.tobytes() == ab.table.conj().tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
+def test_ba_table_and_its_inverse_are_read_off_the_ab_product(dim):
+    rho = random_density(dim, 2, seed=dim + 70)
+    for a, b in ((random_basis(dim, seed=dim + 71), random_basis(dim, seed=dim + 72)),
+                 (computational_basis(dim), fourier_basis(dim))):
+        ab = kd_transform(rho, a, b, Ordering.AB)
+        ba = kd_transform(DensityOperator(rho.matrix), a, b, Ordering.BA)  # a fresh state: BA formed first
+        assert ba.table.tobytes() == ab.table.conj().tobytes()
+        assert kd_inverse(ba).matrix.tobytes() == kd_inverse(ab).matrix.tobytes()
+        loaded = KDDistribution(a, b, Ordering.BA, ba.table)  # no kept overlaps: formed by kd_inverse
+        assert kd_inverse(loaded).matrix.tobytes() == kd_inverse(ab).matrix.tobytes()
 
 
 def test_commuting_reduction_same_basis():
@@ -502,6 +515,33 @@ def test_both_orderings_and_the_inverse_form_one_overlap_product(monkeypatch, di
     entry = rho._kd
     total_probability(LinearOperator(np.eye(dim)), rho, a, b)
     assert rho._kd is entry and not entry[3].flags.writeable and not entry[2].flags.writeable
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16])
+def test_ba_of_a_state_within_tol_of_hermitian_is_within_its_deviation(dim):
+    """BA = AB conjugated is Tr(Pi_BA rho) up to |<a|b><b|(rho - rho^dag)|a>| <= ||rho - rho^dag||_2 per cell."""
+    rng = np.random.default_rng(dim)
+    skew = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    skew = 1e-5 * (skew - skew.conj().T)
+    skew -= np.trace(skew) / dim * np.eye(dim)
+    rho = DensityOperator(random_density(dim, dim, seed=dim).matrix + skew, tol=1e-3)
+    a, b = random_basis(dim, seed=dim + 1), random_basis(dim, seed=dim + 2)
+    ba = kd_transform(rho, a, b, Ordering.BA, tol=1e-3, tol_imag=1e-3).table
+    exact = (a.matrix.conj().T @ b.matrix) * (b.matrix.conj().T @ rho.matrix @ a.matrix).T  # <a|b><b|rho|a>
+    assert np.abs(ba - exact).max() <= np.linalg.norm(rho.matrix - rho.matrix.conj().T, 2) + 1e-15
+
+
+@pytest.mark.parametrize("first", ["AB", "BA", "prob"])
+def test_any_first_kd_call_keeps_both_products(first):
+    dim = 5
+    rho = random_density(dim, 2, seed=11)
+    a, b = random_basis(dim, seed=12), fourier_basis(dim)
+    _run([first], rho, a, b, LinearOperator(np.eye(dim)))
+    basis_a, basis_b, cross, mixed = rho._kd
+    assert basis_a is a and basis_b is b
+    assert cross.tobytes() == (b.matrix.conj().T @ a.matrix).tobytes()
+    assert mixed.tobytes() == (a.matrix.conj().T @ rho.matrix @ b.matrix).tobytes()
+    assert not cross.flags.writeable and not mixed.flags.writeable
 
 
 def test_kept_products_leave_no_cycle():

@@ -302,6 +302,13 @@ def test_grid_too_coarse():
         simulate_weak_measurement(plus_state(), proj0(), i_state(), cfg)
 
 
+@pytest.mark.parametrize("coupling", [10.0, -10.0, 1e300])
+def test_coupling_of_half_the_extent_rejected(coupling):
+    cfg = PointerConfig(coupling=coupling)  # grid_extent 20
+    with pytest.raises(ValidationError, match="out of range"):
+        simulate_weak_measurement(plus_state(), proj0(), i_state(), cfg)
+
+
 def test_degenerate_postselection():
     zero, one = basis_state(2, 0), basis_state(2, 1)
     with pytest.raises(DegeneratePostselectionError):
