@@ -13,8 +13,8 @@ density matrix.  The checks here decide three requirements:
 
 Condition 3 over *all* states of the complement is decided by one matrix
 norm: over the complex field, <m|X|m> = 0 for every m in a subspace iff
-the compression Q X Q of X to that subspace vanishes.  Random sampling of
-complement states is kept alongside as an independent witness generator.
+the compression Q X Q of X to that subspace vanishes, and for a unit m with
+Q m = m, |<m|X|m>| <= ||Q X Q||_F, so no sampled state could decide more.
 
 A family takes one of two forms.  The shipped families are term reps, sums
 of rank-1 terms coef |ket><bra| per cell; their kernels read the factors of
@@ -45,7 +45,6 @@ from .hilbert import (
     LinearOperator,
     DensityOperator,
     OrthonormalBasis,
-    _complement_samples,
     _Record,
     _require_budget,
     _require_same_dim,
@@ -201,16 +200,16 @@ def mixed_rep(
 class _OnePerRow(NamedTuple):
     """Row or column slice whose every operator has one nonzero per row, all in the same columns.
 
-    X_c = F Y_c F^dag with Y_c[i, cols[i]] = vals[c, i], and F^dag |v> = |k>
-    for the basis vector |v> of the slice's side and k = ``pivot``.  Only a
-    column carries a unitary ``frame`` F; a row is Y itself, so what walks
-    the rows (``evaluate``, the span, ``operators``) never reads F.
+    X_c = F Y_c F^dag with Y_c[i, cols[i]] = vals[c, i], for a unitary F
+    with F^dag |v> = |k>, the basis vector |v> of the slice's side and k =
+    ``pivot``.  F is the identity for a row, so what walks the rows
+    (``evaluate``, the span, ``operators``) reads Y itself; a column's checks
+    (C1 and C3) are unitarily invariant, so F is never needed.
     """
 
     cols: np.ndarray  # (d,) int
     vals: np.ndarray  # (c, d) complex
     pivot: int
-    frame: np.ndarray | None = None  # (d, d) unitary
 
 
 def _densify(x: _OnePerRow) -> np.ndarray:
@@ -311,21 +310,10 @@ def _lowrank_norms(coef: list, kets: list, bras: list) -> np.ndarray:
     return np.sqrt(sum(np.vecdot(y, y).real for y in ys))
 
 
-def _term_expectations(coef: np.ndarray, kets: list, bras: list, m: np.ndarray) -> np.ndarray:
-    """vals[s, c] = <m_s|X_c|m_s> for the states m (n, d) and X_c = sum_t coef[c, t] |kets[t][c]><bras[t][c]|.
-
-    coef (c, t) and the factors, (c, d) or (1, d) if shared by the cells, are row k of ``_side``.
-    """
-    mc = m.conj()
-    return sum(cf * (mc @ k.T) * (m @ l.conj().T) for cf, k, l in zip(coef.T, kets, bras))
-
-
 def _expectations(x, m: np.ndarray) -> np.ndarray:
-    """vals[s, c] = <m_s|X_c|m_s> for the states m (n, d) and the cells X_c of a dense or one-per-row slice."""
-    if isinstance(x, _OnePerRow):
-        if x.frame is not None:  # <m|F Y F^dag|m> = <F^dag m|Y|F^dag m>: one (n, d) x (d, d) GEMM
-            m = m @ x.frame.conj()
-        return (m.conj() * m[:, x.cols]) @ x.vals.T  # one (n, d) x (d, c) GEMM
+    """vals[s, c] = <m_s|X_c|m_s> for the states m (n, d) and the cells X_c of a dense slice or a one-per-row row."""
+    if isinstance(x, _OnePerRow):  # a rep that gives no _tables: its row is densified
+        x = _densify(x)
     c, d, _ = x.shape
     xm = (m @ x.reshape(c * d, d).T).reshape(len(m), c, d)  # xm[s, c] = X_c |m_s>
     return np.vecdot(m[:, None, :], xm)
@@ -374,8 +362,8 @@ class _Worst:
         self.value = float(devs.flat[flat])
         self.witness = prefix + describe(*(int(i) for i in np.unravel_index(flat, devs.shape)))
 
-    def report(self, condition: str, tol: float, samples_used: int = 0, seed: int = 0) -> AuditReport:
-        return AuditReport(condition, self.value <= tol, self.value, self.witness, samples_used, seed)
+    def report(self, condition: str, tol: float) -> AuditReport:
+        return AuditReport(condition, self.value <= tol, self.value, self.witness, samples_used=0, seed=0)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -517,12 +505,13 @@ def check_condition3(
     seed: int = 0,
     tol: float = DEFAULT_AUDIT_TOL,
 ) -> AuditReport:
-    """Orthogonality zeros, decided two ways.
+    """Orthogonality zeros: the compression ||Q Pi(a,b) Q||_F with Q = 1 - P_a (and Q = 1 - P_b) must vanish.
 
-    Deterministic: the compression ||Q Pi(a,b) Q||_F with Q = 1 - P_a
-    (and Q = 1 - P_b) must vanish; that single norm covers every state of
-    the complement.  Stochastic: ``samples`` random complement states per
-    row/column are evaluated directly as independent witnesses.
+    That one norm covers every state of the complement: a unit m with
+    Q m = m has |<m|Pi|m>| = |<m|Q Pi Q|m>| <= ||Q Pi Q||_F, so a sampled
+    state can exceed it only by rounding.  ``samples`` and ``seed`` are
+    validated, as the CLI's ``--samples`` and ``--seed``, but draw nothing;
+    the report carries 0 for both, as the other checks' reports do.
     """
     if samples < 1:
         raise BadSampleCountError(f"samples must be >= 1, got {samples}")
@@ -531,46 +520,21 @@ def check_condition3(
         raise ValidationError("condition 3 needs dim >= 2: in dim 1 the complement of a state is empty")
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}", seed=seed)
-    # the largest per-slice block of the sampled expectations
-    width = d if rep.terms is None else len(rep.terms)
-    _require_budget(16 * samples * d * width, f"{samples} sampled states at dim {d}")
-    # per side: its name, its axis in _side and _slices, its basis, the location text
-    # of cell c in the slice for basis index k, and a term rep's factors, laid out once
-    sides = [
-        (side, axis, basis.matrix, at, None if rep.terms is None else _side(rep, axis))
-        for side, axis, basis, at in (
-            ("A", 0, rep.basis_a, lambda k, c: f"(a={k}, b={c})"),
-            ("B", 1, rep.basis_b, lambda k, c: f"(a={c}, b={k})"),
-        )
-    ]
-    worst = _Worst("all compressions and sampled states vanish")
-    for side, axis, vecs, at, factors in sides:
-        q = side.lower()
-        if factors is not None:  # Q X Q formed explicitly, as for a dense block: the factors go off |v_k>
+    worst = _Worst("all compressions vanish")
+    for q, axis, vecs, at in (
+        ("a", 0, rep.basis_a.matrix, lambda k, c: f"(a={k}, b={c})"),
+        ("b", 1, rep.basis_b.matrix, lambda k, c: f"(a={c}, b={k})"),
+    ):
+        if rep.terms is not None:  # Q X Q formed explicitly, as for a dense block: the factors go off |v_k>
             def terms(rows, cells, coef, kets, bras):
                 v = vecs.T[rows, None]
                 return list(coef), *([f - v * np.vecdot(v, f)[..., None] for f in fs] for fs in (kets, bras))
 
-            devs = _tiled(factors, terms)
+            devs = _tiled(_side(rep, axis), terms)
         else:
             devs = np.stack([_compression_norms(rep._slices(axis, k), vecs[:, k]) for k in range(d)])
         worst.bump(devs, lambda k, c: f"compression ||Q_{q} Pi Q_{q}||_F = {devs[k, c]:.3e} at {at(k, c)}")
-    rng = np.random.default_rng(seed)
-    for side, axis, vecs, at, factors in sides:
-        for k in range(d):
-            m = _complement_samples(rng, vecs[:, k], samples)
-            if factors is None:
-                vals = np.abs(_expectations(rep._slices(axis, k), m))
-            else:  # row k of each factor; one of size 1 is shared by the rows
-                coef, kets, bras = factors
-                rows = ([f[min(k, len(f) - 1)] for f in fs] for fs in (kets, bras))
-                vals = np.abs(_term_expectations(coef[k], *rows, m))
-            worst.bump(
-                vals,
-                lambda s, c: f"sampled state #{s} orthogonal to |{side}_{k}> gives "
-                f"|<m|Pi|m>| = {vals[s, c]:.3e} at {at(k, c)}",
-            )
-    return worst.report("C3", tol, samples_used=samples, seed=seed)
+    return worst.report("C3", tol)
 
 
 def _term_span(

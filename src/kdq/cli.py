@@ -234,7 +234,7 @@ def _cmd_wigner(args, tol: float | None) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="override default tolerances")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    common.add_argument("--seed", type=int, default=0, help="validated (a non-negative integer); no check draws random states")
 
     parser = argparse.ArgumentParser(prog="kdq", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis-b", default="fourier")
     for flag in [*_CHECKS, "all"]:
         p.add_argument(f"--{flag}", action="store_true")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100, help="validated (at least 1); C3 draws no states")
     p.set_defaults(
         func=_cmd_audit, needs=lambda args: ("audit", "wigner") if args.rep == "wigner" else ("audit",)
     )

@@ -165,18 +165,18 @@ def _readout(
     _validate_projector(a_proj)
     _require_same_dim(psi.dim, a_proj.dim)
     _require_same_dim(psi.dim, b.dim)
-    g = cfg.coupling
+    g, sigma = cfg.coupling, cfg.sigma
     if g != 0.0 and abs(g) < cfg.dx:
         raise GridTooCoarseError(
-            f"coupling {g:g} is below the grid spacing {cfg.dx:g}",
-            coupling=g,
-            dx=cfg.dx,
+            f"coupling {g:g} ({g / sigma:g} sigma) is below the grid spacing {cfg.dx:g} ({cfg.dx / sigma:g} sigma)",
+            coupling=g, dx=cfg.dx, sigma=sigma,
         )
     half = cfg.grid_extent / 2.0
     if abs(g) >= half:  # the periodic grid cannot tell such a shift from a smaller one
         raise ValidationError(
-            f"coupling {g:g} is out of range: |coupling| must be below grid_extent/2 = {half:g}",
-            coupling=g, grid_extent=cfg.grid_extent,
+            f"coupling {g:g} is out of range: |coupling| = {abs(g):g} ({abs(g) / sigma:g} sigma) "
+            f"must be below grid_extent/2 = {half:g} ({half / sigma:g} sigma)",
+            coupling=g, grid_extent=cfg.grid_extent, sigma=sigma,
         )
 
     x, k, phi, phi_hat = grids
@@ -199,9 +199,9 @@ def _readout(
     mean_p = float(np.sum(k * spectral) / np.sum(spectral))
     if not (math.isfinite(mean_x) and math.isfinite(mean_p)):
         raise ValidationError(
-            f"sigma {cfg.sigma:g} is out of range for this grid: its moments are not finite "
+            f"sigma {sigma:g} is out of range for this grid: its moments are not finite "
             f"(mean_x {mean_x!r}, mean_p {mean_p!r})",
-            sigma=cfg.sigma,
+            sigma=sigma,
         )
     return PointerReadout(mean_x, mean_p, min(prob, 1.0), g)
 

@@ -171,7 +171,7 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     def slices(side: int, k: int) -> _OnePerRow:
         if side == 0:  # A(k, p) over p
             return _OnePerRow(cols[k], phase[:, x[k]], k)
-        return _OnePerRow(cols[k], phase[reverse, x[k]], k, momentum.matrix)  # A(., k) as A(k, -q) over q
+        return _OnePerRow(cols[k], phase[reverse, x[k]], k)  # A(., k) as A(k, -q) over q
 
     def tables(m):
         # <m|A(q, p)|m> = sum_y phase[p, y] conj(m[q - y]) m[q + y], the discrete Wigner function

@@ -4,8 +4,9 @@ These are the per-cell loops the vectorized code in ``kdq.audit`` and
 ``kdq.wigner.wigner_as_rep`` replaced: one operator per cell for the
 family builders, one lstsq per span cell, one pair of d x d matmuls per
 compression, one full contraction per eigenstate table, and a sampler that
-draws one complement state at a time.  They are slow on purpose and only
-run at small d.
+draws one complement state at a time (the one behind
+``random_state_orthogonal_to``).  They are slow on purpose and only run at
+small d.
 
 Each check returns the report the loop computes and, when ``cells`` is a
 dict, records there every candidate violation under its witness key
@@ -157,9 +158,8 @@ def check_condition3(
         raise BadSampleCountError(f"samples must be >= 1, got {samples}")
     d = rep.dim
     eye = np.eye(d)
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    witness = "all compressions and sampled states vanish"
+    witness = "all compressions vanish"
     _record(cells, 0.0, witness)
 
     def _bump(value: float, text: str):
@@ -178,26 +178,7 @@ def check_condition3(
         for a in range(d):
             dev = float(np.linalg.norm(q @ rep.operators[a, b] @ q))
             _bump(dev, f"compression ||Q_b Pi Q_b||_F = {dev:.3e} at (a={a}, b={b})")
-
-    for a in range(d):
-        m = complement_samples(rng, rep.basis_a.matrix[:, a], samples)
-        vals = np.abs(np.einsum("si,bij,sj->sb", m.conj(), rep.operators[a], m))
-        for s in range(samples):
-            for b in range(d):
-                _bump(
-                    float(vals[s, b]),
-                    f"sampled state #{s} orthogonal to |A_{a}> gives |<m|Pi|m>| = {vals[s, b]:.3e} at (a={a}, b={b})",
-                )
-    for b in range(d):
-        m = complement_samples(rng, rep.basis_b.matrix[:, b], samples)
-        vals = np.abs(np.einsum("si,aij,sj->sa", m.conj(), rep.operators[:, b], m))
-        for s in range(samples):
-            for a in range(d):
-                _bump(
-                    float(vals[s, a]),
-                    f"sampled state #{s} orthogonal to |B_{b}> gives |<m|Pi|m>| = {vals[s, a]:.3e} at (a={a}, b={b})",
-                )
-    return AuditReport("C3", worst <= tol, worst, witness, samples_used=samples, seed=seed)
+    return AuditReport("C3", worst <= tol, worst, witness, samples_used=0, seed=0)
 
 
 def span_residual(rep: QuasiProbRep, tol_overlap: float = 1e-8) -> SpanResidual:

@@ -121,25 +121,6 @@ def test_reports_do_not_depend_on_the_tile_or_block_size(monkeypatch, dim):
     assert run() == default
 
 
-@pytest.mark.parametrize("dim", [3, 8])
-def test_term_expectations_match_the_dense_slices_value_by_value(dim):
-    # the reports name only the worst value; a wrong value below it would pass them
-    rng = np.random.default_rng(dim)
-    for rep in _reps(dim):
-        dense = QuasiProbRep(rep.basis_a, rep.basis_b, rep.operators)
-        for side in (0, 1):
-            coef, kets, bras = kdq.audit._side(rep, side)
-            for k in range(dim):
-                rows = [[f[min(k, len(f) - 1)] for f in fs] for fs in (kets, bras)]
-                for n in (1, 7):
-                    m = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-                    m /= np.linalg.norm(m, axis=1, keepdims=True)
-                    new = kdq.audit._term_expectations(coef[k], *rows, m)
-                    old = kdq.audit._expectations(dense._slices(side, k), m)
-                    assert new.shape == old.shape == (n, dim)
-                    np.testing.assert_allclose(new, old, rtol=0, atol=1e-12, err_msg=f"{rep.label} {side} {k}")
-
-
 @pytest.mark.parametrize("dim", [64, 128])
 def test_condition2_holds_order_d2_memory(dim):
     # the eigenstate tables of all 2d states would take 32 d^3 bytes (8.4 MB

@@ -26,7 +26,7 @@ from kdq import (
     span_residual,
     wigner_as_rep,
 )
-from kdq.audit import _complement_samples
+from kdq.hilbert import _complement_samples
 
 DIMS = (2, 3, 4, 5, 8)
 SAMPLES = 16

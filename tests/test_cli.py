@@ -341,6 +341,24 @@ def test_weak_out_of_range_scale_exit_2(capsys, scale, name):
     assert doc["code"] == "validation" and doc["message"].startswith(f"{name} is out of range")
 
 
+@pytest.mark.parametrize(
+    "couplings, code, message, context",
+    [
+        ("15", "validation",
+         "coupling 30 is out of range: |coupling| = 30 (15 sigma) must be below grid_extent/2 = 20 (10 sigma)",
+         {"coupling": 30.0, "grid_extent": 40.0, "sigma": 2.0}),
+        ("0.01", "grid_too_coarse", "coupling 0.02 (0.01 sigma) is below the grid spacing 0.078125 (0.0390625 sigma)",
+         {"coupling": 0.02, "dx": 0.078125, "sigma": 2.0}),
+    ],
+    ids=["beyond-half-the-extent", "below-the-grid-spacing"],
+)
+def test_weak_refusals_state_the_coupling_in_units_of_sigma(capsys, couplings, code, message, context):
+    # --couplings and --grid-extent are in units of --sigma; the grid works in simulation units
+    exit_code, out, err = run_cli(capsys, *WEAK_PLUS, "--sigma", "2", "--couplings", couplings)
+    assert exit_code == 2 and out == ""
+    assert _strict_json(err) == {"code": code, "message": message, "context": context}
+
+
 def test_weak_accepts_couplings_just_below_half_the_extent(capsys):
     code, out, err = run_cli(capsys, *WEAK_PLUS, "--couplings", "9.9,-9.9", "--sigma", "2")
     assert code == 0 and err == "" and len(out.splitlines()) == 3

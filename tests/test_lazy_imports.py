@@ -130,27 +130,28 @@ def kd_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, loads",
+    "argv",
     [
-        (["kd", "--state", STATE_D2, "--basis-a", "computational", "--basis-b", "fourier"], False),
-        (["reconstruct", "--kd", None], False),
-        (["weak", "--state", STATE_D2, "--a-index", "0", "--basis-a", "computational", "--b-index", "0",
-          "--basis-b", "hadamard2", "--couplings", "0.1"], False),
-        (["wigner", "--state", SLITS_D5, "--report"], False),
-        (["audit", "--rep", "mixed:0.3", "--dim", "4", "--c1", "--c2", "--span"], False),
-        (["audit", "--rep", "wigner", "--dim", "5", "--c1", "--c2", "--span"], False),
-        (["audit", "--rep", "kd", "--dim", "4", "--c3"], True),
-        (["audit", "--rep", "wigner", "--dim", "5", "--all"], True),
+        ["kd", "--state", STATE_D2, "--basis-a", "computational", "--basis-b", "fourier"],
+        ["reconstruct", "--kd", None],
+        ["weak", "--state", STATE_D2, "--a-index", "0", "--basis-a", "computational", "--b-index", "0",
+         "--basis-b", "hadamard2", "--couplings", "0.1"],
+        ["wigner", "--state", SLITS_D5, "--report"],
+        ["audit", "--rep", "mixed:0.3", "--dim", "4", "--c1", "--c2", "--span"],
+        ["audit", "--rep", "wigner", "--dim", "5", "--c1", "--c2", "--span"],
+        ["audit", "--rep", "kd", "--dim", "4", "--c3"],
+        ["audit", "--rep", "wigner", "--dim", "5", "--all"],
     ],
     ids=["kd", "reconstruct", "weak", "wigner", "audit-mixed-c1-c2-span", "audit-wigner-c1-c2-span",
          "audit-kd-c3", "audit-wigner-all"],
 )
-def test_only_the_sampled_condition3_loads_numpy_random(argv, loads, kd_file):
-    # numpy imports numpy.random lazily; loading it costs a child about 15 ms
+def test_only_the_sampled_condition3_loads_numpy_random(argv, kd_file):
+    # no kdq command loads numpy.random (about 15 ms a child): C3 is decided by
+    # its compression and samples no states, so the audits load it no more than the rest
     argv = [kd_file if a is None else a for a in argv]
     loaded, code = _numpy_random_loaded(*argv)
     assert code in (0, 1)
-    assert loaded is loads
+    assert loaded is False
 
 
 @pytest.mark.parametrize(

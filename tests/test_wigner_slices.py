@@ -24,14 +24,15 @@ from kdq import (
     evaluate,
     random_basis,
     random_density,
-    random_state,
     span_residual,
     wigner_as_rep,
 )
-from kdq.audit import _OnePerRow, _complement_samples, _compression_norms, _expectations, _marginal_dev, _traces
+from kdq.audit import _OnePerRow, _compression_norms, _marginal_dev, _traces
+from kdq.hilbert import _complement_samples
 from kdq.wigner import momentum_basis, phase_point_operator
 from test_audit_factored import _kdq_child
 from test_audit_reference import _assert_checks_match, _assert_same_report
+from test_condition3_bound import rounding_bound
 
 
 @pytest.mark.parametrize("dim", [3, 5, 9, 31])
@@ -67,14 +68,15 @@ def _random_slice(d, rng, k, framed=False):
     Its cells share their columns, drawn with repeats, so column k may hold
     several nonzeros of a cell and row k's nonzero need not sit on the
     diagonal; every cell differs, so a kernel that mixes up cells changes
-    the numbers.  Framed, F is a random unitary; else it is the identity.
+    the numbers.  Framed, F is a random unitary, which the slice itself
+    does not carry; else it is the identity.
     """
     cols = rng.integers(0, d, d)
     vals = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))  # vals[c, i]
     f = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] if framed else np.eye(d)
     y = np.zeros((d, d, d), dtype=complex)
     y[:, np.arange(d), cols] = vals
-    return _OnePerRow(cols, vals, k, f if framed else None), f @ y @ f.conj().T, f[:, k]
+    return _OnePerRow(cols, vals, k), f @ y @ f.conj().T, f[:, k]
 
 
 @pytest.mark.parametrize("block_cells", [1, 2, 64])
@@ -83,7 +85,6 @@ def test_one_per_row_kernels_match_the_dense_slices(monkeypatch, block_cells):
     d = 5
     monkeypatch.setattr(kdq.audit, "_BLOCK_BYTES", 16 * d * d * block_cells)
     rng = np.random.default_rng(3)
-    m = np.stack([random_state(d, seed=s).amplitudes for s in range(7)])
     rho = random_density(d, d, seed=2).matrix
 
     def close(new, old):
@@ -92,10 +93,10 @@ def test_one_per_row_kernels_match_the_dense_slices(monkeypatch, block_cells):
     for framed in (False, True):
         for k in range(d):
             x, y, v = _random_slice(d, rng, k, framed)
-            close(_expectations(x, m), _expectations(y, m))
+            # the compression and marginal norms are unitarily invariant, so they need no frame
             close(_compression_norms(x, v), _compression_norms(y, v))
             close(_marginal_dev(x, v), _marginal_dev(y, v))
-            if not framed:  # only a column carries a frame, and _traces walks rows
+            if not framed:  # only a column comes in a frame, and _traces walks rows
                 close(_traces(x, rho), _traces(y, rho))
 
 
@@ -172,9 +173,13 @@ def test_phase_point_kernels_match_the_dense_slices(dim):
         for k in range(dim):
             x, y = rep._slices(side, k), dense._slices(side, k)
             v = basis.matrix[:, k]
-            close(_compression_norms(x, v), _compression_norms(y, v))
+            norms = _compression_norms(x, v)
+            close(norms, _compression_norms(y, v))
+            # a momentum column's compression, taken in its own frame, still bounds the
+            # states sampled from the complement of |p> in the position frame
             m = _complement_samples(rng, v, 6)
-            close(_expectations(x, m), _expectations(y, m))
+            vals = np.abs(np.einsum("si,cij,sj->sc", m.conj(), y, m))
+            assert (vals <= norms + rounding_bound(dim, np.linalg.norm(y, axis=(1, 2)), np.abs(m @ v.conj()))).all()
     close(span_residual(rep).residuals, span_residual(dense).residuals)
     for check in (check_condition3, check_span):
         new, old = check(rep), check(dense)
@@ -206,23 +211,20 @@ def test_pivot_kernels_match_the_dense_kernels_on_any_one_per_row_row(basis_b):
     np.testing.assert_allclose(new.residuals, old.residuals, rtol=0, atol=1e-12)
     rho = random_density(d, d, seed=7)
     np.testing.assert_allclose(evaluate(rep, rho), evaluate(dense, rho), rtol=0, atol=1e-12)
+    # a rep of one-per-row rows that gives no _tables: C2 reads its rows densified
+    new, old = check_condition2(rep), check_condition2(dense)
+    assert (new.passed, new.witness) == (old.passed, old.witness)
+    assert abs(new.worst_violation - old.worst_violation) <= 1e-12
 
 
 def _count_fast_paths(monkeypatch):
-    calls = {"_off_pivot_sq": 0, "_pivot_span_row": 0, "frame": 0}
-    for name in ("_off_pivot_sq", "_pivot_span_row"):
+    calls = {"_off_pivot_sq": 0, "_pivot_span_row": 0, "_expectations": 0}
+    for name in calls:
         def counted(*args, _f=getattr(kdq.audit, name), _name=name):
             calls[_name] += 1
             return _f(*args)
 
         monkeypatch.setattr(kdq.audit, name, counted)
-    expectations = kdq.audit._expectations
-
-    def counted_expectations(x, m):
-        calls["frame"] += isinstance(x, _OnePerRow) and x.frame is not None
-        return expectations(x, m)
-
-    monkeypatch.setattr(kdq.audit, "_expectations", counted_expectations)
     return calls
 
 
@@ -231,5 +233,5 @@ def test_fast_paths_fire_on_the_phase_point_slices_only(monkeypatch):
     d = 5
     check_condition3(wigner_as_rep(d), samples=4), check_span(wigner_as_rep(d))
     # compressions on both sides, then the span's off-pivot squares per row;
-    # the momentum columns' samples enter their frame
-    assert calls == {"_off_pivot_sq": 3 * d, "_pivot_span_row": d, "frame": d}
+    # no slice reaches the dense expectations, and no column its frame
+    assert calls == {"_off_pivot_sq": 3 * d, "_pivot_span_row": d, "_expectations": 0}
