@@ -4,10 +4,10 @@ State vectors, density operators, orthonormal bases, general (possibly
 non-Hermitian) operators, product traces, and seeded random generation.
 All containers freeze their arrays after validation, and every operation
 is a pure function of its arguments, so objects are safe to share between
-threads.  A ``DensityOperator`` keeps the read-only products the kd
-functions formed for the last basis pair it met, as one tuple that a call
-replaces whole: concurrent calls may form a product again, but never read
-one of another pair.
+threads.  A ``DensityOperator`` keeps the read-only products, AB table and
+table sums the kd functions formed for the last basis pair it met, as one
+flat tuple that a call replaces whole: concurrent calls may form a product
+again, but never read one of another pair.
 
 Every value type of kdq is a ``_Value``: ``__slots__`` fields set once in ``__init__``,
 ``AttributeError`` on assignment or deletion, a dataclass's ``repr``, pickle and ``copy``
@@ -170,7 +170,8 @@ def _factors(twice: np.ndarray) -> bool:
 class DensityOperator(_Value):
     """Hermitian, unit-trace, positive-semidefinite d x d matrix."""
 
-    # private _kd: None, or (basis_a, basis_b, <b|a>, <a|rho|b>) of the last basis pair kdq.kd met
+    # private _kd: None, or (basis_a, basis_b, <b|a>, <a|rho|b>, AB table, its total, (2, d) sums, their two largest
+    # |imag|) of the last basis pair kdq.kd met: flat, so that __setstate__ restores every array read-only
     __slots__ = ("matrix", "_kd")
 
     def __init__(self, matrix: np.ndarray, tol: float | None = None, tol_psd: float | None = None):
@@ -338,8 +339,9 @@ def _complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) -
     """``samples`` random unit states orthogonal to ``v``.
 
     Each sample takes its real then imaginary parts from the next 2d draws
-    of ``rng``; near-zero projections are dropped and topped up in order,
-    so a seed always yields the same states.  ``np.vecdot`` runs the same
+    of ``rng`` and is projected off ``v`` twice ("twice is enough");
+    near-zero projections are dropped and topped up in order, so a seed
+    always yields the same states.  ``np.vecdot`` runs the same
     BLAS dot per sample as ``np.vdot`` and ``np.linalg.norm`` on one vector.
     """
     d = v.size
@@ -350,6 +352,7 @@ def _complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) -
         z = np.empty((samples - n, d), dtype=np.complex128)
         z.real, z.imag = x[:, 0], x[:, 1]
         z -= v * np.vecdot(v, z)[:, None]
+        z -= v * np.vecdot(v, z)[:, None]  # again: once leaves |<v|m>| near eps ||z|| / ||Q z||, twice near eps
         nrm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
         keep = nrm > 1e-8
         kept = int(keep.sum())

@@ -7,11 +7,12 @@ the cell operator is |b><b|a><a| and the table reads
     table[a, b] = <b|a> <a|rho|b>.
 
 The opposite ordering BA takes the adjoint cell operator |a><a|b><b|, so for
-a Hermitian rho its table is the AB table conjugated: that is how it is
-computed, and a BA table is inverted as the AB table it conjugates.  The
-transform is exactly invertible whenever all cross-basis overlaps <b|a> are
-nonzero, which makes the table a complete parametrization of the density
-operator.
+a Hermitian rho its table is the AB table conjugated, bit for bit.  A state
+keeps the AB table and its checked sums for the last basis pair it met; a BA
+table conjugates them, each call applies its own tolerances, no transform
+copies its table, and a BA table is inverted as the AB table it conjugates.
+The transform is exactly invertible whenever all overlaps <b|a> are nonzero,
+which makes the table a complete parametrization of the density operator.
 """
 
 from __future__ import annotations
@@ -64,20 +65,20 @@ class KDDistribution(_Value):
         tab = np.array(table, dtype=np.complex128)
         if tab.shape != (d, d):
             raise ValidationError(f"table must have shape {(d, d)}, got {tab.shape}")
-        total = complex(np.add.reduce(tab, None))  # reductions call the ufunc: tab.sum()'s bits, not its wrapper
+        self._own(basis_a, basis_b, ordering, tab, *_sums(tab), None, tol, tol_imag)
+
+    def _own(self, basis_a, basis_b, ordering, tab, total, sums, imag, cross, tol, tol_imag) -> KDDistribution:
+        """Take ``tab`` and its sums as they are, not copied, once they pass the table's check."""
         if not _accepts(tab, 2, "table", abs(total - 1.0), tol, TOL_NORM):
             raise ValidationError(f"table sums to {total}, expected 1", total=total)
-        both = np.empty((2, d), dtype=np.complex128)
-        np.add.reduce(tab, 1, None, both[0])  # (array, axis, dtype, out): positional, as keywords cost more
-        np.add.reduce(tab, 0, None, both[1])
-        imag = tuple(np.maximum.reduce(abs(both.imag), 1).tolist())
         worst_imag = max(imag)
         if worst_imag > _tol(tol_imag, TOL_IMAG):
             raise ValidationError(f"row/column sums have imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
         tab.setflags(write=False)
-        both.setflags(write=False)
-        for name, value in zip(self.__slots__, (basis_a, basis_b, ordering, tab, both, imag, None)):
+        sums.setflags(write=False)
+        for name, value in zip(self.__slots__, (basis_a, basis_b, ordering, tab, sums, imag, cross)):
             _setattr(self, name, value)
+        return self
 
     @property
     def dim(self) -> int:
@@ -102,13 +103,22 @@ def kd_transform(
     """Joint quasi-probability table of ``rho`` over the two bases."""
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
-    cross, mixed = _kept(rho, basis_a, basis_b)
-    table = cross.T * mixed  # table[a, b] = <b|a> <a|rho|b>
-    if ordering is Ordering.BA:
-        np.conjugate(table, out=table)
-    dist = KDDistribution(basis_a, basis_b, ordering, table, tol=tol, tol_imag=tol_imag)
-    _setattr(dist, "_cross", cross)
-    return dist
+    entry = _kept(rho, basis_a, basis_b)
+    table, total, sums = entry[4:7]
+    if ordering is Ordering.BA:  # the adjoint cells: negating an imaginary part is exact, bar a zero sum's sign
+        table, sums = np.conjugate(table), np.conjugate(sums)  # sums are read as real parts and |imag| only
+        total = total.conjugate() if total.imag else complex(np.add.reduce(table, None))  # an error prints its sign
+    dist = KDDistribution.__new__(KDDistribution)
+    return dist._own(basis_a, basis_b, ordering, table, total, sums, entry[7:], entry[2], tol, tol_imag)
+
+
+def _sums(tab: np.ndarray) -> tuple[complex, np.ndarray, tuple[float, float]]:
+    """The table's complex total, its (2, d) row and column sums, and the largest |imag| of each."""
+    total = complex(np.add.reduce(tab, None))  # reductions call the ufunc: tab.sum()'s bits, not its wrapper
+    both = np.empty((2, tab.shape[0]), dtype=np.complex128)
+    np.add.reduce(tab, 1, None, both[0])  # (array, axis, dtype, out): positional, as keywords cost more
+    np.add.reduce(tab, 0, None, both[1])
+    return total, both, tuple(np.maximum.reduce(abs(both.imag), 1).tolist())
 
 
 def _cross_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
@@ -116,23 +126,25 @@ def _cross_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
     return bm.conj().T @ am
 
 
-def _kept(
-    rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """cross[b, a] = <b|a> and mixed[a, b] = <a|rho|b>, read-only.
+def _kept(rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis) -> tuple:
+    """``(basis_a, basis_b, cross, mixed, table, total, sums, imag_a, imag_b)``, arrays read-only.
 
-    ``rho`` keeps both for the last basis pair it met, matched by identity;
-    a miss forms them together and replaces the entry whole, so outputs do
-    not depend on call order.
+    cross[b, a] = <b|a>, mixed[a, b] = <a|rho|b>, and the AB table with its
+    sums as ``_sums`` forms them.  ``rho`` keeps them for the last basis pair
+    it met, matched by identity; a miss forms them together and replaces the
+    flat entry whole, so outputs do not depend on call order.
     """
     entry = rho._kd
     if entry is None or entry[0] is not basis_a or entry[1] is not basis_b:
         am, bm = basis_a.matrix, basis_b.matrix
-        entry = (basis_a, basis_b, _cross_overlaps(am, bm), am.conj().T @ rho.matrix @ bm)
-        entry[2].setflags(write=False)
-        entry[3].setflags(write=False)
+        cross, mixed = _cross_overlaps(am, bm), am.conj().T @ rho.matrix @ bm
+        table = cross.T * mixed  # table[a, b] = <b|a> <a|rho|b>
+        total, sums, imag = _sums(table)
+        for arr in (cross, mixed, table, sums):
+            arr.setflags(write=False)
+        entry = (basis_a, basis_b, cross, mixed, table, total, sums, *imag)
         _setattr(rho, "_kd", entry)
-    return entry[2:]
+    return entry
 
 
 def _real_marginal(
@@ -226,4 +238,4 @@ def total_probability(
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
     cond = basis_b.matrix.conj().T @ m_op.matrix @ basis_a.matrix  # cond[b, a] = <b|M|a>
-    return complex(np.einsum("ba,ab->", cond, _kept(rho, basis_a, basis_b)[1]))
+    return complex(np.einsum("ba,ab->", cond, _kept(rho, basis_a, basis_b)[3]))

@@ -133,12 +133,13 @@ def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL, cells=No
 
 
 def complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) -> np.ndarray:
-    """One state at a time: project a complex Gaussian off ``v``, reject near-zero, normalize."""
+    """One state at a time: project a complex Gaussian off ``v`` twice, reject near-zero, normalize."""
     d = v.size
     out = np.empty((samples, d), dtype=np.complex128)
     n = 0
     while n < samples:
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        z = z - v * np.vdot(v, z)
         z = z - v * np.vdot(v, z)
         nrm = np.linalg.norm(z)
         if nrm > 1e-8:

@@ -34,8 +34,9 @@ def rounding_bound(d: int, fro: np.ndarray, lean: np.ndarray) -> np.ndarray:
     """What a sampled |<m|X|m>| may add over ||Q X Q||_F, per sample and cell: (2 l + l^2 + 4 d eps) ||X||_F.
 
     Write m = m' + delta |v> with Q m' = m' and l = |delta| = |<v|m>|: the
-    sampler projects off |v> in floating point, so l is rounding-level, up to
-    about eps ||z|| / ||Q z|| for its Gaussian draw z.  Then
+    sampler projects off |v> twice in floating point, so l is rounding-level,
+    about eps (once would leave up to eps ||z|| / ||Q z|| for its Gaussian
+    draw z).  Then
     |<m|X|m>| <= ||Q X Q||_F + (2 l + l^2) ||X||_F.  Evaluating <m|X|m> sums
     d^2 products whose magnitudes add up to |m|^T |X| |m| <= ||X||_F, about
     2 d eps ||X||_F of rounding, and the compression norm has as much again.
@@ -86,3 +87,14 @@ def test_no_sampled_state_beats_its_cells_compression(family, dim, pair):
     assert (report.samples_used, report.seed) == (0, 0)
     assert report.witness == "all compressions vanish" or report.witness.startswith("compression ")
     assert report.worst_violation == pytest.approx(ref.check_condition3(rep).worst_violation, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family, dim, pair", CASES, ids=[f"{f}-d{d}-{p}" for f, d, p in CASES])
+def test_each_sample_is_orthogonal_to_its_vector_within_two_eps(family, dim, pair):
+    """Projected off v twice, a sample keeps |<v|m>| <= 2 eps; once left up to 42 eps over these cases."""
+    rep = _rep(family, dim, pair)
+    rng = np.random.default_rng(1000 * dim + CASES.index((family, dim, pair)))
+    for basis in (rep.basis_a, rep.basis_b):
+        for v in basis.matrix.T:
+            m = _complement_samples(rng, v, SAMPLES)
+            assert np.abs(m @ v.conj()).max() <= 2 * EPS

@@ -470,6 +470,7 @@ def _orthogonal_state_loop(v: StateVector, seed: int) -> np.ndarray:
     while True:
         z = rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim)
         z = z - amps * np.vdot(amps, z)
+        z = z - amps * np.vdot(amps, z)
         nrm = np.linalg.norm(z)
         if nrm > 1e-8:
             return z / nrm

@@ -537,7 +537,7 @@ def test_any_first_kd_call_keeps_both_products(first):
     rho = random_density(dim, 2, seed=11)
     a, b = random_basis(dim, seed=12), fourier_basis(dim)
     _run([first], rho, a, b, LinearOperator(np.eye(dim)))
-    basis_a, basis_b, cross, mixed = rho._kd
+    basis_a, basis_b, cross, mixed = rho._kd[:4]
     assert basis_a is a and basis_b is b
     assert cross.tobytes() == (b.matrix.conj().T @ a.matrix).tobytes()
     assert mixed.tobytes() == (a.matrix.conj().T @ rho.matrix @ b.matrix).tobytes()
@@ -567,6 +567,98 @@ def test_kept_products_leave_no_cycle():
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# one AB table and its checked sums kept per basis pair; a BA table is their conjugate
+
+
+def _public(rho, a, b, ordering, **tols):
+    """The table by the plain expressions, through the public constructor, which copies and checks it."""
+    table = (b.matrix.conj().T @ a.matrix).T * (a.matrix.conj().T @ rho.matrix @ b.matrix)
+    return KDDistribution(a, b, ordering, table.conj() if ordering is Ordering.BA else table, **tols)
+
+
+def _read(dist):
+    """Bytes of the table, marginals and inverse; the kept sums by value (a BA zero may be -0.0)."""
+    return [dist.table.tobytes(), dist._sums.tolist(), dist._imag, kd_marginal_a(dist).tobytes(),
+            kd_marginal_b(dist).tobytes(), kd_inverse(dist).matrix.tobytes()]
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64])
+@pytest.mark.parametrize("calls", [("AB", "BA"), ("BA", "AB"), ("AB", "AB"), ("BA", "BA")], ids="-".join)
+def test_each_call_order_gives_the_public_constructors_bytes(dim, calls):
+    rho = random_density(dim, 2, seed=dim + 80)
+    a, b = random_basis(dim, seed=dim + 81), fourier_basis(dim)
+    m = LinearOperator(random_density(dim, 1, seed=dim + 82).matrix)
+    cond, mixed = b.matrix.conj().T @ m.matrix @ a.matrix, a.matrix.conj().T @ rho.matrix @ b.matrix
+    prob = np.complex128(np.einsum("ba,ab->", cond, mixed)).tobytes()
+    for name in calls:
+        dist = kd_transform(rho, a, b, Ordering[name])
+        assert _read(dist) == _read(_public(rho, a, b, Ordering[name])), name
+        assert np.complex128(total_probability(m, rho, a, b)).tobytes() == prob
+
+
+def test_the_tables_reductions_run_once_per_basis_pair(monkeypatch):
+    dim = 5
+    rho = random_density(dim, 3, seed=5)
+    pairs = [(random_basis(dim, seed=1), fourier_basis(dim)), (computational_basis(dim), random_basis(dim, seed=2))]
+    sums = _count(monkeypatch, kdq.kd, "_sums")
+    verdicts = _count(monkeypatch, kdq.kd, "_accepts")
+    for a, b in pairs + pairs:
+        sums.clear()
+        verdicts.clear()
+        for ordering in (Ordering.BA, Ordering.AB, Ordering.BA, Ordering.AB):
+            dist = kd_transform(rho, a, b, ordering)
+            for read in (kd_marginal_a, kd_marginal_b, kd_inverse):
+                read(dist)
+        total_probability(LinearOperator(np.eye(dim)), rho, a, b)
+        assert len(sums) == 1  # formed on the pair's first call, read by the others
+        assert len(verdicts) == 4  # each transform judges the sums by its own tolerances
+
+
+def _verdict(call):
+    try:
+        call()
+    except ValidationError as err:
+        return type(err), str(err), err.context
+    return "ok"
+
+
+@pytest.mark.parametrize("trace_imag", [0.0, 1e-9])  # BA conjugates a total with a nonzero imaginary part
+@pytest.mark.parametrize("ordering", list(Ordering), ids=str)
+def test_each_call_judges_the_kept_sums_by_its_own_tolerances(ordering, trace_imag):
+    """A total 1e-7 off 1 and sums with imaginary parts near 1e-6: a tighter call raises the constructor's error."""
+    dim = 5
+    rng = np.random.default_rng(dim)
+    skew = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    skew = 1e-6 * (skew - skew.conj().T)
+    skew += (trace_imag * 1j - np.trace(skew)) / dim * np.eye(dim)
+    mat = random_density(dim, dim, seed=dim).matrix * (1 + 1e-7) + skew
+    a, b = random_basis(dim, seed=dim + 1), fourier_basis(dim)
+    loose = {"tol": 1e-3, "tol_imag": 1e-3}
+    tight_tol = {"tol": 1e-8, "tol_imag": 1e-3}
+    tight_imag = {"tol": 1e-3, "tol_imag": 1e-8}
+    for order in ([loose, tight_tol, tight_imag, {}, loose], [tight_imag, {}, loose, tight_tol, loose]):
+        rho = DensityOperator(mat, tol=1e-3)
+        for tols in order:
+            expected = _verdict(lambda: _public(rho, a, b, ordering, **tols))
+            assert _verdict(lambda: kd_transform(rho, a, b, ordering, **tols)) == expected, tols
+            assert (expected == "ok") == (tols is loose)
+
+
+def test_an_ab_table_is_the_kept_table_and_a_ba_table_its_own_conjugate():
+    dim = 16
+    rho = random_density(dim, 2, seed=3)
+    a, b = random_basis(dim, seed=4), fourier_basis(dim)
+    ab, ba, again = (kd_transform(rho, a, b, ordering) for ordering in (Ordering.AB, Ordering.BA, Ordering.AB))
+    table, sums = rho._kd[4], rho._kd[6]
+    assert ab.table is table and again.table is table and ab._sums is sums and again._sums is sums
+    assert not np.shares_memory(ba.table, table) and not np.shares_memory(ba._sums, sums)
+    for arr in (table, sums, ba.table, ba._sums):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ab.table[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Pointer-simulation tests: exact limits, first-order recovery, convergence."""
 
+import itertools
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -11,7 +13,9 @@ import pytest
 from kdq import (
     DegeneratePostselectionError,
     GridTooCoarseError,
+    KDDistribution,
     LinearOperator,
+    Ordering,
     PointerConfig,
     StateVector,
     ValidationError,
@@ -20,6 +24,11 @@ from kdq import (
     computational_basis,
     conditional_weak_value,
     coupling_sweep,
+    kd_inverse,
+    kd_marginal_a,
+    make_pure_density,
+    random_basis,
+    random_state,
     simulate_weak_measurement,
     weak_value_estimate,
 )
@@ -31,6 +40,7 @@ from test_audit_factored import _kdq_child
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 SQ2 = np.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def plus_state():
@@ -322,3 +332,81 @@ def test_non_projector_rejected():
     not_herm = LinearOperator(np.array([[1, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValidationError):
         simulate_weak_measurement(plus_state(), not_herm, i_state(), PointerConfig())
+
+
+# ---------------------------------------------------------------------------
+# the continuous Gaussian pointer in closed form
+
+
+def _closed_form(psi, a_proj, b, sigma, g):
+    """prob, <x> prob and <p> prob of the pointer c_r phi(x) + c_p phi(x - g) on the whole line.
+
+    With O = exp(-g^2 / (8 sigma^2)), the overlap of phi and its shift, and
+    X = c_r* c_p: prob = |c_r|^2 + |c_p|^2 + 2 O Re X,
+    <x> prob = g (|c_p|^2 + O Re X) and <p> prob = (g / (2 sigma^2)) O Im X.
+    """
+    c_p = complex(np.vdot(b.amplitudes, a_proj.matrix @ psi.amplitudes))  # <b|P|psi>
+    c_r = complex(np.vdot(b.amplitudes, psi.amplitudes)) - c_p
+    o, x = math.exp(-g * g / (8.0 * sigma * sigma)), c_r.conjugate() * c_p
+    return np.array([abs(c_r) ** 2 + abs(c_p) ** 2 + 2.0 * o * x.real, g * (abs(c_p) ** 2 + o * x.real),
+                     g / (2.0 * sigma * sigma) * o * x.imag])
+
+
+def _oracle_cases():
+    """20 random (psi, P, b) at d = 2..6; P projects on the first 1..d-1 vectors of a random basis."""
+    for i in range(20):
+        d = 2 + i % 5
+        frame = random_basis(d, seed=300 + i).matrix[:, : 1 + i % (d - 1)]
+        yield random_state(d, seed=100 + i), LinearOperator(frame @ frame.conj().T), random_state(d, seed=200 + i)
+
+
+# Largest |grid - closed form| over these cases in prob, <x> prob / sigma and <p> prob * sigma, both
+# functions, 20 sigma grids (numpy 2.4, x86-64): 2.2e-16, 2.6e-11 and 3.2e-16 at 512 points; 2.2e-16,
+# 2.3e-11 and 2.9e-16 at 65,536 over all 20 states.  <x> is bounded by the periodic grid, not by
+# rounding: at g = 3 sigma the shifted Gaussian's tail past the edge weighs exp(-7^2 / 2) = 2.3e-11.
+ORACLE_BOUNDS = (2 * EPS, 5e-11, 4 * EPS)
+
+
+@pytest.mark.parametrize("grid_points, states", [(512, 20), (2**16, 5)])  # 2^16 points: one state per d, for time
+def test_readouts_match_the_continuous_pointer_in_closed_form(grid_points, states):
+    """sigma in {0.5, 1, 2} and g / sigma in {0.05, 0.3, 1, 3}, by simulation and by sweep."""
+    worst = np.zeros(3)
+    for psi, proj, b in itertools.islice(_oracle_cases(), states):
+        for sigma in (0.5, 1.0, 2.0):
+            cfg = PointerConfig(grid_points, 20.0 * sigma, sigma)
+            couplings = [ratio * sigma for ratio in (0.05, 0.3, 1.0, 3.0)]
+            scale = np.array([1.0, 1.0 / sigma, sigma])
+            for g, point in zip(couplings, coupling_sweep(psi, proj, b, cfg, couplings)):
+                exact = _closed_form(psi, proj, b, sigma, g)
+                readout = simulate_weak_measurement(psi, proj, b, PointerConfig(grid_points, 20.0 * sigma, sigma, g))
+                simulated = np.array([1.0, readout.mean_x, readout.mean_p]) * readout.postselect_prob
+                swept = np.array([1.0, g * point.estimate.real, 2.0 * g * cfg.momentum_variance * point.estimate.imag])
+                for moments in (simulated, swept * point.postselect_prob):
+                    worst = np.maximum(worst, abs(moments - exact) * scale)
+    assert (worst <= ORACLE_BOUNDS).all(), worst
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_direct_state_measurement_reconstructs_the_state_to_order_g_squared(dim):
+    """table[a, b] = weak value x post-selection probability of P_a between psi and |b> (Lundeen et al. 2011).
+
+    By the closed form each cell is O T[a, b] + (1 - O) |<b|a>|^2 |<a|psi>|^2 for
+    the KD table T: the row sums are the Born probabilities at every g, and
+    the inverse is O rho + (1 - O) diag(rho), off rho by (1 - O) ~ g^2 / (8 sigma^2).
+    """
+    psi = random_state(dim, seed=dim + 30)
+    rho = make_pure_density(psi)
+    a, b = computational_basis(dim), random_basis(dim, seed=dim + 31)
+    cfg = PointerConfig()
+    tables = np.empty((2, dim, dim), dtype=complex)  # at g = 0.2 sigma and 0.05 sigma
+    for i in range(dim):
+        proj = LinearOperator(a.projector(i))
+        for j in range(dim):
+            for table, point in zip(tables, coupling_sweep(psi, proj, b.vector(j), cfg, [0.2, 0.05])):
+                table[i, j] = point.estimate * point.postselect_prob
+    errors = []
+    for table in tables:
+        dist = KDDistribution(a, b, Ordering.AB, table)  # the default tolerances accept it
+        assert np.abs(kd_marginal_a(dist) - abs(psi.amplitudes) ** 2).max() <= 8 * EPS  # measured 4 eps
+        errors.append(np.linalg.norm(kd_inverse(dist).matrix - rho.matrix))
+    assert errors[1] * 10 <= errors[0], errors
