@@ -23,9 +23,11 @@ a Gram-Schmidt of the factors, so no d^4 array is ever formed.  Any other
 family is a slice source, walked one row Pi(a, .) or column Pi(., b) at a
 time: a dense family hands out (d, d, d) views of its stored operators, and
 one with one nonzero per operator row (the phase-point operators) makes each
-slice on request in that compact form, in a frame where the side's basis
-vector is a coordinate vector |k>, so every kernel works on those nonzeros
-alone, O(d) per cell.
+slice on request in that compact form, in a frame where the side's basis is
+the standard basis, so every kernel works on those nonzeros alone, O(d) per
+cell.  Condition 2 walks each side once, rows for the |A_j> and columns for
+the |B_j>, and every slice gives the tables of the side's whole basis on its
+cells: a one-per-row slice's are its diagonals.
 """
 
 from __future__ import annotations
@@ -64,9 +66,8 @@ class QuasiProbRep:
     and ``operators`` is expanded from them only when first read.  Any other
     rep is a slice source: the private ``_slices(side, k)`` returns row k
     (side 0) or column k (side 1), a (d, d, d) view for a rep built from the
-    (d, d, d, d) ``operators`` array, else a ``_OnePerRow`` slice (a column in
-    a frame of its own), whose rows ``operators`` stacks when read.  Its
-    ``_tables(m)``, if given, returns the (n, d, d) tables <m_s|Pi(a, b)|m_s>.
+    (d, d, d, d) ``operators`` array, else a ``_OnePerRow`` slice in the frame
+    of its side's basis, whose rows ``operators`` stacks when read.
     """
 
     def __init__(
@@ -78,13 +79,12 @@ class QuasiProbRep:
         *,
         terms=None,
         _slices: Callable[[int, int], _OnePerRow] | None = None,
-        _tables: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         d = basis_a.dim
         _require_same_dim(d, basis_b.dim)
         self.basis_a, self.basis_b, self.label = basis_a, basis_b, label
         self.terms = None if terms is None else tuple(terms)
-        self._slices, self._tables, self._ops = _slices, _tables, None
+        self._slices, self._ops = _slices, None
         if _slices is not None:
             return
         if self.terms is not None:
@@ -116,9 +116,10 @@ class QuasiProbRep:
             if self.terms is not None:
                 ops = _family(self.terms)
             else:
-                ops = np.empty((d, d, d, d), dtype=np.complex128)
-                for a in range(d):
-                    ops[a] = _densify(self._slices(0, a))
+                ops = np.zeros((d, d, d, d), dtype=np.complex128)
+                for a in range(d):  # a one-per-row row: Y_c[i, cols[i]] = vals[c, i]
+                    x = self._slices(0, a)
+                    ops[a][:, np.arange(d), x.cols] = x.vals
             ops.setflags(write=False)
             self._ops = ops
         return self._ops
@@ -200,11 +201,12 @@ def mixed_rep(
 class _OnePerRow(NamedTuple):
     """Row or column slice whose every operator has one nonzero per row, all in the same columns.
 
-    X_c = F Y_c F^dag with Y_c[i, cols[i]] = vals[c, i], for a unitary F
-    with F^dag |v> = |k>, the basis vector |v> of the slice's side and k =
-    ``pivot``.  F is the identity for a row, so what walks the rows
-    (``evaluate``, the span, ``operators``) reads Y itself; a column's checks
-    (C1 and C3) are unitarily invariant, so F is never needed.
+    X_c = F Y_c F^dag with Y_c[i, cols[i]] = vals[c, i], where F is the
+    matrix of the side's basis: in the slice's frame the side's basis is the
+    standard basis, so <v_j|X_c|v_j> = Y_c[j, j] and the slice's own vector
+    is |k>, k = ``pivot``.  Basis A is computational, so what walks the rows
+    (``evaluate``, the span, ``operators``) reads Y itself; a column's C1 and
+    C3 are unitarily invariant, so F is never needed.
     """
 
     cols: np.ndarray  # (d,) int
@@ -212,27 +214,25 @@ class _OnePerRow(NamedTuple):
     pivot: int
 
 
-def _densify(x: _OnePerRow) -> np.ndarray:
-    """The (c, d, d) operators of a one-per-row row."""
-    c, d = x.vals.shape
-    out = np.zeros((c, d * d), dtype=np.complex128)
-    out[:, np.arange(d) * d + x.cols] = x.vals
-    return out.reshape(c, d, d)
-
-
-# Bytes of the arrays a kernel makes at once (cells of a dense slice, a tile
-# of a term rep's cells, eigenstate tables).  Larger arrays are handed back to
+# Bytes of the arrays a kernel makes at once (cells of a slice, a tile of a
+# term rep's cells, a band of eigenstate tables).  Larger arrays are handed back to
 # the operating system when freed and faulted in again for the next block; on
 # mixed:0.3 at d = 32 the term kernels ran 10-50% faster at 64 than at 256 KiB.
 _BLOCK_BYTES = 1 << 16
 _TILE_CELLS = 64  # the fewest cells in a term kernel's tile
 
 
-def _dense_blocks(x: np.ndarray):
-    """(cells, operators) for consecutive blocks of cells of a dense (c, d, d) slice."""
-    step = max(1, _BLOCK_BYTES // (16 * x.shape[1] ** 2))
-    for start in range(0, len(x), step):
-        yield slice(start, start + step), x[start : start + step]
+def _blocks(x):
+    """(cells, their part of x) for blocks of about _BLOCK_BYTES of the cells of a dense (c, d, d) or one-per-row slice.
+
+    Two cells or more to a block: numpy sums the rows of a one-row F-ordered
+    array pairwise and those of a taller one in order.
+    """
+    vals = x.vals if isinstance(x, _OnePerRow) else x
+    n = len(vals)
+    m = max(1, n // max(2, _BLOCK_BYTES // (16 * vals[0].size)))  # blocks
+    for cells in (slice(n * i // m, n * (i + 1) // m) for i in range(m)):
+        yield cells, x._replace(vals=vals[cells]) if isinstance(x, _OnePerRow) else vals[cells]
 
 
 def _off_pivot_sq(x: _OnePerRow) -> np.ndarray:
@@ -310,15 +310,6 @@ def _lowrank_norms(coef: list, kets: list, bras: list) -> np.ndarray:
     return np.sqrt(sum(np.vecdot(y, y).real for y in ys))
 
 
-def _expectations(x, m: np.ndarray) -> np.ndarray:
-    """vals[s, c] = <m_s|X_c|m_s> for the states m (n, d) and the cells X_c of a dense slice or a one-per-row row."""
-    if isinstance(x, _OnePerRow):  # a rep that gives no _tables: its row is densified
-        x = _densify(x)
-    c, d, _ = x.shape
-    xm = (m @ x.reshape(c * d, d).T).reshape(len(m), c, d)  # xm[s, c] = X_c |m_s>
-    return np.vecdot(m[:, None, :], xm)
-
-
 def _traces(x, rho: np.ndarray) -> np.ndarray:
     """Tr(X_c rho) for every cell of a dense or one-per-row slice."""
     if isinstance(x, _OnePerRow):
@@ -335,35 +326,29 @@ def evaluate(rep: QuasiProbRep, rho: DensityOperator) -> np.ndarray:
     return np.stack([_traces(rep._slices(0, a), rho.matrix) for a in range(rep.dim)])
 
 
-class _Worst:
-    """Largest violation seen so far, with the witness of the first cell to reach it.
+def _first_max(devs: np.ndarray):
+    """Index and value of the first largest entry down each column of devs, or of its first non-finite entry."""
+    cols = np.arange(devs.shape[1])
+    i = np.argmax(devs, axis=0)
+    bad = ~np.isfinite(devs[i, cols])
+    if bad.any():  # argmax stops at the first NaN, not at the first inf
+        i = np.where(bad, np.argmax(~np.isfinite(devs), axis=0), i)
+    return i, devs[i, cols]
+
+
+def _verdict(condition: str, devs: np.ndarray, describe: Callable[..., str], clean: str, tol: float) -> AuditReport:
+    """Report on ``devs``; the witness is ``describe(*index)`` of the first cell in C order above 0 and all before it.
 
     A non-finite deviation (an overflow to inf or NaN) is worse than any
-    finite one: the first such cell fails the check and no later cell
-    replaces it, since NaN compares false with everything.
+    finite one: the first such cell is the witness, and fails the check.
+    With no deviation above 0, the witness is ``clean``.
     """
-
-    def __init__(self, witness: str):
-        self.value = 0.0
-        self.witness = witness
-
-    def bump(self, devs: np.ndarray, describe: Callable[..., str]) -> None:
-        """Scan ``devs`` in C order; a cell must strictly exceed every earlier one to win.
-
-        ``describe`` gets the winning index and returns its witness text.
-        """
-        if not math.isfinite(self.value):
-            return
-        flat, prefix = int(np.argmax(devs)), ""
-        if not math.isfinite(devs.flat[flat]):  # argmax stops at the first NaN, not at the first inf
-            flat, prefix = int(np.argmax(~np.isfinite(devs))), "non-finite deviation: "
-        elif not devs.flat[flat] > self.value:
-            return
-        self.value = float(devs.flat[flat])
-        self.witness = prefix + describe(*(int(i) for i in np.unravel_index(flat, devs.shape)))
-
-    def report(self, condition: str, tol: float) -> AuditReport:
-        return AuditReport(condition, self.value <= tol, self.value, self.witness, samples_used=0, seed=0)
+    (flat,), (value,) = _first_max(devs.reshape(-1, 1))
+    value, witness = float(value), clean
+    if not value <= 0:
+        prefix = "" if math.isfinite(value) else "non-finite deviation: "
+        witness = prefix + describe(*(int(i) for i in np.unravel_index(flat, devs.shape)))
+    return AuditReport(condition, value <= tol, value, witness, samples_used=0, seed=0)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -411,71 +396,87 @@ def _marginal_dev(x, v: np.ndarray) -> float:
 
 def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
     """Operator marginals: sum_b Pi(a,b) = P_a and sum_a Pi(a,b) = P_b."""
+    devs = np.array([  # (side, k)
+        _term_marginals(rep, side, basis.matrix) if rep.terms is not None
+        else [_marginal_dev(rep._slices(side, k), basis.matrix[:, k]) for k in range(rep.dim)]
+        for side, basis in ((0, rep.basis_a), (1, rep.basis_b))
+    ])
+    texts = ("row a={k}: ||sum_b Pi(a,b) - P_a||_F = {dev:.3e}", "column b={k}: ||sum_a Pi(a,b) - P_b||_F = {dev:.3e}")
+    clean = "all operator sums match the basis projectors"
+    return _verdict("C1", devs, lambda side, k: texts[side].format(k=k, dev=devs[side, k]), clean, tol)
+
+
+def _eigen_bands(rep: QuasiProbRep, side: int, vecs: np.ndarray):
+    """(start, t) for consecutive bands of a side's slices: t[r, c, j] = <v_j|X_c|v_j> on slice start + r.
+
+    |v_j> = vecs[:, j], the side's basis.  Every band is written into one
+    buffer, which the caller must not keep: an array freed for each band
+    would be faulted in again.
+    """
     d = rep.dim
-    worst = _Worst("all operator sums match the basis projectors")
-    for side, basis, text in (
-        (0, rep.basis_a, "row a={k}: ||sum_b Pi(a,b) - P_a||_F = {dev:.3e}"),
-        (1, rep.basis_b, "column b={k}: ||sum_a Pi(a,b) - P_b||_F = {dev:.3e}"),
-    ):
-        if rep.terms is not None:
-            devs = _term_marginals(rep, side, basis.matrix)
-        else:
-            devs = np.array([_marginal_dev(rep._slices(side, k), basis.matrix[:, k]) for k in range(d)])
-        worst.bump(devs, lambda k: text.format(k=k, dev=devs[k]))
-    return worst.report("C1", tol)
+    n = max(1, _BLOCK_BYTES // (16 * d * d))  # slices in a band
+    band, term = np.empty((2, min(n, d), d, d), dtype=np.complex128)
+    vecs, parts = np.ascontiguousarray(vecs), []  # a product's rounding must not depend on a basis's layout
+    if rep.terms is not None:  # coef_t, <v_j|k_t> and <l_t|v_j> over (row, cell, j), formed once per side
+        coef, kets, bras = _side(rep, side)
+        ov = [[np.ascontiguousarray(f) @ vecs.conj() for f in fs] for fs in (kets, bras)]
+        parts = [(coef[..., t, None], k, l.conj()) for t, (k, l) in enumerate(zip(*ov))]
+    for start in range(0, d, n):
+        rows, t = slice(start, start + n), band[: d - start]
+        if rep.terms is None:
+            for r in range(len(t)):
+                x = rep._slices(side, start + r)
+                if isinstance(x, _OnePerRow):  # in its frame |v_j> = |j>: the diagonal
+                    np.multiply(x.vals, x.cols == np.arange(d), out=t[r])
+                else:  # a dense slice; xv[j, c] = X_c |v_j>
+                    xv = (vecs.T @ x.reshape(d * d, d).T).reshape(d, d, d)
+                    t[r] = np.vecdot(vecs.T[:, None, :], xv).T
+        for i, (c, k, l) in enumerate(parts):
+            x = term[: len(t)] if i else t
+            np.multiply(c[rows], k[rows] if len(k) > 1 else k, out=x)
+            np.multiply(x, l[rows] if len(l) > 1 else l, out=x)
+            if i:
+                t += x
+        yield start, t
 
 
 def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
-    """Eigenstate inputs: forbidden cells vanish, allowed cells equal |<a|b>|^2."""
+    """Eigenstate inputs: forbidden cells vanish, allowed cells equal |<a|b>|^2.
+
+    One walk per side, rows for the |A_j> and columns for the |B_j>; a
+    state's allowed cells are those of its own slice.  The first strict
+    maximum in walk order (b-major for a |B_j>) is kept per (state, kind),
+    and the witness is the first of those in the order state, forbidden
+    before allowed.
+    """
     d = rep.dim
-    cross = _cross_overlaps(rep.basis_a.matrix, rep.basis_b.matrix)  # cross[b, a] = <b|a>
-    born = np.abs(cross.T) ** 2  # born[a, b] = |<a|b>|^2
-    vecs = np.concatenate([rep.basis_a.matrix, rep.basis_b.matrix], axis=1).T  # |A_0>..|A_d-1>, |B_0>..
-    step = max(1, _BLOCK_BYTES // (16 * d * d))  # states whose tables are formed and scanned at once
-    blocks = [slice(s, s + step) for s in range(0, 2 * d, step)]
-    if rep._tables is not None:
-        def tables(j):
-            return rep._tables(vecs[j])
-    elif rep.terms is not None:
-        coef, kets, bras = _side(rep, 0)
+    born = np.abs(_cross_overlaps(rep.basis_a.matrix, rep.basis_b.matrix)) ** 2  # born[b, a] = |<a|b>|^2
+    states = np.arange(d)
+    # per (side, state, kind): the first maximum, its cell c of slice k at k d + c, and a forbidden one's table value
+    devs, cells, values = np.zeros((2, d, 2)), np.zeros((2, d, 2), dtype=np.intp), np.zeros((2, d), dtype=np.complex128)
+    for side, basis, expected in ((0, rep.basis_a, born.T), (1, rep.basis_b, born)):
+        own = np.empty((d, d), dtype=np.complex128)  # own[j]: |v_j>'s table on its own slice j
+        for start, t in _eigen_bands(rep, side, basis.matrix):
+            mine = np.arange(len(t)), slice(None), np.arange(start, start + len(t))
+            own[start : start + len(t)] = t[mine]
+            dev = np.abs(t, out=dev[: len(t)] if start else None)  # kept for the next band, as t is
+            dev[mine] = 0.0  # the forbidden cells are left
+            i, v = _first_max(dev.reshape(-1, d))
+            win = np.isfinite(devs[side, :, 0]) & ~(v <= devs[side, :, 0])  # strictly larger, or the first non-finite
+            devs[side, win, 0], cells[side, win, 0] = v[win], start * d + i[win]
+            values[side, win] = t.reshape(-1, d)[i, states][win]
+        i, devs[side, :, 1] = _first_max(np.abs(own - expected).T)
+        cells[side, :, 1] = states * d + i
 
-        def overlaps(f):  # <v|f(a, b)> over (state, a, b): once for all states, unless f varies with a and b
-            def block(j):
-                return (vecs[j].conj() @ f.reshape(-1, d).T).reshape(-1, *f.shape[:2])
+    def describe(side, j, kind):
+        k, c = divmod(int(cells[side, j, kind]), d)
+        a, b = (k, c) if side == 0 else (c, k)
+        tag = f"eigenstate |{'AB'[side]}_{j}>"
+        if kind == 0:
+            return f"{tag}: forbidden cell (a={a}, b={b}) has |{values[side, j]:.3e}|"
+        return f"{tag}: allowed cell (a={a}, b={b}) deviates by {devs[side, j, 1]:.3e}"
 
-            return block if f.size > d * d else block(slice(None)).__getitem__
-
-        parts = [(coef[:, :, t], overlaps(k), overlaps(l)) for t, (k, l) in enumerate(zip(kets, bras))]
-
-        def tables(j):
-            return sum(c * k(j) * l(j).conj() for c, k, l in parts)
-    else:  # walking the rows reads the whole family, so the blocks are the two bases
-        blocks = [slice(0, d), slice(d, 2 * d)]
-
-        def tables(j):
-            return np.stack([_expectations(rep._slices(0, a), vecs[j]) for a in range(d)], axis=1)
-    cell = np.arange(d)
-    worst = _Worst("all eigenstate tables have the required delta structure")
-    for block in blocks:
-        states = np.arange(2 * d)[block]
-        table = tables(block)
-        k = (states % d)[:, None, None]
-        # |A_k> may only populate row a = k, |B_k> only column b = k
-        allowed = np.where((states < d)[:, None, None], cell[:, None] == k, cell == k)
-        # devs[:, 0] forbidden-cell magnitudes, devs[:, 1] allowed-cell deviations:
-        # C order visits each state's forbidden scan before its allowed scan
-        dev = np.abs(table - np.where(allowed, born, 0.0))
-        devs = np.stack([np.where(allowed, 0.0, dev), np.where(allowed, dev, 0.0)], axis=1)
-
-        def describe(i, kind, a, b):
-            s, k = divmod(int(states[i]), d)
-            tag = f"eigenstate |{'AB'[s]}_{k}>"
-            if kind == 0:
-                return f"{tag}: forbidden cell (a={a}, b={b}) has |{table[i, a, b]:.3e}|"
-            return f"{tag}: allowed cell (a={a}, b={b}) deviates by {devs[i, 1, a, b]:.3e}"
-
-        worst.bump(devs, describe)
-    return worst.report("C2", tol)
+    return _verdict("C2", devs, describe, "all eigenstate tables have the required delta structure", tol)
 
 
 def _compression_norms(x, v: np.ndarray) -> np.ndarray:
@@ -488,9 +489,9 @@ def _compression_norms(x, v: np.ndarray) -> np.ndarray:
     Q = 1 - |k><k| deletes row and column k, so the norm sums the squares
     of the nonzeros left, a sum of positive terms.
     """
-    if isinstance(x, _OnePerRow):
+    if isinstance(x, _OnePerRow):  # one pass over float squares: blocks of cells took longer at d=255
         return np.sqrt(_off_pivot_sq(x))
-    return np.concatenate([_dense_compression(block, v) for _, block in _dense_blocks(x)])
+    return np.concatenate([_dense_compression(y, v) for _, y in _blocks(x)])
 
 
 def _dense_compression(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -520,21 +521,22 @@ def check_condition3(
         raise ValidationError("condition 3 needs dim >= 2: in dim 1 the complement of a state is empty")
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}", seed=seed)
-    worst = _Worst("all compressions vanish")
-    for q, axis, vecs, at in (
-        ("a", 0, rep.basis_a.matrix, lambda k, c: f"(a={k}, b={c})"),
-        ("b", 1, rep.basis_b.matrix, lambda k, c: f"(a={c}, b={k})"),
-    ):
+    devs = np.empty((2, d, d))  # (side, k, cell)
+    for axis, vecs in ((0, rep.basis_a.matrix), (1, rep.basis_b.matrix)):
         if rep.terms is not None:  # Q X Q formed explicitly, as for a dense block: the factors go off |v_k>
             def terms(rows, cells, coef, kets, bras):
                 v = vecs.T[rows, None]
                 return list(coef), *([f - v * np.vecdot(v, f)[..., None] for f in fs] for fs in (kets, bras))
 
-            devs = _tiled(_side(rep, axis), terms)
+            devs[axis] = _tiled(_side(rep, axis), terms)
         else:
-            devs = np.stack([_compression_norms(rep._slices(axis, k), vecs[:, k]) for k in range(d)])
-        worst.bump(devs, lambda k, c: f"compression ||Q_{q} Pi Q_{q}||_F = {devs[k, c]:.3e} at {at(k, c)}")
-    return worst.report("C3", tol)
+            devs[axis] = np.stack([_compression_norms(rep._slices(axis, k), vecs[:, k]) for k in range(d)])
+
+    def describe(axis, k, c):
+        q, at = ("a", f"(a={k}, b={c})") if axis == 0 else ("b", f"(a={c}, b={k})")
+        return f"compression ||Q_{q} Pi Q_{q}||_F = {devs[axis, k, c]:.3e} at {at}"
+
+    return _verdict("C3", devs, describe, "all compressions vanish", tol)
 
 
 def _term_span(
@@ -641,24 +643,20 @@ def span_residual(rep: QuasiProbRep, tol_overlap: float = TOL_OVERLAP) -> SpanRe
         return SpanResidual(_term_span(rep, am, bm, cross, w_sq_cut, degenerate), degenerate)
     residuals = np.empty((d, d))
     for a in range(d):
-        x, args = rep._slices(0, a), (cross[a], w_sq_cut[a], degenerate[a])
-        if isinstance(x, _OnePerRow):
-            residuals[a] = _pivot_span_row(x, bm, *args)
-        else:
-            blocks = _dense_blocks(x)
-            residuals[a] = np.concatenate([_dense_span_row(y, am[:, a], bm[:, b], *(z[b] for z in args)) for b, y in blocks])
+        for b, y in _blocks(rep._slices(0, a)):
+            args = bm[:, b], cross[a, b], w_sq_cut[a, b], degenerate[a, b]
+            residuals[a, b] = _pivot_span_row(y, *args) if isinstance(y, _OnePerRow) else _dense_span_row(y, am[:, a], *args)
     return SpanResidual(residuals, degenerate)
 
 
 def check_span(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
     """Pass iff every nondegenerate cell sits in the two-ordering span."""
     res = span_residual(rep)
-    masked = np.where(res.degenerate, 0.0, res.residuals)
-    bad = np.flatnonzero(~np.isfinite(masked))  # a non-finite residual fails, at the first such cell
-    a, b = np.unravel_index(int(bad[0] if len(bad) else np.argmax(masked)), masked.shape)
-    worst = float(masked[a, b])
-    n_degen = int(res.degenerate.sum())
-    witness = ("non-finite residual: " if len(bad) else "") + f"cell (a={a}, b={b}): residual {worst:.3e}"
+    # a non-finite residual fails, at the first such cell
+    (flat,), (worst,) = _first_max(np.where(res.degenerate, 0.0, res.residuals).reshape(-1, 1))
+    a, b = divmod(int(flat), rep.dim)
+    worst, n_degen = float(worst), int(res.degenerate.sum())
+    witness = ("" if math.isfinite(worst) else "non-finite residual: ") + f"cell (a={a}, b={b}): residual {worst:.3e}"
     if n_degen:
         witness += f" ({n_degen} degenerate cells excluded)"
     return AuditReport("Span", worst <= tol, worst, witness, samples_used=0, seed=0)

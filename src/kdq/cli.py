@@ -159,13 +159,16 @@ _CHECKS = {
 
 def _build_rep(args, tol):
     if args.rep == "wigner":
+        if args.basis_a is not None or args.basis_b is not None:
+            raise ValidationError("the wigner representation has a fixed basis pair, position and momentum: "
+                                  "drop --basis-a and --basis-b")
         if args.dim is None:
             raise ValidationError("--dim is required for the wigner representation")
         return wigner_as_rep(args.dim)
     if args.dim is None:
         raise ValidationError("--dim is required")
-    basis_a = kdq_io.resolve_basis(args.basis_a, args.dim, tol=tol)
-    basis_b = kdq_io.resolve_basis(args.basis_b, args.dim, tol=tol)
+    basis_a = kdq_io.resolve_basis("computational" if args.basis_a is None else args.basis_a, args.dim, tol=tol)
+    basis_b = kdq_io.resolve_basis("fourier" if args.basis_b is None else args.basis_b, args.dim, tol=tol)
     name, colon, raw = args.rep.partition(":")
     param, build = _REPS.get(name, (None, None))
     if build is None or bool(colon) != (param is not None):
@@ -258,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="kd | kd-ba | mixed:LAMBDA | violator:EPSILON | wigner",
     )
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--basis-a", default="computational")
-    p.add_argument("--basis-b", default="fourier")
+    p.add_argument("--basis-a", help="named basis or @file.json (default computational); not for wigner")
+    p.add_argument("--basis-b", help="named basis or @file.json (default fourier); not for wigner")
     for flag in [*_CHECKS, "all"]:
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--samples", type=int, default=100, help="validated (at least 1); C3 draws no states")

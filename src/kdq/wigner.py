@@ -151,11 +151,13 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
     row A(q, .) or column A(., p) of the family is made on request from
     d x d index and phase tables, and memory stays O(d^2).
 
-    A row's basis vector is the position state |q>.  A column is handed in
-    the momentum frame, where its vector is |p>: the phase-point operators
-    are Fourier covariant, M^dag A(q, p) M = A(p, -q) for the momentum
-    basis M (Gibbons, Hoffman and Wootters, PRA 70, 062101 (2004)), so there
-    column p is position row p with its cells reversed.
+    A row comes in the position frame, where the position basis is the
+    standard basis.  A column is handed in the momentum frame, where the
+    momentum basis is: the phase-point operators are Fourier covariant,
+    M^dag A(q, p) M = A(p, -q) for the momentum basis M (Gibbons, Hoffman
+    and Wootters, PRA 70, 062101 (2004)), so there column p is position row
+    p with its cells reversed.  In either frame an eigenstate's table on a
+    slice is the slice's diagonal (Wootters, Ann. Phys. 176, 1 (1987)).
     """
     from .audit import QuasiProbRep, _OnePerRow  # only this function needs the audit module
 
@@ -173,9 +175,4 @@ def wigner_as_rep(dim: int) -> QuasiProbRep:
             return _OnePerRow(cols[k], phase[:, x[k]], k)
         return _OnePerRow(cols[k], phase[reverse, x[k]], k)  # A(., k) as A(k, -q) over q
 
-    def tables(m):
-        # <m|A(q, p)|m> = sum_y phase[p, y] conj(m[q - y]) m[q + y], the discrete Wigner function
-        # of |m><m|: one GEMM against the phase table (x[q, y] = q - y indexes m[q - y] here)
-        return (m.conj()[:, x] * m[:, (r[:, None] + r) % dim]) @ phase.T
-
-    return QuasiProbRep(computational_basis(dim), momentum, label="wigner", _slices=slices, _tables=tables)
+    return QuasiProbRep(computational_basis(dim), momentum, label="wigner", _slices=slices)

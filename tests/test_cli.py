@@ -199,6 +199,31 @@ def test_audit_wigner_c3_fails_exit_1(capsys):
     assert not by_cond["C3"]["passed"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--basis-a", "@no-such-basis.json"], ["--basis-b", "fourier"], ["--basis-a", "computational", "--basis-b", "fourier"]],
+    ids=["missing-file", "basis-b", "both"],
+)
+def test_audit_wigner_refuses_basis_flags(capsys, flags):
+    # the phase-point family comes with its own basis pair, so a basis flag cannot
+    # apply to it: refused before anything runs, the named file never read
+    code, out, err = run_cli(capsys, "audit", "--rep", "wigner", "--dim", "3", *flags, "--all")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["code"] == "validation"
+    assert "position and momentum" in doc["message"] and "--basis-a and --basis-b" in doc["message"]
+
+
+def test_audit_term_reps_default_to_computational_and_fourier(capsys):
+    for rep in ("kd", "violator:0.1"):
+        _, explicit, _ = run_cli(capsys, "audit", "--rep", rep, "--dim", "4", "--all",
+                                 "--basis-a", "computational", "--basis-b", "fourier")
+        _, implied, _ = run_cli(capsys, "audit", "--rep", rep, "--dim", "4", "--all")
+        assert implied == explicit and implied
+    code, _, err = run_cli(capsys, "audit", "--rep", "kd", "--dim", "4", "--all", "--basis-a", "")
+    assert code == 2 and json.loads(err)["code"] == "validation"  # an empty name is not the default
+
+
 def test_audit_mixed_rep_passes(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -21,7 +21,9 @@ from kdq import (
     check_condition3,
     check_span,
     computational_basis,
+    discrete_wigner,
     evaluate,
+    make_pure_density,
     random_basis,
     random_density,
     span_residual,
@@ -211,14 +213,47 @@ def test_pivot_kernels_match_the_dense_kernels_on_any_one_per_row_row(basis_b):
     np.testing.assert_allclose(new.residuals, old.residuals, rtol=0, atol=1e-12)
     rho = random_density(d, d, seed=7)
     np.testing.assert_allclose(evaluate(rep, rho), evaluate(dense, rho), rtol=0, atol=1e-12)
-    # a rep of one-per-row rows that gives no _tables: C2 reads its rows densified
-    new, old = check_condition2(rep), check_condition2(dense)
-    assert (new.passed, new.witness) == (old.passed, old.witness)
-    assert abs(new.worst_violation - old.worst_violation) <= 1e-12
+    # no C2 here: this rep hands out its rows as its columns too, so a column is not in
+    # the frame of basis B, which C2 reads one-per-row slices in
+
+
+@pytest.mark.parametrize("dim", [3, 31])
+def test_eigenstate_tables_are_the_slices_diagonals(dim):
+    # in a slice's frame its side's basis is the standard basis, so C2 reads the table of
+    # |A_j> or |B_j> off the slices' diagonals: exactly 1/d on its own row or column and
+    # exactly 0 elsewhere, the discrete Wigner function of |q><q| or |p><p|
+    rep = wigner_as_rep(dim)
+    for side, basis in ((0, rep.basis_a), (1, rep.basis_b)):
+        tables = np.concatenate([t.copy() for _, t in kdq.audit._eigen_bands(rep, side, basis.matrix)])
+        exact = np.zeros((dim, dim, dim))  # over (slice, cell, state)
+        exact[np.arange(dim), :, np.arange(dim)] = 1.0 / dim
+        assert np.array_equal(tables, exact)
+        for j in range(dim):
+            w = discrete_wigner(make_pure_density(basis.vector(j))).table
+            np.testing.assert_allclose(tables[..., j], w if side == 0 else w.T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [9, 31])
+def test_one_per_row_kernels_give_the_same_bits_in_any_block(monkeypatch, dim):
+    # the span kernel walks a one-per-row slice a block of cells at a time, and each
+    # cell's value is its own: any block size gives the same bits, as does the
+    # compression (a block has two cells at least: a position row's one-row block
+    # would sum pairwise)
+    rep = wigner_as_rep(dim)
+
+    def run():
+        norms = [_compression_norms(rep._slices(side, k), None) for side in (0, 1) for k in range(dim)]
+        return np.array(norms), span_residual(rep).residuals
+
+    whole = run()
+    for cells in (1, 2, 3, 5):
+        monkeypatch.setattr(kdq.audit, "_BLOCK_BYTES", 16 * dim * cells)
+        for new, old in zip(run(), whole):
+            assert np.array_equal(new, old), cells
 
 
 def _count_fast_paths(monkeypatch):
-    calls = {"_off_pivot_sq": 0, "_pivot_span_row": 0, "_expectations": 0}
+    calls = {"_off_pivot_sq": 0, "_pivot_span_row": 0}
     for name in calls:
         def counted(*args, _f=getattr(kdq.audit, name), _name=name):
             calls[_name] += 1
@@ -232,6 +267,5 @@ def test_fast_paths_fire_on_the_phase_point_slices_only(monkeypatch):
     calls = _count_fast_paths(monkeypatch)
     d = 5
     check_condition3(wigner_as_rep(d), samples=4), check_span(wigner_as_rep(d))
-    # compressions on both sides, then the span's off-pivot squares per row;
-    # no slice reaches the dense expectations, and no column its frame
-    assert calls == {"_off_pivot_sq": 3 * d, "_pivot_span_row": d, "_expectations": 0}
+    # compressions on both sides, then the span's off-pivot squares per row; no column needs its frame
+    assert calls == {"_off_pivot_sq": 3 * d, "_pivot_span_row": d}
