@@ -1,8 +1,8 @@
 """The factored audit kernels against the cell-by-cell oracle, their tiling and their memory.
 
 A term rep's C1, C3 compression and span kernels take a tile of cells at a
-time, and condition 2 takes a block of eigenstate tables at a time (the
-Wigner family's from an inverse FFT).  The reports must match
+time, and condition 2 takes the eigenstate tables on a band of slices at a
+time (the Wigner family's off the slices' diagonals).  The reports must match
 ``reference_audit.py`` under its tie rule, must not depend on the size of
 the tiles or blocks, and condition 2 must hold O(d^2) memory.
 """
