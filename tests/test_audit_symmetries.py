@@ -8,10 +8,13 @@ Frobenius norms or traces), so each verdict is the same and each worst
 value moves by rounding alone.  The rotation is applied in floating point,
 so it moves the bases by d eps or so too.
 
-Largest move of a worst value over 1,500 draws (d = 2..8, random bases and
-U), in units of eps = 2.2e-16: C1 5.7, C2 3.5, C3 2.5, span 27.  The
-bounds below are about twice those.  kd, kd-ba and mixed:0.3 pass every
-check; the violator passes C1 and fails the other three.
+The span residual rounds with the conditioning of the span: ||W||^2 =
+1 - |<b|a>|^4 divides it, so a pair with |<b|a>| = 0.99995 moved it by 242
+eps.  Its moves are counted times 1 - max |<b|a>|^4.  Largest moves over
+12,000 draws (d = 2..8, random bases and U; half at the parent, half here),
+in units of eps = 2.2e-16: C1 6.1, C2 4.5, C3 2.9, span 5.7.  Each must
+stay within 16.  kd, kd-ba and mixed:0.3 pass every check; the violator
+passes C1 and fails the other three.
 """
 
 import contextlib
@@ -38,7 +41,7 @@ from kdq import io as kdq_io
 from kdq.cli import main
 
 EPS = np.finfo(float).eps
-BOUNDS = {"C1": 16 * EPS, "C2": 8 * EPS, "C3": 8 * EPS, "Span": 64 * EPS}
+BOUND = 16 * EPS
 REPS = {
     "kd": (lambda a, b: kd_rep(a, b), [True] * 4),
     "kd-ba": (lambda a, b: kd_rep(a, b, Ordering.BA), [True] * 4),
@@ -58,10 +61,12 @@ def _bases(d, seed):
     return a, b, OrthonormalBasis(u @ a.matrix), OrthonormalBasis(u @ b.matrix)
 
 
-def _assert_same_audit(before, after, verdicts):
+def _assert_same_audit(before, after, verdicts, a, b):
     assert [r.passed for r in before] == [r.passed for r in after] == verdicts, (before, after)
+    conditioning = 1 - np.abs(a.matrix.conj().T @ b.matrix).max() ** 4
     for old, new in zip(before, after):
-        assert abs(new.worst_violation - old.worst_violation) <= BOUNDS[old.condition], (old, new)
+        bound = BOUND / conditioning if old.condition == "Span" else BOUND
+        assert abs(new.worst_violation - old.worst_violation) <= bound, (old, new)
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,7 +74,7 @@ def _assert_same_audit(before, after, verdicts):
 def test_a_joint_unitary_keeps_every_verdict(d, seed):
     a, b, ua, ub = _bases(d, seed)
     for build, verdicts in REPS.values():
-        _assert_same_audit(_reports(build(a, b)), _reports(build(ua, ub)), verdicts)
+        _assert_same_audit(_reports(build(a, b)), _reports(build(ua, ub)), verdicts, a, b)
 
 
 def test_rotated_bases_through_files_audit_alike(tmp_path):
@@ -87,4 +92,4 @@ def test_rotated_bases_through_files_audit_alike(tmp_path):
         assert code == (0 if all(verdicts) else 1)
         rotated = _reports(build(ua, ub))
         assert [json.loads(line) for line in out.getvalue().splitlines()] == [r.to_json_dict() for r in rotated]
-        _assert_same_audit(_reports(build(a, b)), rotated, verdicts)
+        _assert_same_audit(_reports(build(a, b)), rotated, verdicts, a, b)
