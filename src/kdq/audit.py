@@ -613,8 +613,9 @@ def _dense_span_row(
     def inner(p, q):  # Frobenius <p_c, q_c> for every c of two (c, d, d) stacks
         return np.vecdot(p.reshape(n, -1), q.reshape(n, -1))
 
-    u = bm.T[:, :, None] * va.conj()  # u[b] = |b><a|
-    w = va[:, None] * bm.conj().T[:, None, :]  # |a><b|
+    # C order in any block: vecdot's loop, and so its rounding, follows its inputs' layout
+    u = np.multiply(bm.T[:, :, None], va.conj(), order="C")  # u[b] = |b><a|
+    w = np.multiply(va[:, None], bm.conj().T[:, None, :], order="C")  # |a><b|
     w -= (c * c)[:, None, None] * u
     r = x - inner(u, x)[:, None, None] * u
     w_sq = inner(w, w).real

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import io as kdq_io
 from .errors import (
+    BadSampleCountError,
     DegeneratePostselectionError,
     KdqError,
     SingularOverlapError,
@@ -277,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-index", type=int, required=True, help="post-selection index in basis B")
     p.add_argument("--basis-b", required=True)
     p.add_argument("--couplings", required=True, help="comma list of couplings in units of sigma")
-    p.add_argument("--grid-points", type=int, default=512)
-    p.add_argument("--grid-extent", type=float, default=20.0, help="extent in units of sigma")
+    p.add_argument("--grid-points", type=int, default=512, help="validated (a power of two >= 16); changes no output")
+    p.add_argument("--grid-extent", type=float, default=20.0,
+                   help="in units of sigma; validated (finite, > 8); changes no output")
     p.add_argument("--sigma", type=float, default=1.0)
     p.set_defaults(func=_cmd_weak, needs=lambda args: ("pointer",))
 
@@ -297,8 +299,14 @@ def main(argv: list[str] | None = None) -> int:
     for module in args.needs(args):
         _load(module)
     try:
+        tol = _tol(args)
+        # C3's refusals, made for every command before it reads a file or builds a representation
+        if getattr(args, "samples", 1) < 1:
+            raise BadSampleCountError(f"samples must be >= 1, got {args.samples}")
+        if args.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {args.seed}", seed=args.seed)
         with np.errstate(all="ignore"):
-            return args.func(args, _tol(args))
+            return args.func(args, tol)
     except KdqError as err:
         _report(err.code, str(err), err.context)
         return _EXIT_CODES.get(type(err), EXIT_VALIDATION)

@@ -58,7 +58,7 @@ class BadSlitsError(KdqError):
 
 
 class GridTooCoarseError(KdqError):
-    code = "grid_too_coarse"
+    code = "grid_too_coarse"  # never raised: the pointer is read out in closed form, with no grid spacing
 
 
 class DegeneratePostselectionError(KdqError):

@@ -121,6 +121,25 @@ def test_reports_do_not_depend_on_the_tile_or_block_size(monkeypatch, dim):
     assert run() == default
 
 
+@pytest.mark.parametrize("dim", [5, 17])
+def test_dense_span_residuals_do_not_depend_on_how_a_row_is_split(monkeypatch, dim):
+    # a dense cell's residual is the same bits alone in its block, one of two or three, or in the whole row
+    a, b = random_basis(dim, seed=dim), random_basis(dim, seed=dim + 1)
+    rep = QuasiProbRep(a, b, mixed_rep(a, b, 0.3).operators)
+
+    def split(size):
+        def blocks(x):
+            for start in range(0, len(x), size):
+                yield slice(start, start + size), x[start:start + size]
+        return blocks
+
+    residuals = []
+    for size in (1, 2, 3, dim):
+        monkeypatch.setattr(kdq.audit, "_blocks", split(size))
+        residuals.append(span_residual(rep).residuals.tobytes())
+    assert residuals == [residuals[0]] * 4
+
+
 @pytest.mark.parametrize("dim", [64, 128])
 def test_condition2_holds_order_d2_memory(dim):
     # the eigenstate tables of all 2d states would take 32 d^3 bytes (8.4 MB

@@ -278,12 +278,47 @@ def test_audit_reaches_wrappers_installed_under_cli_names(capsys, monkeypatch):
 
 
 def test_audit_negative_seed_exit_2(capsys):
-    # C1 passes before C3 refuses the seed, and its report is not printed either
+    # refused before the representation is built, so no check runs and no report is printed
     code, out, err = run_cli(capsys, "audit", "--rep", "kd", "--dim", "2", "--c1", "--c3", "--seed", "-1")
     assert (code, out) == (2, "")
     doc = json.loads(err)
     assert doc["code"] == "validation"
     assert doc["message"] == "seed must be a non-negative integer, got -1"
+
+
+SEED_ERROR = {"code": "validation", "message": "seed must be a non-negative integer, got -1", "context": {"seed": -1}}
+SAMPLES_ERROR = {"code": "bad_sample_count", "message": "samples must be >= 1, got 0", "context": {}}
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["kd", "--state", str(FIXTURES / "state_i_d2.json"), "--basis-a", "computational", "--basis-b", "fourier"],
+         SEED_ERROR),
+        (["kd", "--state", str(FIXTURES / "no_such_file.json"), "--basis-a", "computational", "--basis-b", "fourier"],
+         SEED_ERROR),  # the flag is refused before the file is read
+        (["reconstruct", "--kd", str(FIXTURES / "no_such_file.json")], SEED_ERROR),
+        (["wigner", "--state", str(FIXTURES / "state_doubleslit_d5.json")], SEED_ERROR),
+        (["weak", "--state", str(FIXTURES / "state_plus_d2.json"), "--a-index", "0", "--basis-a", "computational",
+          "--b-index", "0", "--basis-b", "hadamard2", "--couplings", "0.1"], SEED_ERROR),
+        (["audit", "--rep", "kd", "--dim", "2", "--c1"], SEED_ERROR),
+        (["audit", "--rep", "kd", "--dim", "2", "--c1", "--samples", "0"], SAMPLES_ERROR),  # samples before seed
+        (["audit", "--rep", "junk", "--dim", "2", "--c1", "--samples", "0"], SAMPLES_ERROR),  # before the spec
+    ],
+    ids=["kd", "kd-missing-file", "reconstruct-missing-file", "wigner", "weak", "audit-c1", "audit-c1-samples-0",
+         "audit-bad-spec-samples-0"],
+)
+def test_every_command_refuses_a_negative_seed_or_no_samples(capsys, argv, error):
+    # --seed and --samples are checked once, before the command runs, with C3's codes and contexts
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == error
+
+
+def test_samples_zero_is_refused_with_a_valid_seed(capsys):
+    code, out, err = run_cli(capsys, "audit", "--rep", "kd", "--dim", "2", "--c1", "--samples", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == SAMPLES_ERROR
 
 
 def test_weak_sweep_csv(capsys):
@@ -348,14 +383,9 @@ SWEEP_HEADER = "g,re_est,im_est,re_exact,im_exact,abs_err,postselect_prob"
         (["--sigma", "1e200"], "sigma 1e+200"),
         (["--sigma", "1.3e154"], "sigma 1.3e+154"),  # ended in "post-selection probability nan"
         (["--sigma", "1e-320"], "sigma 1e-320"),
-        (["--sigma", "1e153", "--grid-extent", "1000"], "grid_extent 1e+156"),
-        # the last --couplings given is the one parsed
-        (["--couplings", "1,2", "--sigma", "1.5e-154", "--grid-extent", "8.01", "--grid-points", "16"],
-         "sigma 1.5e-154"),  # its momenta overflowed the moments: NaN estimates, exit 0
-        (["--couplings", "1e308"], "coupling 1e+308"),  # overflowed the phase: "post-selection probability nan"
-        (["--couplings", "1e300"], "coupling 1e+300"),  # a shift the periodic grid cannot tell: exit 0
-        (["--couplings", "0.1,15"], "coupling 15"),
-        (["--couplings", "-10"], "coupling -10"),
+        # the last --couplings given is the one parsed; the estimate divides by g and by g / (2 sigma^2)
+        (["--couplings", "1e-310"], "coupling 1e-310 (1e-310 sigma)"),
+        (["--sigma", "1e153", "--couplings", "1e-300"], "coupling 1e-147 (1e-300 sigma)"),
     ],
 )
 def test_weak_out_of_range_scale_exit_2(capsys, scale, name):
@@ -367,21 +397,42 @@ def test_weak_out_of_range_scale_exit_2(capsys, scale, name):
 
 
 @pytest.mark.parametrize(
-    "couplings, code, message, context",
+    "scale",
     [
-        ("15", "validation",
-         "coupling 30 is out of range: |coupling| = 30 (15 sigma) must be below grid_extent/2 = 20 (10 sigma)",
-         {"coupling": 30.0, "grid_extent": 40.0, "sigma": 2.0}),
-        ("0.01", "grid_too_coarse", "coupling 0.02 (0.01 sigma) is below the grid spacing 0.078125 (0.0390625 sigma)",
-         {"coupling": 0.02, "dx": 0.078125, "sigma": 2.0}),
+        ["--sigma", "1e153", "--grid-extent", "1000"],  # (extent/2)^2 overflowed the sampled positions
+        ["--couplings", "1,2", "--sigma", "1.5e-154", "--grid-extent", "8.01", "--grid-points", "16"],
+        ["--couplings", "1e300", "--sigma", "1.5e-154"],  # g / (2 sigma^2) overflows where the overlap is 0.0
+        ["--couplings", "1e308"],
+        ["--couplings", "1e300"],
+        ["--couplings", "0.1,15"],
+        ["--couplings", "-10"],
+        ["--couplings", "0.01", "--sigma", "2"],  # below the spacing of the default grid
     ],
-    ids=["beyond-half-the-extent", "below-the-grid-spacing"],
+    ids=["extent-1e156", "sigma-1.5e-154", "sigma-1.5e-154-coupling-1e300", "coupling-1e308", "coupling-1e300",
+         "coupling-15", "coupling-minus-10", "coupling-0.01"],
 )
-def test_weak_refusals_state_the_coupling_in_units_of_sigma(capsys, couplings, code, message, context):
-    # --couplings and --grid-extent are in units of --sigma; the grid works in simulation units
-    exit_code, out, err = run_cli(capsys, *WEAK_PLUS, "--sigma", "2", "--couplings", couplings)
+def test_weak_reads_out_what_only_the_sampled_grid_refused(capsys, scale):
+    # each of these exited 2 when the pointer was sampled on a periodic grid
+    code, out, err = run_cli(capsys, *WEAK_PLUS, "--couplings", "0.1", *scale)
+    assert (code, err) == (0, ""), err
+    header, *rows = out.splitlines()
+    assert header == SWEEP_HEADER
+    fields = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.isfinite(fields).all(), out
+    # plus state, |0><0| and post-selection on |+>: c_p = c_r = 1/2, so every estimate reads 1/2 exactly
+    assert (fields[:, 1:3] == [0.5, 0.0]).all() and (fields[:, 5] == 0.0).all(), out
+
+
+def test_weak_refusals_state_the_coupling_in_units_of_sigma(capsys):
+    # --couplings is in units of --sigma; the readout works in simulation units
+    exit_code, out, err = run_cli(capsys, *WEAK_PLUS, "--sigma", "2", "--couplings", "1e-308")
     assert exit_code == 2 and out == ""
-    assert _strict_json(err) == {"code": code, "message": message, "context": context}
+    assert _strict_json(err) == {
+        "code": "validation",
+        "message": "coupling 2e-308 (1e-308 sigma) is out of range: |coupling| and |coupling|/(2 sigma^2) "
+                   "must be at least 2.22507e-308",
+        "context": {"coupling": 2e-308, "sigma": 2.0},
+    }
 
 
 def test_weak_accepts_couplings_just_below_half_the_extent(capsys):
@@ -398,6 +449,8 @@ WEAK_NUMBERS = ["1e-320", "1e-160", "1e153", "1e154", "1e200", "1e308", "nan", "
 @example(sigma="1.5e-154", extent="8.01", couplings=["1", "2"], points=16)  # printed NaN estimates, exit 0
 @example(sigma="1", extent="20", couplings=["1e308"], points=512)  # read as "post-selection probability nan"
 @example(sigma="1", extent="20", couplings=["1e300"], points=512)  # a meaningless estimate, exit 0
+@example(sigma="1.5e-154", extent="20", couplings=["1e300"], points=16)  # g / (2 sigma^2) inf, the overlap 0.0
+@example(sigma="1e153", extent="20", couplings=["1e-300"], points=16)  # 2 g Var_p underflows to 0.0
 @given(
     sigma=st.sampled_from(["1", "0.05", "-1", "1.3e154", "1.4e154", *WEAK_NUMBERS]),
     extent=st.sampled_from(["20", "9", "4", *WEAK_NUMBERS]),
@@ -718,7 +771,8 @@ def test_allocation_failure_in_a_command_exit_2(capsys, monkeypatch):
     ids=["samples-0", "wigner-d1"],
 )
 def test_refused_audit_prints_no_report(capsys, argv, code):
-    # C1 and C2 pass before C3 refuses; a refused audit prints no report at all
+    # --samples is refused before any check runs; at d=1, C1 and C2 pass before C3 refuses.
+    # Either way a refused audit prints no report at all
     exit_code, out, err = run_cli(capsys, "audit", *argv, "--all")
     assert (exit_code, out) == (2, "")
     assert json.loads(err)["code"] == code

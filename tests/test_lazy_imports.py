@@ -101,20 +101,24 @@ def test_wigner_report_loads_neither_audit_nor_pointer():
     assert not {"kdq.audit", "kdq.pointer"} & set(got["run"])
 
 
-def _numpy_random_loaded(*argv) -> tuple[bool, int]:
-    """Whether ``kdq.cli.main(argv)`` in a fresh child loads ``numpy.random``, and its exit code."""
+LAZY_NUMPY = ("numpy.random", "numpy.fft")  # numpy 2.x loads these on first use, not with numpy
+
+
+def _lazy_numpy_loaded(*argv) -> tuple[list[str], int]:
+    """Which of ``LAZY_NUMPY`` ``kdq.cli.main(argv)`` loads in a fresh child, and its exit code."""
     got = _child(
         f"""
         import contextlib, io, json, sys
         import kdq.cli
 
-        before = "numpy.random" in sys.modules
+        lazy = {LAZY_NUMPY!r}
+        before = [m for m in lazy if m in sys.modules]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = kdq.cli.main({list(argv)!r})
-        print(json.dumps({{"before": before, "after": "numpy.random" in sys.modules, "code": code}}))
+        print(json.dumps({{"before": before, "after": [m for m in lazy if m in sys.modules], "code": code}}))
         """
     )
-    assert got["before"] is False
+    assert got["before"] == []
     return got["after"], got["code"]
 
 
@@ -149,9 +153,18 @@ def test_only_the_sampled_condition3_loads_numpy_random(argv, kd_file):
     # no kdq command loads numpy.random (about 15 ms a child): C3 is decided by
     # its compression and samples no states, so the audits load it no more than the rest
     argv = [kd_file if a is None else a for a in argv]
-    loaded, code = _numpy_random_loaded(*argv)
+    loaded, code = _lazy_numpy_loaded(*argv)
     assert code in (0, 1)
-    assert loaded is False
+    assert "numpy.random" not in loaded
+
+
+def test_weak_loads_neither_numpy_random_nor_numpy_fft():
+    # the pointer is read out in closed form: no grid, no FFT
+    loaded, code = _lazy_numpy_loaded("weak", "--state", STATE_D2, "--a-index", "0", "--basis-a", "computational",
+                                      "--b-index", "0", "--basis-b", "hadamard2", "--couplings", "0.1,-0.2",
+                                      "--grid-points", "65536")
+    assert code == 0
+    assert loaded == []
 
 
 @pytest.mark.parametrize(
