@@ -37,11 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadEpsilonError,
-    BadSampleCountError,
-    ValidationError,
-)
+from .errors import BadEpsilonError, ValidationError
 from .hilbert import (
     MAX_ARRAY_BYTES,  # kdq.audit.MAX_ARRAY_BYTES stays importable
     LinearOperator,
@@ -51,7 +47,6 @@ from .hilbert import (
     _require_budget,
     _require_same_dim,
     _setattr,
-    _tol,
 )
 from .kd import TOL_OVERLAP, Ordering, _cross_overlaps
 
@@ -500,27 +495,17 @@ def _dense_compression(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _frobenius(y - (y @ v)[:, :, None] * v.conj())
 
 
-def check_condition3(
-    rep: QuasiProbRep,
-    samples: int = 100,
-    seed: int = 0,
-    tol: float = DEFAULT_AUDIT_TOL,
-) -> AuditReport:
+def check_condition3(rep: QuasiProbRep, *, tol: float = DEFAULT_AUDIT_TOL) -> AuditReport:
     """Orthogonality zeros: the compression ||Q Pi(a,b) Q||_F with Q = 1 - P_a (and Q = 1 - P_b) must vanish.
 
     That one norm covers every state of the complement: a unit m with
     Q m = m has |<m|Pi|m>| = |<m|Q Pi Q|m>| <= ||Q Pi Q||_F, so a sampled
-    state can exceed it only by rounding.  ``samples`` and ``seed`` are
-    validated, as the CLI's ``--samples`` and ``--seed``, but draw nothing;
-    the report carries 0 for both, as the other checks' reports do.
+    state can exceed it only by rounding.  No state is drawn: the report
+    carries 0 samples and seed 0, as the other checks' reports do.
     """
-    if samples < 1:
-        raise BadSampleCountError(f"samples must be >= 1, got {samples}")
     d = rep.dim
     if d < 2:
         raise ValidationError("condition 3 needs dim >= 2: in dim 1 the complement of a state is empty")
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}", seed=seed)
     devs = np.empty((2, d, d))  # (side, k, cell)
     for axis, vecs in ((0, rep.basis_a.matrix), (1, rep.basis_b.matrix)):
         if rep.terms is not None:  # Q X Q formed explicitly, as for a dense block: the factors go off |v_k>
@@ -623,7 +608,7 @@ def _dense_span_row(
     return np.where(degenerate, _frobenius(x), _frobenius(r))
 
 
-def span_residual(rep: QuasiProbRep, tol_overlap: float = TOL_OVERLAP) -> SpanResidual:
+def span_residual(rep: QuasiProbRep) -> SpanResidual:
     """Distance of each cell operator from span{P_b P_a, P_a P_b}.
 
     The span is that of U = |b><a| and V = |a><b|, two unit matrices with
@@ -631,14 +616,13 @@ def span_residual(rep: QuasiProbRep, tol_overlap: float = TOL_OVERLAP) -> SpanRe
     then on W = V - c^2 U, where ||W||^2 = 1 - |c|^4.  As with lstsq's
     default rcond, W counts as zero (the span as rank 1) when the ratio of
     the two singular values, ||W|| / (1 + |c|^2), is at most eps * d^2.
-    When <b|a> = 0 both products vanish and the span collapses to {0}; the
-    residual is then the raw operator norm and the cell is flagged.
+    When |<b|a>| <= TOL_OVERLAP both products vanish and the span collapses
+    to {0}; the residual is then the raw operator norm and the cell is flagged.
     """
-    tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
     d = rep.dim
     am, bm = rep.basis_a.matrix, rep.basis_b.matrix
     cross = _cross_overlaps(am, bm).T  # cross[a, b] = <b|a>
-    degenerate = np.abs(cross) <= tol_overlap
+    degenerate = np.abs(cross) <= TOL_OVERLAP
     w_sq_cut = (np.finfo(float).eps * d * d * (1.0 + np.abs(cross) ** 2)) ** 2
     if rep.terms is not None:
         return SpanResidual(_term_span(rep, am, bm, cross, w_sq_cut, degenerate), degenerate)

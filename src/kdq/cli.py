@@ -124,7 +124,7 @@ def _cmd_kd(args, tol: float | None) -> int:
     rho = _as_density(kdq_io.load_state(args.state, tol=tol), tol)
     basis_a = kdq_io.resolve_basis(args.basis_a, rho.dim, tol=tol)
     basis_b = kdq_io.resolve_basis(args.basis_b, rho.dim, tol=tol)
-    dist = kd_transform(rho, basis_a, basis_b, Ordering(args.ordering), tol=tol, tol_imag=tol)
+    dist = kd_transform(rho, basis_a, basis_b, Ordering(args.ordering), tol=tol)
     if args.format == "json":
         _emit(kdq_io.kd_to_dict(dist, tol=tol))
     else:
@@ -149,12 +149,12 @@ _REPS = {
     "violator": ("epsilon", lambda a, b, eps: make_condition2_violator(a, b, eps)),
 }
 
-# audit checks in report order: flag -> check(rep, args, tol)
+# audit checks in report order: flag -> check(rep, tol)
 _CHECKS = {
-    "c1": lambda rep, args, tol: check_condition1(rep, tol=tol),
-    "c2": lambda rep, args, tol: check_condition2(rep, tol=tol),
-    "c3": lambda rep, args, tol: check_condition3(rep, samples=args.samples, seed=args.seed, tol=tol),
-    "span": lambda rep, args, tol: check_span(rep, tol=tol),
+    "c1": lambda rep, tol: check_condition1(rep, tol=tol),
+    "c2": lambda rep, tol: check_condition2(rep, tol=tol),
+    "c3": lambda rep, tol: check_condition3(rep, tol=tol),
+    "span": lambda rep, tol: check_span(rep, tol=tol),
 }
 
 
@@ -192,7 +192,7 @@ def _cmd_audit(args, tol: float | None) -> int:
         flags = " ".join(f"--{flag}" for flag in _CHECKS)
         raise ValidationError(f"select at least one check: {flags} or --all")
     # every check runs before any report is printed, so a refused check leaves stdout empty
-    reports = [check(rep, args, check_tol) for check in wanted]
+    reports = [check(rep, check_tol) for check in wanted]
     for report in reports:
         _emit(report.to_json_dict())
     return EXIT_OK if all(report.passed for report in reports) else EXIT_AUDIT_FAILED

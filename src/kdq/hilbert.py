@@ -72,17 +72,9 @@ def _max_abs(x: np.ndarray) -> float:
 
 
 def _frozen_complex(data, ndim: int, what: str) -> np.ndarray:
-    """Copy ``data`` to a read-only complex128 array of the given rank; a matrix must be square."""
-    arr = np.array(data, dtype=np.complex128)
-    if arr.ndim != ndim:
-        raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValidationError(f"{what} must be non-empty")
-    if not np.logical_and.reduce(np.isfinite(arr), None):
-        raise ValidationError(f"{what} contains non-finite entries")
-    if ndim == 2 and arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{what} must be square, got shape {arr.shape}")
-    arr.setflags(write=False)
+    """``_shaped``'s copy of ``data``, refused as ``_require_shaped`` refuses it."""
+    arr = _shaped(data, ndim)[0]
+    _require_shaped(arr, ndim, what)
     return arr
 
 
@@ -93,14 +85,26 @@ def _shaped(data, ndim: int) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == ndim and arr.size > 0 and arr.shape[0] == arr.shape[-1]
 
 
+def _require_shaped(arr: np.ndarray, ndim: int, what: str) -> None:
+    """Refuse ``arr`` unless of the given rank, non-empty, finite and, as a matrix, square: the first fault wins."""
+    if arr.ndim != ndim:
+        raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValidationError(f"{what} must be non-empty")
+    if not np.logical_and.reduce(np.isfinite(arr), None):
+        raise ValidationError(f"{what} contains non-finite entries")
+    if arr.shape[0] != arr.shape[-1]:
+        raise ValidationError(f"{what} must be square, got shape {arr.shape}")
+
+
 def _accepts(arr: np.ndarray, ndim: int, what: str, deviation: float, tol, default: float) -> bool:
-    """``deviation <= tol``, or else the ordered checks: ``_frozen_complex``, ``_tol``, then that test (NaN fails)."""
+    """``deviation <= tol``, or else the ordered checks: ``_require_shaped``, ``_tol``, then that test (NaN fails)."""
     try:
         if deviation <= _tol(tol, default):  # NaN or inf for a non-finite entry: accepted arrays are finite
             return True
     except ValidationError:
         pass
-    _frozen_complex(arr, ndim, what)
+    _require_shaped(arr, ndim, what)
     return deviation <= _tol(tol, default)
 
 
@@ -174,7 +178,7 @@ class DensityOperator(_Value):
     # |imag|) of the last basis pair kdq.kd met: flat, so that __setstate__ restores every array read-only
     __slots__ = ("matrix", "_kd")
 
-    def __init__(self, matrix: np.ndarray, tol: float | None = None, tol_psd: float | None = None):
+    def __init__(self, matrix: np.ndarray, tol: float | None = None):
         mat, shaped = _shaped(matrix, 2)
         adj = mat.conj().T
         herm_dev = _max_abs(mat - adj) if shaped else math.nan
@@ -186,16 +190,15 @@ class DensityOperator(_Value):
         trace = complex(np.add.reduce(mat.diagonal()))  # mat.trace()'s reduction, called directly
         if abs(trace - 1.0) > _tol(tol, TOL_NORM):
             raise ValidationError(f"density matrix has trace {trace}, expected 1", trace=trace)
-        # Cholesky of sym + tol_psd I, sym = (mat + adj) / 2, succeeds exactly when
-        # sym's smallest eigenvalue exceeds -tol_psd, within d eps |rho| (Higham,
+        # Cholesky of sym + TOL_PSD I, sym = (mat + adj) / 2, succeeds exactly when
+        # sym's smallest eigenvalue exceeds -TOL_PSD, within d eps |rho| (Higham,
         # ch. 10); twice that matrix has the same verdict.  The eigenvalue is
         # computed only when the factorization fails.
-        tol_psd = _tol(tol_psd, TOL_PSD)
         twice = mat + adj
-        twice.ravel()[:: mat.shape[0] + 1] += 2.0 * tol_psd
+        twice.ravel()[:: mat.shape[0] + 1] += 2.0 * TOL_PSD
         if not _factors(twice):
             lo = float(np.linalg.eigvalsh((mat + adj) / 2.0)[0])  # unshifted; eigenvalues ascend
-            if lo < -tol_psd:
+            if lo < -TOL_PSD:
                 raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo)
         _setattr(self, "matrix", mat)
         _setattr(self, "_kd", None)

@@ -225,8 +225,8 @@ def kd_to_dict(dist: KDDistribution, tol: float | None = None) -> dict:
         "basis_a": basis_to_dict(dist.basis_a),
         "basis_b": basis_to_dict(dist.basis_b),
         "table": _pairs(dist.table),
-        "marginal_a": [float(x) for x in kd_marginal_a(dist, tol=tol, tol_imag=tol)],
-        "marginal_b": [float(x) for x in kd_marginal_b(dist, tol=tol, tol_imag=tol)],
+        "marginal_a": [float(x) for x in kd_marginal_a(dist, tol=tol)],
+        "marginal_b": [float(x) for x in kd_marginal_b(dist, tol=tol)],
     }
 
 
@@ -244,7 +244,7 @@ def kd_from_dict(doc: dict, tol: float | None = None) -> KDDistribution:
     table = _complex_array(doc.get("table"), 2, "joint table")
     if table.shape != (dim, dim):
         raise ValidationError(f"joint table file: table shape {table.shape} vs dim {dim}")
-    return KDDistribution(basis_a, basis_b, ordering, table, tol=tol, tol_imag=tol)
+    return KDDistribution(basis_a, basis_b, ordering, table, tol=tol)
 
 
 def load_kd(path: str | Path, tol: float | None = None) -> KDDistribution:
@@ -253,8 +253,8 @@ def load_kd(path: str | Path, tol: float | None = None) -> KDDistribution:
 
 def kd_to_csv(dist: KDDistribution, tol: float | None = None) -> str:
     """Long-format table: one row per cell, with both marginals repeated."""
-    marg_a = map(repr, kd_marginal_a(dist, tol=tol, tol_imag=tol).tolist())
-    marg_b = [*map(repr, kd_marginal_b(dist, tol=tol, tol_imag=tol).tolist())]
+    marg_a = map(repr, kd_marginal_a(dist, tol=tol).tolist())
+    marg_b = [*map(repr, kd_marginal_b(dist, tol=tol).tolist())]
     lines = (
         f"{a},{b},{x!r},{y!r},{ma},{mb}"
         for a, (ma, xs, ys) in enumerate(zip(marg_a, dist.table.real.tolist(), dist.table.imag.tolist()))

@@ -59,20 +59,20 @@ class KDDistribution(_Value):
     __slots__ = ("basis_a", "basis_b", "ordering", "table", "_sums", "_imag", "_cross")
 
     def __init__(self, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, ordering: Ordering, table: np.ndarray,
-                 tol: float | None = None, tol_imag: float | None = None):
+                 tol: float | None = None):
         d = basis_a.dim
         _require_same_dim(d, basis_b.dim)
         tab = np.array(table, dtype=np.complex128)
         if tab.shape != (d, d):
             raise ValidationError(f"table must have shape {(d, d)}, got {tab.shape}")
-        self._own(basis_a, basis_b, ordering, tab, *_sums(tab), None, tol, tol_imag)
+        self._own(basis_a, basis_b, ordering, tab, *_sums(tab), None, tol)
 
-    def _own(self, basis_a, basis_b, ordering, tab, total, sums, imag, cross, tol, tol_imag) -> KDDistribution:
+    def _own(self, basis_a, basis_b, ordering, tab, total, sums, imag, cross, tol) -> KDDistribution:
         """Take ``tab`` and its sums as they are, not copied, once they pass the table's check."""
         if not _accepts(tab, 2, "table", abs(total - 1.0), tol, TOL_NORM):
             raise ValidationError(f"table sums to {total}, expected 1", total=total)
         worst_imag = max(imag)
-        if worst_imag > _tol(tol_imag, TOL_IMAG):
+        if worst_imag > (TOL_IMAG if tol is None else tol):  # _accepts has checked tol
             raise ValidationError(f"row/column sums have imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
         tab.setflags(write=False)
         sums.setflags(write=False)
@@ -98,7 +98,6 @@ def kd_transform(
     basis_b: OrthonormalBasis,
     ordering: Ordering = Ordering.AB,
     tol: float | None = None,
-    tol_imag: float | None = None,
 ) -> KDDistribution:
     """Joint quasi-probability table of ``rho`` over the two bases."""
     _require_same_dim(rho.dim, basis_a.dim)
@@ -109,7 +108,7 @@ def kd_transform(
         table, sums = np.conjugate(table), np.conjugate(sums)  # sums are read as real parts and |imag| only
         total = total.conjugate() if total.imag else complex(np.add.reduce(table, None))  # an error prints its sign
     dist = KDDistribution.__new__(KDDistribution)
-    return dist._own(basis_a, basis_b, ordering, table, total, sums, entry[7:], entry[2], tol, tol_imag)
+    return dist._own(basis_a, basis_b, ordering, table, total, sums, entry[7:], entry[2], tol)
 
 
 def _sums(tab: np.ndarray) -> tuple[complex, np.ndarray, tuple[float, float]]:
@@ -147,11 +146,10 @@ def _kept(rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalB
     return entry
 
 
-def _real_marginal(
-    dist: KDDistribution, axis: int, axis_name: str, tol: float | None, tol_imag: float | None
-) -> np.ndarray:
+def _real_marginal(dist: KDDistribution, axis: int, axis_name: str, tol: float | None) -> np.ndarray:
     """The table's sums along ``axis`` as probabilities, judged by the largest imaginary part its check kept."""
-    tol, tol_imag = _tol(tol, TOL_NORM), _tol(tol_imag, TOL_IMAG)
+    tol_imag = _tol(tol, TOL_IMAG)
+    tol = TOL_NORM if tol is None else tol_imag
     worst_imag = dist._imag[axis]
     if worst_imag > tol_imag:
         raise ValidationError(f"{axis_name} marginal has imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
@@ -164,39 +162,32 @@ def _real_marginal(
     return probs
 
 
-def kd_marginal_a(
-    dist: KDDistribution, tol: float | None = None, tol_imag: float | None = None
-) -> np.ndarray:
+def kd_marginal_a(dist: KDDistribution, tol: float | None = None) -> np.ndarray:
     """Row sums of the table: the outcome probabilities of the first basis."""
-    return _real_marginal(dist, 0, "a", tol, tol_imag)
+    return _real_marginal(dist, 0, "a", tol)
 
 
-def kd_marginal_b(
-    dist: KDDistribution, tol: float | None = None, tol_imag: float | None = None
-) -> np.ndarray:
+def kd_marginal_b(dist: KDDistribution, tol: float | None = None) -> np.ndarray:
     """Column sums of the table: the outcome probabilities of the second basis."""
-    return _real_marginal(dist, 1, "b", tol, tol_imag)
+    return _real_marginal(dist, 1, "b", tol)
 
 
-def kd_inverse(
-    dist: KDDistribution, tol_overlap: float = TOL_OVERLAP, tol: float | None = None
-) -> DensityOperator:
+def kd_inverse(dist: KDDistribution, *, tol: float | None = None) -> DensityOperator:
     """Reconstruct the density operator from its joint table.
 
     Divides each cell of the AB table (a BA table's conjugate) by the
     corresponding basis overlap to recover the mixed matrix element, then
-    changes basis back to the computational representation.  Requires every |<b|a>| to exceed ``tol_overlap``;
+    changes basis back to the computational representation.  Requires every |<b|a>| to exceed ``TOL_OVERLAP``;
     ``tol`` is passed to the ``DensityOperator`` validation.
     """
-    tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
     am, bm = dist.basis_a.matrix, dist.basis_b.matrix
     cross_t = (_cross_overlaps(am, bm) if dist._cross is None else dist._cross).T  # cross_t[a, b] = <b|a>
     mags = abs(cross_t)
-    if float(np.minimum.reduce(mags, None)) <= tol_overlap:
+    if float(np.minimum.reduce(mags, None)) <= TOL_OVERLAP:
         a_bad, b_bad = np.unravel_index(int(np.argmin(mags)), mags.shape)
         raise SingularOverlapError(
             f"overlap <b|a> vanishes at (a={a_bad}, b={b_bad}): "
-            f"|<b|a>| = {mags[a_bad, b_bad]:.3e} <= {tol_overlap:g}",
+            f"|<b|a>| = {mags[a_bad, b_bad]:.3e} <= {TOL_OVERLAP:g}",
             a=int(a_bad),
             b=int(b_bad),
             magnitude=float(mags[a_bad, b_bad]),
@@ -206,17 +197,14 @@ def kd_inverse(
     return DensityOperator(am @ mixed @ bm.conj().T, tol=tol)
 
 
-def conditional_weak_value(
-    m_op: LinearOperator, a: StateVector, b: StateVector, tol_overlap: float = TOL_OVERLAP
-) -> complex:
-    """Complex conditional probability <b|M|a> / <b|a> (the weak value of M)."""
-    tol_overlap = _tol(tol_overlap, TOL_OVERLAP, "tol_overlap")
+def conditional_weak_value(m_op: LinearOperator, a: StateVector, b: StateVector) -> complex:
+    """Complex conditional probability <b|M|a> / <b|a> (the weak value of M), refused where |<b|a>| <= TOL_OVERLAP."""
     _require_same_dim(m_op.dim, a.dim)
     _require_same_dim(a.dim, b.dim)
     ov = overlap(b, a)
-    if abs(ov) <= tol_overlap:
+    if abs(ov) <= TOL_OVERLAP:
         raise SingularOverlapError(
-            f"|<b|a>| = {abs(ov):.3e} <= {tol_overlap:g}: weak value undefined",
+            f"|<b|a>| = {abs(ov):.3e} <= {TOL_OVERLAP:g}: weak value undefined",
             magnitude=abs(ov),
         )
     num = complex(np.vdot(b.amplitudes, m_op.matrix @ a.amplitudes))

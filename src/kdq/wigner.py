@@ -112,8 +112,7 @@ def condition3_violation_report(
     holds for this state on the position side.
     """
     tol = _tol(tol, TOL_NORM)
-    _require_odd(rho.dim)
-    w = discrete_wigner(rho, tol=tol).table
+    w = discrete_wigner(rho, tol=tol).table  # refuses an even dimension
     dark = (position_marginal(rho) <= tol)[:, None] & (abs(w) > tol)
     return [(q, p, float(w[q, p])) for q, p in np.argwhere(dark).tolist()]  # C order: the loop's
 

@@ -48,7 +48,7 @@ def state_vector(amplitudes, tol=None) -> np.ndarray:
     return amps
 
 
-def density_operator(matrix, tol=None, tol_psd=None) -> np.ndarray:
+def density_operator(matrix, tol=None) -> np.ndarray:
     mat = frozen_complex(matrix, 2, "density matrix")
     adj = mat.conj().T
     herm_dev = _max_abs(mat - adj)
@@ -60,7 +60,7 @@ def density_operator(matrix, tol=None, tol_psd=None) -> np.ndarray:
     trace = complex(mat.trace())
     if abs(trace - 1.0) > _tol(tol, TOL_NORM):
         raise ValidationError(f"density matrix has trace {trace}, expected 1", trace=trace)
-    tol_psd = _tol(tol_psd, TOL_PSD)
+    tol_psd = TOL_PSD
     twice = mat + adj
     twice.ravel()[:: mat.shape[0] + 1] += 2.0 * tol_psd
     try:
@@ -89,7 +89,7 @@ def orthonormal_basis(matrix, tol=None) -> np.ndarray:
     return mat
 
 
-def kd_table(basis_a, basis_b, table, tol=None, tol_imag=None) -> np.ndarray:
+def kd_table(basis_a, basis_b, table, tol=None) -> np.ndarray:
     d = basis_a.dim
     _require_same_dim(d, basis_b.dim)
     tab = np.array(table, dtype=np.complex128)
@@ -101,7 +101,7 @@ def kd_table(basis_a, basis_b, table, tol=None, tol_imag=None) -> np.ndarray:
     if not abs(total - 1.0) <= _tol(tol, TOL_NORM):
         raise ValidationError(f"table sums to {total}, expected 1", total=total)
     worst_imag = max(_max_abs(tab.sum(axis=1).imag), _max_abs(tab.sum(axis=0).imag))
-    if worst_imag > _tol(tol_imag, TOL_IMAG):
+    if worst_imag > _tol(tol, TOL_IMAG):
         raise ValidationError(
             f"row/column sums have imaginary part {worst_imag:.3e}",
             worst_imag=worst_imag,

@@ -104,16 +104,16 @@ def test_criterion_03_orthogonality_zeros():
     worst = 0.0
     for dim in DIMS:
         a, b = computational_basis(dim), fourier_basis(dim)
-        report = check_condition3(kd_rep(a, b), samples=100, seed=dim, tol=bound)
+        report = check_condition3(kd_rep(a, b), tol=bound)
         worst = max(worst, report.worst_violation)
         a2, b2 = random_basis(dim, seed=47 * dim), random_basis(dim, seed=53 * dim)
-        report = check_condition3(kd_rep(a2, b2), samples=100, seed=dim + 1, tol=bound)
+        report = check_condition3(kd_rep(a2, b2), tol=bound)
         worst = max(worst, report.worst_violation)
     passed = worst <= bound
     _line(
         "criterion 3 (orthogonality zeros)",
         passed,
-        f"worst compression/sample {worst:.3e} (bound {bound:g}, 100 samples per cell)",
+        f"worst compression {worst:.3e} (bound {bound:g})",
     )
     assert passed
 
@@ -220,7 +220,7 @@ def test_criterion_08_wigner_double_slit_violation():
         np.abs(kd_transform(rho, computational_basis(5), fourier_basis(5)).table[2, :]).max()
     )
     rep = wigner_as_rep(5)
-    c3 = check_condition3(rep, samples=100, seed=0, tol=1e-10)
+    c3 = check_condition3(rep, tol=1e-10)
     c1 = check_condition1(rep, tol=1e-10)
     passed = (
         marg_mid <= 1e-12

@@ -6,10 +6,8 @@ import pytest
 
 from kdq import (
     BadEpsilonError,
-    BadSampleCountError,
     Ordering,
     QuasiProbRep,
-    ValidationError,
     check_condition1,
     check_condition2,
     check_condition3,
@@ -17,9 +15,11 @@ from kdq import (
     computational_basis,
     evaluate,
     fourier_basis,
+    kd_inverse,
     kd_rep,
     kd_transform,
     make_condition2_violator,
+    maximally_mixed,
     mixed_rep,
     random_basis,
     random_density,
@@ -68,7 +68,7 @@ def test_kd_rep_passes_all_checks_small_dims():
         rep = kd_rep(a, b)
         assert check_condition1(rep, tol=1e-12).passed
         assert check_condition2(rep, tol=1e-12).passed
-        assert check_condition3(rep, samples=20, seed=dim, tol=1e-12).passed
+        assert check_condition3(rep, tol=1e-12).passed
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_condition2_epsilon_zero_rejected():
 def test_condition3_kd_rep_compression_is_algebraically_zero():
     a = random_basis(4, seed=101)
     b = random_basis(4, seed=102)
-    report = check_condition3(kd_rep(a, b), samples=50, seed=7, tol=1e-12)
+    report = check_condition3(kd_rep(a, b), tol=1e-12)
     assert report.passed
     assert report.worst_violation <= 1e-13
 
@@ -151,28 +151,27 @@ def test_condition3_symmetrized_rep_passes():
     ab = kd_rep(a, b).operators
     sym = (ab + np.conj(np.transpose(ab, (0, 1, 3, 2)))) / 2.0
     rep = QuasiProbRep(a, b, sym, label="hermitian-part")
-    assert check_condition3(rep, samples=30, seed=3, tol=1e-12).passed
-
-
-def test_condition3_bad_sample_count():
-    a, b = comp_fourier(2)
-    with pytest.raises(BadSampleCountError):
-        check_condition3(kd_rep(a, b), samples=0, seed=0)
-
-
-def test_condition3_negative_seed_rejected():
-    # numpy's default_rng would raise a bare ValueError only after the compressions
-    a, b = comp_fourier(2)
-    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
-        check_condition3(kd_rep(a, b), samples=5, seed=-1)
+    assert check_condition3(rep, tol=1e-12).passed
 
 
 def test_condition3_deterministic_reports():
     a, b = comp_fourier(3)
     rep = kd_rep(a, b)
-    r1 = check_condition3(rep, samples=25, seed=99, tol=1e-12)
-    r2 = check_condition3(rep, samples=25, seed=99, tol=1e-12)
+    r1 = check_condition3(rep, tol=1e-12)
+    r2 = check_condition3(rep, tol=1e-12)
     assert r1 == r2
+
+
+def test_tolerances_after_a_removed_parameter_are_keyword_only():
+    # check_condition3 once took samples and seed, and kd_inverse tol_overlap, before tol:
+    # such a call must not read its number as a tolerance
+    a, b = comp_fourier(2)
+    with pytest.raises(TypeError):
+        check_condition3(kd_rep(a, b), 100)
+    with pytest.raises(TypeError):
+        check_condition3(kd_rep(a, b), 100, 0)
+    with pytest.raises(TypeError):
+        kd_inverse(kd_transform(maximally_mixed(2), a, b), 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +250,7 @@ def test_uniqueness_compression_kernel_is_the_ordering_span():
         projected = QuasiProbRep(a, b, ops, label="projected")
         res = span_residual(projected)
         assert res.residuals[~res.degenerate].max() <= 1e-10
-        assert check_condition3(projected, samples=10, seed=1, tol=1e-10).passed
+        assert check_condition3(projected, tol=1e-10).passed
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def test_non_finite_deviation_fails_the_check():
         assert not c1.passed
         assert not np.isfinite(c1.worst_violation)
         assert c1.witness.startswith("non-finite deviation: row a=0:"), c1.witness
-        c3 = check_condition3(rep, samples=4)
+        c3 = check_condition3(rep)
         assert not c3.passed
         assert c3.witness.startswith("non-finite deviation: compression"), c3.witness
         span = check_span(rep)

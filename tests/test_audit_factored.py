@@ -67,10 +67,7 @@ def _checks(seed):
     return (
         (check_condition1, ref.check_condition1),
         (check_condition2, ref.check_condition2),
-        (
-            lambda r: check_condition3(r, samples=SAMPLES, seed=seed),
-            lambda r, cells: ref.check_condition3(r, samples=SAMPLES, seed=seed, cells=cells),
-        ),
+        (check_condition3, lambda r, cells: ref.check_condition3(r, samples=SAMPLES, seed=seed, cells=cells)),
         (check_span, ref.check_span),
     )
 
@@ -158,7 +155,7 @@ def test_checks_never_expand_a_term_rep(monkeypatch):
     monkeypatch.setattr(kdq.audit, "_family", refuse)
     rho = random_density(5, 5, seed=1)
     for rep in reps:
-        check_condition1(rep), check_condition2(rep), check_condition3(rep, samples=4), check_span(rep)
+        check_condition1(rep), check_condition2(rep), check_condition3(rep), check_span(rep)
         evaluate(rep, rho)
 
 

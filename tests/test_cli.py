@@ -553,8 +553,8 @@ def test_env_var_tolerance(tmp_path, capsys, monkeypatch):
 
 
 def test_tol_does_not_reach_the_psd_bound(tmp_path, capsys, monkeypatch):
-    # the PSD bound is the library keyword tol_psd only: --tol and KDQ_TOL
-    # leave a smallest eigenvalue of -1e-6 refused at the default -1e-9
+    # the PSD bound is the fixed TOL_PSD: --tol and KDQ_TOL leave a smallest
+    # eigenvalue of -1e-6 refused at -1e-9
     lam = [0.5, 0.3, 0.2 + 1e-6, -1e-6]
     data = [[[lam[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
     state = tmp_path / "neg.json"

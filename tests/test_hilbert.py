@@ -92,11 +92,10 @@ BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True]
     [
         lambda tol: StateVector(np.array([1.0, 0.0]), tol=tol),
         lambda tol: DensityOperator(np.eye(2) / 2, tol=tol),
-        lambda tol: DensityOperator(np.eye(2) / 2, tol_psd=tol),
         lambda tol: OrthonormalBasis(np.eye(2), tol=tol),
         lambda tol: make_pure_density(basis_state(2, 0), tol=tol),
     ],
-    ids=["state", "density-tol", "density-tol_psd", "basis", "pure-density"],
+    ids=["state", "density-tol", "basis", "pure-density"],
 )
 def test_tolerance_must_be_finite_and_positive(build, tol):
     # a NaN tolerance used to make every "deviation > tol" test false
@@ -106,7 +105,7 @@ def test_tolerance_must_be_finite_and_positive(build, tol):
 
 def test_nan_tolerances_no_longer_accept_bad_inputs():
     with pytest.raises(ValidationError):
-        DensityOperator([[5, 2], [7, -4]], tol=np.nan, tol_psd=np.nan)
+        DensityOperator([[5, 2], [7, -4]], tol=np.nan)
     with pytest.raises(ValidationError):
         StateVector([3, 0], tol=np.nan)
 
@@ -114,7 +113,7 @@ def test_nan_tolerances_no_longer_accept_bad_inputs():
 def test_tolerance_accepts_any_finite_positive_real():
     for tol in (1, 1e-3, np.float64(1e-3), np.float32(1e-3)):
         StateVector(np.array([1.0, 1e-4]), tol=tol)
-        DensityOperator(np.eye(2) / 2, tol=tol, tol_psd=tol)
+        DensityOperator(np.eye(2) / 2, tol=tol)
         OrthonormalBasis(np.eye(2), tol=tol)
 
 
@@ -172,10 +171,9 @@ def _smallest_sym_eigenvalue(h):
     return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
-@pytest.mark.parametrize("tol_psd", [None, 1e-6, 1e-3], ids=["default", "1e-6", "1e-3"])
 @pytest.mark.parametrize("dim", [2, 3, 16, 64])
-def test_psd_verdict_matches_the_smallest_eigenvalue_at_the_bound(dim, tol_psd):
-    bound = TOL_PSD if tol_psd is None else tol_psd
+def test_psd_verdict_matches_the_smallest_eigenvalue_at_the_bound(dim):
+    bound = TOL_PSD
     rng = np.random.default_rng(dim)
     for factor in (-0.5, -0.999, -1.001, -2.0):
         for _ in range(5):
@@ -184,10 +182,10 @@ def test_psd_verdict_matches_the_smallest_eigenvalue_at_the_bound(dim, tol_psd):
             assert (lo < -bound) == (factor < -1.0)  # the cases sit on both sides
             if lo < -bound:
                 with pytest.raises(ValidationError, match="negative eigenvalue") as err:
-                    DensityOperator(h, tol_psd=tol_psd)
+                    DensityOperator(h)
                 assert err.value.context["min_eigenvalue"] == lo
             else:
-                assert DensityOperator(h, tol_psd=tol_psd).dim == dim
+                assert DensityOperator(h).dim == dim
 
 
 @pytest.mark.parametrize("rank", [1, 2, 32, 63])

@@ -11,6 +11,7 @@ import pytest
 import kdq.hilbert
 import kdq.kd
 from kdq import (
+    TOL_OVERLAP,
     DensityOperator,
     KDDistribution,
     LinearOperator,
@@ -384,36 +385,33 @@ def _valid_dist():
     "call",
     [
         lambda d, tol: KDDistribution(d.basis_a, d.basis_b, d.ordering, d.table, tol=tol),
-        lambda d, tol: KDDistribution(d.basis_a, d.basis_b, d.ordering, d.table, tol_imag=tol),
         lambda d, tol: kd_transform(maximally_mixed(3), d.basis_a, d.basis_b, tol=tol),
-        lambda d, tol: kd_transform(maximally_mixed(3), d.basis_a, d.basis_b, tol_imag=tol),
         lambda d, tol: kd_marginal_a(d, tol=tol),
-        lambda d, tol: kd_marginal_b(d, tol_imag=tol),
+        lambda d, tol: kd_marginal_b(d, tol=tol),
         lambda d, tol: kd_inverse(d, tol=tol),
     ],
-    ids=["dist-tol", "dist-tol_imag", "transform-tol", "transform-tol_imag",
-         "marginal_a-tol", "marginal_b-tol_imag", "inverse-tol"],
+    ids=["dist-tol", "transform-tol", "marginal_a-tol", "marginal_b-tol", "inverse-tol"],
 )
 def test_tolerance_must_be_finite_and_positive(call, tol):
     with pytest.raises(ValidationError, match="tolerance must be a finite positive number"):
         call(_valid_dist(), tol)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3, "1e-10", True], ids=repr)
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda d, tol: kd_inverse(d, tol_overlap=tol),
-        lambda d, tol: conditional_weak_value(LinearOperator(np.eye(2)), basis_state(2, 0), basis_state(2, 1), tol),
-        lambda d, tol: span_residual(kd_rep(d.basis_a, d.basis_b), tol_overlap=tol),
-    ],
-    ids=["inverse", "weak_value", "span_residual"],
-)
-def test_tol_overlap_must_be_finite_and_positive(call, tol):
-    # a NaN floor skips the |<b|a>| guard: the weak value then divides by zero,
-    # and span_residual flags no degenerate cell
-    with pytest.raises(ValidationError, match="tol_overlap must be a finite positive number"):
-        call(_valid_dist(), tol)
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1.0, 1 + 1e-3])
+def test_every_overlap_guard_sits_at_tol_overlap(scale):
+    """kd_inverse, the weak value and span_residual refuse or flag |<b|a>| <= TOL_OVERLAP, the one fixed floor."""
+    c = scale * TOL_OVERLAP
+    s = np.sqrt(1.0 - c * c)
+    a, b = computational_basis(2), OrthonormalBasis(np.array([[c, -s], [s, c]]))  # |<b_0|a_0>| = c, the least
+    singular = c <= TOL_OVERLAP
+    dist, m = kd_transform(maximally_mixed(2), a, b), LinearOperator(np.eye(2))
+    for call in (lambda: kd_inverse(dist), lambda: conditional_weak_value(m, a.vector(0), b.vector(0))):
+        if singular:
+            with pytest.raises(SingularOverlapError):
+                call()
+        else:
+            call()
+    assert span_residual(kd_rep(a, b)).degenerate.tolist() == [[singular, False], [False, singular]]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 16])
@@ -435,7 +433,7 @@ def test_rejected_sums_match_the_plain_numpy_expressions(dim):
             float(np.max(np.abs(tab.sum(axis=0).imag))),
         )
 
-        loose = KDDistribution(a, b, Ordering.AB, tab, tol_imag=1e3)
+        loose = KDDistribution(a, b, Ordering.AB, tab, tol=1e3)
         for marginal, axis in ((kd_marginal_a, 1), (kd_marginal_b, 0)):
             with pytest.raises(ValidationError, match="imaginary part") as err:
                 marginal(loose)
@@ -526,7 +524,7 @@ def test_ba_of_a_state_within_tol_of_hermitian_is_within_its_deviation(dim):
     skew -= np.trace(skew) / dim * np.eye(dim)
     rho = DensityOperator(random_density(dim, dim, seed=dim).matrix + skew, tol=1e-3)
     a, b = random_basis(dim, seed=dim + 1), random_basis(dim, seed=dim + 2)
-    ba = kd_transform(rho, a, b, Ordering.BA, tol=1e-3, tol_imag=1e-3).table
+    ba = kd_transform(rho, a, b, Ordering.BA, tol=1e-3).table
     exact = (a.matrix.conj().T @ b.matrix) * (b.matrix.conj().T @ rho.matrix @ a.matrix).T  # <a|b><b|rho|a>
     assert np.abs(ba - exact).max() <= np.linalg.norm(rho.matrix - rho.matrix.conj().T, 2) + 1e-15
 
@@ -628,7 +626,7 @@ def _verdict(call):
 @pytest.mark.parametrize("trace_imag", [0.0, 1e-9])  # BA conjugates a total with a nonzero imaginary part
 @pytest.mark.parametrize("ordering", list(Ordering), ids=str)
 def test_each_call_judges_the_kept_sums_by_its_own_tolerances(ordering, trace_imag):
-    """A total 1e-7 off 1 and sums with imaginary parts near 1e-6: a tighter call raises the constructor's error."""
+    """A total 1e-7 off 1 and sums with imaginary parts near 4e-6: a tighter call raises the constructor's error."""
     dim = 5
     rng = np.random.default_rng(dim)
     skew = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -636,9 +634,9 @@ def test_each_call_judges_the_kept_sums_by_its_own_tolerances(ordering, trace_im
     skew += (trace_imag * 1j - np.trace(skew)) / dim * np.eye(dim)
     mat = random_density(dim, dim, seed=dim).matrix * (1 + 1e-7) + skew
     a, b = random_basis(dim, seed=dim + 1), fourier_basis(dim)
-    loose = {"tol": 1e-3, "tol_imag": 1e-3}
-    tight_tol = {"tol": 1e-8, "tol_imag": 1e-3}
-    tight_imag = {"tol": 1e-3, "tol_imag": 1e-8}
+    loose = {"tol": 1e-3}
+    tight_tol = {"tol": 1e-8}  # fails the total
+    tight_imag = {"tol": 1e-6}  # passes the total, fails the imaginary parts
     for order in ([loose, tight_tol, tight_imag, {}, loose], [tight_imag, {}, loose, tight_tol, loose]):
         rho = DensityOperator(mat, tol=1e-3)
         for tols in order:
@@ -665,11 +663,11 @@ def test_an_ab_table_is_the_kept_table_and_a_ba_table_its_own_conjugate():
 # the sums check, taken once on construction and kept for the marginals
 
 
-def _plain_marginal(tab, axis, name, tol=1e-10, tol_imag=1e-10):
+def _plain_marginal(tab, axis, name, tol=1e-10):
     """What the plain numpy expressions make of ``tab``'s sums along ``axis``: the bytes, or the error."""
     sums = tab.sum(axis=axis)
     worst = float(np.max(np.abs(sums.imag)))
-    if worst > tol_imag:
+    if worst > tol:
         return "error", f"{name} marginal has imaginary part {worst:.3e}", {"worst_imag": worst}
     probs = sums.real.copy()
     if float(probs.min()) < -tol:
@@ -706,20 +704,18 @@ def test_marginals_of_a_transform_run_no_imaginary_part_scan(monkeypatch, dim):
 @pytest.mark.parametrize("dim", [2, 3, 5, 16])
 @pytest.mark.parametrize("built_with", [5e-8, 1e-6])
 def test_marginal_tolerances_judge_as_the_plain_expressions(dim, built_with):
-    """Row sums with imaginary parts of +-1e-8, judged by a tol_imag tighter or looser than the table's."""
+    """Row sums with imaginary parts of +-1e-8, judged by a tol tighter or looser than the table's."""
     rng = np.random.default_rng(dim)
     base = kd_transform(random_density(dim, dim, seed=dim), random_basis(dim, seed=dim + 1), fourier_basis(dim))
     for _ in range(5):
         tab = np.array(base.table)
         signs = rng.choice([-1.0, 1.0], size=dim)
         tab[:, rng.integers(dim)] += 1e-8j * signs  # row i's sum moves by +-1e-8 i; one column's by their total
-        dist = KDDistribution(base.basis_a, base.basis_b, Ordering.AB, tab, tol=1e-6, tol_imag=built_with)
-        for tol_imag in (None, 1e-9, 9.99e-9, 1e-8, 1.0001e-8, 3e-8, built_with, 1e-6, 1e-3):
-            for tol in (None, 1e-6):
-                tols = {k: v for k, v in (("tol", tol), ("tol_imag", tol_imag)) if v is not None}
-                for marginal, axis, name in ((kd_marginal_a, 1, "a"), (kd_marginal_b, 0, "b")):
-                    assert _marginal_verdict(marginal, dist, **tols) == _plain_marginal(tab, axis, name, **{
-                        "tol": tol or 1e-10, "tol_imag": tol_imag or 1e-10})
+        dist = KDDistribution(base.basis_a, base.basis_b, Ordering.AB, tab, tol=built_with)
+        for tol in (None, 1e-9, 9.99e-9, 1e-8, 1.0001e-8, 3e-8, built_with, 1e-6, 1e-3):
+            tols = {} if tol is None else {"tol": tol}
+            for marginal, axis, name in ((kd_marginal_a, 1, "a"), (kd_marginal_b, 0, "b")):
+                assert _marginal_verdict(marginal, dist, **tols) == _plain_marginal(tab, axis, name, tol or 1e-10)
 
 
 def _d64_inputs(seed):

@@ -17,7 +17,7 @@ import pytest
 
 import kdq.hilbert
 import reference_validators as ref
-from kdq import DensityOperator, ValidationError
+from kdq import TOL_PSD, DensityOperator, ValidationError
 
 
 def _gufunc_factor(a: np.ndarray) -> np.ndarray:
@@ -115,16 +115,15 @@ def _outcome(build):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_verdicts_messages_and_contexts_match_the_reference_near_the_bound(seed):
-    # spectra placed on both sides of -tol_psd and of 0, at several scales:
+    # spectra placed on both sides of -TOL_PSD and of 0, in several dimensions:
     # where the factorization's verdict could differ from the eigenvalue test
     rng = np.random.default_rng(seed)
+    bound = TOL_PSD
     outcomes = set()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(150):
             d = int(rng.choice([1, 2, 3, 4, 8, 16, 33]))
-            tol_psd = [None, 1e-12, 1e-9, 1e-6, 1e-3][int(rng.integers(5))]
-            bound = 1e-9 if tol_psd is None else tol_psd
             q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
             lam = rng.random(d)
             lam /= lam.sum()
@@ -133,7 +132,7 @@ def test_verdicts_messages_and_contexts_match_the_reference_near_the_bound(seed)
             lam[(k + 1) % d] += 1.0 - lam.sum() if d > 1 else 0.0
             mat = (q * lam) @ q.conj().T
             mat = (mat + mat.conj().T) / 2
-            got = _outcome(lambda: DensityOperator(mat, tol_psd=tol_psd).matrix)
-            assert got == _outcome(lambda: ref.density_operator(mat, tol_psd=tol_psd))
+            got = _outcome(lambda: DensityOperator(mat).matrix)
+            assert got == _outcome(lambda: ref.density_operator(mat))
             outcomes.add(got[0])
     assert outcomes == {"accepted", ValidationError}

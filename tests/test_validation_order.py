@@ -103,13 +103,13 @@ def _cases(draw, kind: str):
             base[1, 1] -= c
     else:
         base = random_basis(d, seed).matrix
-    return _mutate(draw, base, rng), draw(st.sampled_from(TOLS)), draw(st.sampled_from(TOLS))
+    return _mutate(draw, base, rng), draw(st.sampled_from(TOLS))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_cases("state"))
 def test_state_vector_matches_the_ordered_validator(case):
-    data, tol, _ = case
+    data, tol = case
     assert _outcome(lambda: StateVector(data, tol=tol).amplitudes) == _outcome(
         lambda: ref.state_vector(data, tol=tol)
     )
@@ -118,16 +118,16 @@ def test_state_vector_matches_the_ordered_validator(case):
 @settings(max_examples=400, deadline=None)
 @given(_cases("density"))
 def test_density_operator_matches_the_ordered_validator(case):
-    data, tol, tol_psd = case
-    assert _outcome(lambda: DensityOperator(data, tol=tol, tol_psd=tol_psd).matrix) == _outcome(
-        lambda: ref.density_operator(data, tol=tol, tol_psd=tol_psd)
+    data, tol = case
+    assert _outcome(lambda: DensityOperator(data, tol=tol).matrix) == _outcome(
+        lambda: ref.density_operator(data, tol=tol)
     )
 
 
 @settings(max_examples=400, deadline=None)
 @given(_cases("basis"))
 def test_orthonormal_basis_matches_the_ordered_validator(case):
-    data, tol, _ = case
+    data, tol = case
     assert _outcome(lambda: OrthonormalBasis(data, tol=tol).matrix) == _outcome(
         lambda: ref.orthonormal_basis(data, tol=tol)
     )
@@ -143,15 +143,15 @@ def _tables(draw):
     eps = draw(st.sampled_from([0.0, 0.0, 1e-11, 1e-10, 1e-9, 1e-6]))  # imaginary parts of two column sums
     table[0, 0] += 1j * eps
     table[0, 1] -= 1j * eps
-    return a, b, _mutate(draw, table, rng), draw(st.sampled_from(TOLS)), draw(st.sampled_from(TOLS))
+    return a, b, _mutate(draw, table, rng), draw(st.sampled_from(TOLS))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_tables())
 def test_kd_distribution_matches_the_ordered_validator(case):
-    a, b, table, tol, tol_imag = case
-    built = _outcome(lambda: KDDistribution(a, b, Ordering.AB, table, tol=tol, tol_imag=tol_imag).table)
-    assert built == _outcome(lambda: ref.kd_table(a, b, table, tol=tol, tol_imag=tol_imag))
+    a, b, table, tol = case
+    built = _outcome(lambda: KDDistribution(a, b, Ordering.AB, table, tol=tol).table)
+    assert built == _outcome(lambda: ref.kd_table(a, b, table, tol=tol))
 
 
 @pytest.mark.parametrize(

@@ -186,7 +186,7 @@ def test_records_of_different_classes_differ():
 # name -> (positional arguments, the same by keyword)
 ARGS = {
     "StateVector": (([1, 0], 1e-9), {"amplitudes": [1, 0], "tol": 1e-9}),
-    "DensityOperator": ((np.eye(2) / 2, 1e-9, 1e-6), {"matrix": np.eye(2) / 2, "tol": 1e-9, "tol_psd": 1e-6}),
+    "DensityOperator": ((np.eye(2) / 2, 1e-9), {"matrix": np.eye(2) / 2, "tol": 1e-9}),
     "LinearOperator": (([[0, 1], [1, 0]],), {"matrix": [[0, 1], [1, 0]]}),
     "OrthonormalBasis": ((np.eye(2), "e", 1e-9), {"matrix": np.eye(2), "label": "e", "tol": 1e-9}),
     "AuditReport": (("Span", True, 1e-12, "", 3, 4),
@@ -211,8 +211,8 @@ def test_positional_and_keyword_construction_agree(name):
 def test_kd_distribution_positional_and_keyword_construction_agree():
     a, b = computational_basis(2), fourier_basis(2)
     table = np.full((2, 2), 0.25)
-    x = KDDistribution(a, b, Ordering.AB, table, 1e-9, 1e-9)
-    y = KDDistribution(basis_a=a, basis_b=b, ordering=Ordering.AB, table=table, tol=1e-9, tol_imag=1e-9)
+    x = KDDistribution(a, b, Ordering.AB, table, 1e-9)
+    y = KDDistribution(basis_a=a, basis_b=b, ordering=Ordering.AB, table=table, tol=1e-9)
     assert all(_same(getattr(x, f), getattr(y, f)) for f in CASES["KDDistribution"][1])
 
 

@@ -124,7 +124,7 @@ def test_checks_and_evaluate_never_build_the_family():
     rep = wigner_as_rep(7)
     rho = random_density(7, 7, seed=4)
     table = evaluate(rep, rho)
-    check_condition1(rep), check_condition2(rep), check_condition3(rep, samples=8), check_span(rep)
+    check_condition1(rep), check_condition2(rep), check_condition3(rep), check_span(rep)
     assert rep._ops is None
     dense = QuasiProbRep(rep.basis_a, rep.basis_b, rep.operators)
     np.testing.assert_allclose(table, evaluate(dense, rho), rtol=0, atol=1e-15)
@@ -266,6 +266,6 @@ def _count_fast_paths(monkeypatch):
 def test_fast_paths_fire_on_the_phase_point_slices_only(monkeypatch):
     calls = _count_fast_paths(monkeypatch)
     d = 5
-    check_condition3(wigner_as_rep(d), samples=4), check_span(wigner_as_rep(d))
+    check_condition3(wigner_as_rep(d)), check_span(wigner_as_rep(d))
     # compressions on both sides, then the span's off-pivot squares per row; no column needs its frame
     assert calls == {"_off_pivot_sq": 3 * d, "_pivot_span_row": d}
