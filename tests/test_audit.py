@@ -6,6 +6,9 @@ import pytest
 
 from kdq import (
     BadEpsilonError,
+    DensityOperator,
+    KDDistribution,
+    LinearOperator,
     Ordering,
     QuasiProbRep,
     check_condition1,
@@ -13,9 +16,12 @@ from kdq import (
     check_condition3,
     check_span,
     computational_basis,
+    conditional_weak_value,
     evaluate,
     fourier_basis,
     kd_inverse,
+    kd_marginal_a,
+    kd_marginal_b,
     kd_rep,
     kd_transform,
     make_condition2_violator,
@@ -172,6 +178,37 @@ def test_tolerances_after_a_removed_parameter_are_keyword_only():
         check_condition3(kd_rep(a, b), 100, 0)
     with pytest.raises(TypeError):
         kd_inverse(kd_transform(maximally_mixed(2), a, b), 1e-9)
+
+
+def _mixed_table(a, b):
+    return kd_transform(maximally_mixed(2), a, b)
+
+
+@pytest.mark.parametrize(
+    "call, keyword",
+    [
+        (lambda a, b, kw: KDDistribution(a, b, Ordering.AB, _mixed_table(a, b).table, **kw), "tol_imag"),
+        (lambda a, b, kw: kd_transform(maximally_mixed(2), a, b, **kw), "tol_imag"),
+        (lambda a, b, kw: kd_marginal_a(_mixed_table(a, b), **kw), "tol_imag"),
+        (lambda a, b, kw: kd_marginal_b(_mixed_table(a, b), **kw), "tol_imag"),
+        (lambda a, b, kw: DensityOperator(np.eye(2) / 2, **kw), "tol_psd"),
+        (lambda a, b, kw: kd_inverse(_mixed_table(a, b), **kw), "tol_overlap"),
+        (lambda a, b, kw: conditional_weak_value(LinearOperator(np.eye(2)), a.vector(0), b.vector(0), **kw),
+         "tol_overlap"),
+        (lambda a, b, kw: span_residual(kd_rep(a, b), **kw), "tol_overlap"),
+        (lambda a, b, kw: check_condition3(kd_rep(a, b), **kw), "samples"),
+        (lambda a, b, kw: check_condition3(kd_rep(a, b), **kw), "seed"),
+    ],
+    ids=["dist", "transform", "marginal_a", "marginal_b", "density", "inverse", "weak_value", "span_residual",
+         "c3-samples", "c3-seed"],
+)
+def test_removed_keywords_are_refused(call, keyword):
+    # the PSD bound, the overlap floor and the imaginary-part default are constants, and C3 draws nothing:
+    # a call that still names one of these knobs fails rather than being silently ignored
+    a, b = comp_fourier(2)
+    call(a, b, {})
+    with pytest.raises(TypeError, match=keyword):
+        call(a, b, {keyword: 1e-3 if keyword.startswith("tol") else 1})
 
 
 # ---------------------------------------------------------------------------

@@ -92,13 +92,15 @@ BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True]
     [
         lambda tol: StateVector(np.array([1.0, 0.0]), tol=tol),
         lambda tol: DensityOperator(np.eye(2) / 2, tol=tol),
+        lambda tol: DensityOperator(np.diag([1.5, -0.5]), tol=tol),
         lambda tol: OrthonormalBasis(np.eye(2), tol=tol),
         lambda tol: make_pure_density(basis_state(2, 0), tol=tol),
     ],
-    ids=["state", "density-tol", "basis", "pure-density"],
+    ids=["state", "density-tol", "density-tol-indefinite", "basis", "pure-density"],
 )
 def test_tolerance_must_be_finite_and_positive(build, tol):
-    # a NaN tolerance used to make every "deviation > tol" test false
+    # a NaN tolerance used to make every "deviation > tol" test false; an
+    # indefinite matrix, which the fixed TOL_PSD refuses, meets the tolerance's error first
     with pytest.raises(ValidationError, match="tolerance must be a finite positive number"):
         build(tol)
 
@@ -171,8 +173,10 @@ def _smallest_sym_eigenvalue(h):
     return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
+@pytest.mark.parametrize("tol", [None, 1e-6, 1e-3], ids=["default", "1e-6", "1e-3"])
 @pytest.mark.parametrize("dim", [2, 3, 16, 64])
-def test_psd_verdict_matches_the_smallest_eigenvalue_at_the_bound(dim):
+def test_psd_verdict_matches_the_smallest_eigenvalue_at_the_bound(dim, tol):
+    # the bound is the fixed TOL_PSD, whatever tol the caller passes for the trace and hermiticity
     bound = TOL_PSD
     rng = np.random.default_rng(dim)
     for factor in (-0.5, -0.999, -1.001, -2.0):
@@ -182,10 +186,10 @@ def test_psd_verdict_matches_the_smallest_eigenvalue_at_the_bound(dim):
             assert (lo < -bound) == (factor < -1.0)  # the cases sit on both sides
             if lo < -bound:
                 with pytest.raises(ValidationError, match="negative eigenvalue") as err:
-                    DensityOperator(h)
+                    DensityOperator(h, tol=tol)
                 assert err.value.context["min_eigenvalue"] == lo
             else:
-                assert DensityOperator(h).dim == dim
+                assert DensityOperator(h, tol=tol).dim == dim
 
 
 @pytest.mark.parametrize("rank", [1, 2, 32, 63])

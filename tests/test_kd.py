@@ -380,6 +380,19 @@ def _valid_dist():
     return kd_transform(random_density(3, 3, seed=4), random_basis(3, seed=5), fourier_basis(3))
 
 
+def _imag_sums_table(d):
+    """``d``'s table with row and column sums 1e-3 off the real axis and its total kept: the one tol judges them."""
+    tab = np.array(d.table)
+    tab[0, 0] += 1e-3j
+    tab[1, 1] -= 1e-3j
+    return tab
+
+
+def _imag_sums_state():
+    """A state within 1e-3 of Hermitian whose a-marginal has imaginary parts of 1e-4."""
+    return DensityOperator(np.eye(3) / 3 + 1e-4j * np.diag([1.0, -1.0, 0.0]), tol=1e-3)
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3, "1e-10", True], ids=repr)
 @pytest.mark.parametrize(
     "call",
@@ -389,29 +402,53 @@ def _valid_dist():
         lambda d, tol: kd_marginal_a(d, tol=tol),
         lambda d, tol: kd_marginal_b(d, tol=tol),
         lambda d, tol: kd_inverse(d, tol=tol),
+        lambda d, tol: KDDistribution(d.basis_a, d.basis_b, d.ordering, _imag_sums_table(d), tol=tol),
+        lambda d, tol: kd_transform(_imag_sums_state(), d.basis_a, d.basis_b, tol=tol),
+        lambda d, tol: kd_marginal_a(KDDistribution(d.basis_a, d.basis_b, d.ordering, _imag_sums_table(d), tol=1e-2), tol=tol),
+        lambda d, tol: kd_marginal_b(KDDistribution(d.basis_a, d.basis_b, d.ordering, _imag_sums_table(d), tol=1e-2), tol=tol),
     ],
-    ids=["dist-tol", "transform-tol", "marginal_a-tol", "marginal_b-tol", "inverse-tol"],
+    ids=["dist-tol", "transform-tol", "marginal_a-tol", "marginal_b-tol", "inverse-tol",
+         "dist-imag_sums", "transform-imag_sums", "marginal_a-imag_sums", "marginal_b-imag_sums"],
 )
 def test_tolerance_must_be_finite_and_positive(call, tol):
+    # the imag_sums cases hold sums whose imaginary parts the default refuses: the one tol, which
+    # also bounds them, is checked before it judges them
     with pytest.raises(ValidationError, match="tolerance must be a finite positive number"):
         call(_valid_dist(), tol)
 
 
+def _refuses(call) -> bool:
+    try:
+        call()
+    except SingularOverlapError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("phase", [1.0, -1.0, 1j], ids=["1", "-1", "1j"])
 @pytest.mark.parametrize("scale", [1 - 1e-3, 1.0, 1 + 1e-3])
-def test_every_overlap_guard_sits_at_tol_overlap(scale):
-    """kd_inverse, the weak value and span_residual refuse or flag |<b|a>| <= TOL_OVERLAP, the one fixed floor."""
+@pytest.mark.parametrize(
+    "verdicts",
+    [
+        lambda a, b: _refuses(lambda: kd_inverse(kd_transform(maximally_mixed(2), a, b))),  # one, for the table
+        lambda a, b: [[_refuses(lambda: conditional_weak_value(LinearOperator(np.eye(2)), a.vector(i), b.vector(j)))
+                       for j in range(2)] for i in range(2)],
+        lambda a, b: span_residual(kd_rep(a, b)).degenerate.tolist(),
+    ],
+    ids=["inverse", "weak_value", "span_residual"],
+)
+def test_every_overlap_guard_sits_at_tol_overlap(verdicts, scale, phase):
+    """kd_inverse, the weak value and span_residual refuse or flag |<b|a>| <= TOL_OVERLAP, the one fixed floor.
+
+    The overlaps carry a phase, so a guard must read their modulus.
+    """
     c = scale * TOL_OVERLAP
     s = np.sqrt(1.0 - c * c)
-    a, b = computational_basis(2), OrthonormalBasis(np.array([[c, -s], [s, c]]))  # |<b_0|a_0>| = c, the least
+    rot = np.array([[c * phase, -s * phase], [s, c]])  # |<b_0|a_0>| = |<b_1|a_1>| = c, the least
+    a, b = computational_basis(2), OrthonormalBasis(rot)
     singular = c <= TOL_OVERLAP
-    dist, m = kd_transform(maximally_mixed(2), a, b), LinearOperator(np.eye(2))
-    for call in (lambda: kd_inverse(dist), lambda: conditional_weak_value(m, a.vector(0), b.vector(0))):
-        if singular:
-            with pytest.raises(SingularOverlapError):
-                call()
-        else:
-            call()
-    assert span_residual(kd_rep(a, b)).degenerate.tolist() == [[singular, False], [False, singular]]
+    got = verdicts(a, b)
+    assert got == (singular if isinstance(got, bool) else [[singular, False], [False, singular]])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 16])
