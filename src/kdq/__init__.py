@@ -22,7 +22,6 @@ _MODULES = {
         "DegeneratePostselectionError",
         "DimMismatchError",
         "EvenDimensionError",
-        "GridTooCoarseError",
         "KdqError",
         "NotNormalizedError",
         "SingularOverlapError",

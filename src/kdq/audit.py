@@ -40,7 +40,6 @@ import numpy as np
 from .errors import BadEpsilonError, ValidationError
 from .hilbert import (
     MAX_ARRAY_BYTES,  # kdq.audit.MAX_ARRAY_BYTES stays importable
-    LinearOperator,
     DensityOperator,
     OrthonormalBasis,
     _Record,
@@ -122,9 +121,6 @@ class QuasiProbRep:
     @property
     def dim(self) -> int:
         return self.basis_a.dim
-
-    def operator(self, a: int, b: int) -> LinearOperator:
-        return LinearOperator(self.operators[a, b])
 
 
 class AuditReport(_Record):

@@ -235,12 +235,20 @@ def _cmd_wigner(args, tol: float | None) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors, its subcommands' too, end in a JSON error object (exit 2)."""
+
+    def error(self, message: str) -> NoReturn:
+        _report(ValidationError.code, f"{self.prog}: {message}", {})
+        self.exit(EXIT_VALIDATION)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="override default tolerances")
     common.add_argument("--seed", type=int, default=0, help="validated (a non-negative integer); no check draws random states")
 
-    parser = argparse.ArgumentParser(prog="kdq", description=__doc__.strip().splitlines()[0])
+    parser = _Parser(prog="kdq", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kd", parents=[common], help="joint quasi-probability table")

@@ -57,10 +57,6 @@ class BadSlitsError(KdqError):
     code = "bad_slits"
 
 
-class GridTooCoarseError(KdqError):
-    code = "grid_too_coarse"  # never raised: the pointer is read out in closed form, with no grid spacing
-
-
 class DegeneratePostselectionError(KdqError):
     code = "degenerate_postselection"
 

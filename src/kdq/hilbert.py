@@ -48,8 +48,6 @@ def _tol(value, default: float, source: str = "tolerance") -> float:
     """``default`` for None, else ``value``: finite and positive, as a NaN would skip the check."""
     if value is None:
         return default
-    if type(value) is float and 0 < value < math.inf:  # the common case, without the ABC check below
-        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
         raise ValidationError(
             f"{source} must be a finite positive number, got {value!r}", source=source
@@ -69,13 +67,6 @@ def _require_budget(nbytes: int, what: str) -> None:
 def _max_abs(x: np.ndarray) -> float:
     """Largest |entry| of ``x``: the deviation every max-deviation check compares."""
     return float(np.maximum.reduce(abs(x), None))  # abs(x).max()'s bits, without its Python wrapper
-
-
-def _frozen_complex(data, ndim: int, what: str) -> np.ndarray:
-    """``_shaped``'s copy of ``data``, refused as ``_require_shaped`` refuses it."""
-    arr = _shaped(data, ndim)[0]
-    _require_shaped(arr, ndim, what)
-    return arr
 
 
 def _shaped(data, ndim: int) -> tuple[np.ndarray, bool]:
@@ -214,14 +205,13 @@ class LinearOperator(_Value):
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: np.ndarray):
-        _setattr(self, "matrix", _frozen_complex(matrix, 2, "operator matrix"))
+        mat = _shaped(matrix, 2)[0]
+        _require_shaped(mat, 2, "operator matrix")
+        _setattr(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.matrix.conj().T)
 
 
 class OrthonormalBasis(_Value):
@@ -250,10 +240,6 @@ class OrthonormalBasis(_Value):
 
     def vector(self, k: int) -> StateVector:
         return StateVector(self.matrix[:, k])
-
-    @property
-    def vectors(self) -> tuple[StateVector, ...]:
-        return tuple(self.vector(k) for k in range(self.dim))
 
     def projector(self, k: int) -> np.ndarray:
         """Rank-1 projector onto the k-th basis vector, as a raw array."""
@@ -332,39 +318,18 @@ def random_state(dim: int, seed: int) -> StateVector:
 
 
 def random_state_orthogonal_to(v: StateVector, seed: int) -> StateVector:
-    """Random normalized state in the orthogonal complement of ``v``."""
+    """Random normalized state orthogonal to ``v``: a complex Gaussian projected off ``v``, redrawn if near zero."""
     if v.dim < 2:
         raise ValidationError("orthogonal complement is empty for dim < 2")
-    return StateVector(_complement_samples(np.random.default_rng(seed), v.amplitudes, 1)[0])
-
-
-def _complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) -> np.ndarray:
-    """``samples`` random unit states orthogonal to ``v``.
-
-    Each sample takes its real then imaginary parts from the next 2d draws
-    of ``rng`` and is projected off ``v`` twice ("twice is enough");
-    near-zero projections are dropped and topped up in order, so a seed
-    always yields the same states.  ``np.vecdot`` runs the same
-    BLAS dot per sample as ``np.vdot`` and ``np.linalg.norm`` on one vector.
-    """
-    d = v.size
-    out = np.empty((samples, d), dtype=np.complex128)
-    n = 0
-    while n < samples:
-        x = rng.standard_normal((samples - n, 2, d))
-        z = np.empty((samples - n, d), dtype=np.complex128)
-        z.real, z.imag = x[:, 0], x[:, 1]
-        z -= v * np.vecdot(v, z)[:, None]
-        z -= v * np.vecdot(v, z)[:, None]  # again: once leaves |<v|m>| near eps ||z|| / ||Q z||, twice near eps
-        nrm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
-        keep = nrm > 1e-8
-        kept = int(keep.sum())
-        if kept == len(z):
-            np.divide(z, nrm[:, None], out=out[n:])
-        else:
-            out[n : n + kept] = z[keep] / nrm[keep, None]
-        n += kept
-    return out
+    rng = np.random.default_rng(seed)
+    amps = v.amplitudes
+    while True:
+        z = rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim)
+        z -= amps * np.vdot(amps, z)
+        z -= amps * np.vdot(amps, z)  # again: once leaves |<v|m>| near eps ||z|| / ||Q z||, twice near eps
+        nrm = np.linalg.norm(z)
+        if nrm > 1e-8:
+            return StateVector(z / nrm)
 
 
 def random_basis(dim: int, seed: int) -> OrthonormalBasis:

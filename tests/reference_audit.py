@@ -148,6 +148,22 @@ def complement_samples(rng: np.random.Generator, v: np.ndarray, samples: int) ->
     return out
 
 
+def compression_norms(rep: QuasiProbRep) -> np.ndarray:
+    """c3[side, a, b] = ||Q Pi(a,b) Q||_F with Q = 1 - P_a (side 0) or Q = 1 - P_b (side 1), cell by cell."""
+    d = rep.dim
+    eye = np.eye(d)
+    c3 = np.empty((2, d, d))
+    for a in range(d):
+        q = eye - rep.basis_a.projector(a)
+        for b in range(d):
+            c3[0, a, b] = np.linalg.norm(q @ rep.operators[a, b] @ q)
+    for b in range(d):
+        q = eye - rep.basis_b.projector(b)
+        for a in range(d):
+            c3[1, a, b] = np.linalg.norm(q @ rep.operators[a, b] @ q)
+    return c3
+
+
 def check_condition3(
     rep: QuasiProbRep,
     samples: int = 100,
@@ -158,7 +174,7 @@ def check_condition3(
     if samples < 1:
         raise BadSampleCountError(f"samples must be >= 1, got {samples}")
     d = rep.dim
-    eye = np.eye(d)
+    c3 = compression_norms(rep)
     worst = 0.0
     witness = "all compressions vanish"
     _record(cells, 0.0, witness)
@@ -170,14 +186,12 @@ def check_condition3(
             worst, witness = value, text
 
     for a in range(d):
-        q = eye - rep.basis_a.projector(a)
         for b in range(d):
-            dev = float(np.linalg.norm(q @ rep.operators[a, b] @ q))
+            dev = float(c3[0, a, b])
             _bump(dev, f"compression ||Q_a Pi Q_a||_F = {dev:.3e} at (a={a}, b={b})")
     for b in range(d):
-        q = eye - rep.basis_b.projector(b)
         for a in range(d):
-            dev = float(np.linalg.norm(q @ rep.operators[a, b] @ q))
+            dev = float(c3[1, a, b])
             _bump(dev, f"compression ||Q_b Pi Q_b||_F = {dev:.3e} at (a={a}, b={b})")
     return AuditReport("C3", worst <= tol, worst, witness, samples_used=0, seed=0)
 

@@ -26,7 +26,6 @@ from kdq import (
     span_residual,
     wigner_as_rep,
 )
-from kdq.hilbert import _complement_samples
 
 DIMS = (2, 3, 4, 5, 8)
 SAMPLES = 16
@@ -131,45 +130,6 @@ def test_failing_families_name_the_reference_witness():
     ):
         assert not new.passed
         assert ref.witness_key(new.witness) == ref.witness_key(old.witness)
-
-
-def test_complement_samples_bit_identical_to_reference():
-    for dim in (2, 3, 8, 17, 32):
-        basis = random_basis(dim, seed=dim)
-        new_rng, old_rng = np.random.default_rng(dim), np.random.default_rng(dim)
-        for k in range(dim):
-            v = basis.matrix[:, k]
-            new = _complement_samples(new_rng, v, 25)
-            old = ref.complement_samples(old_rng, v, 25)
-            assert np.array_equal(new, old)
-        # both consumed the generator stream to the same point
-        assert new_rng.standard_normal() == old_rng.standard_normal()
-
-
-class _ScriptedNormals:
-    """Stand-in generator that hands out a fixed sequence of standard normals."""
-
-    def __init__(self, values):
-        self._values, self._pos = np.asarray(values, dtype=float), 0
-
-    def standard_normal(self, size):
-        n = int(np.prod(size))
-        out = self._values[self._pos : self._pos + n].reshape(size)
-        self._pos += n
-        return out
-
-
-def test_complement_samples_top_up_after_rejection_matches_reference():
-    # sample #1 is |0> itself: its projection off |0> is zero and is rejected
-    v = np.array([1.0, 0.0, 0.0], dtype=complex)
-    rng = np.random.default_rng(3)
-    draws = rng.standard_normal(6 * 5)
-    draws[6:12] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    new_rng, old_rng = _ScriptedNormals(draws), _ScriptedNormals(draws)
-    new = _complement_samples(new_rng, v, 4)
-    old = ref.complement_samples(old_rng, v, 4)
-    assert np.array_equal(new, old)
-    assert new_rng._pos == old_rng._pos == 30
 
 
 def test_rep_operators_are_c_contiguous():

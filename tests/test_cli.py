@@ -929,3 +929,34 @@ def test_atexit_handlers_run_only_on_the_interpreters_exit(argv, runs):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == (2 if runs else 0)
     assert ("atexit ran" in proc.stdout) is runs
+
+
+USAGE_ERRORS = {
+    "bad-int": ["audit", "--rep", "kd", "--dim", "abc", "--all"],
+    "unknown-flag": [*KD_I, "--bogus"],
+    "bad-choice": [*KD_I, "--format", "xml"],
+    "missing-required": KD_I[:1] + KD_I[3:],
+    "no-command": [],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_end_in_one_json_error_object(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    doc = _strict_json(lines[0])
+    assert set(doc) == {"code", "message", "context"}
+    assert doc["code"] == "validation"
+    assert doc["message"].startswith("kdq")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert captured.out.startswith("usage: kdq audit")

@@ -3,9 +3,9 @@
 For a unit m with Q m = m, <m|Pi|m> = <m|Q Pi Q|m>, so
 |<m|Pi|m>| <= ||Q Pi Q||_2 <= ||Q Pi Q||_F: a state drawn from the
 complement can beat its cell's compression norm by rounding only, which is
-why ``check_condition3`` reports the compression alone.  The complement
-sampler of ``kdq.hilbert`` (the one behind ``random_state_orthogonal_to``)
-serves here as an oracle for that bound.
+why ``check_condition3`` reports the compression alone.  The reference's
+complement sampler (the loop behind ``random_state_orthogonal_to``) serves
+here as an oracle for that bound.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from kdq import (
     random_basis,
     wigner_as_rep,
 )
-from kdq.hilbert import _complement_samples
 
 SAMPLES = 64
 EPS = np.finfo(float).eps
@@ -75,7 +74,7 @@ def test_no_sampled_state_beats_its_cells_compression(family, dim, pair):
             cells = dense._slices(axis, k)  # (d, d, d): the cells of row or column k
             q = eye - np.outer(v, v.conj())
             norms = np.array([np.linalg.norm(q @ x @ q) for x in cells])  # cell by cell, as the reference does
-            m = _complement_samples(rng, v, SAMPLES)
+            m = ref.complement_samples(rng, v, SAMPLES)
             bound = rounding_bound(dim, np.linalg.norm(cells, axis=(1, 2)), np.abs(m @ v.conj()))
             vals = np.abs(np.einsum("si,cij,sj->sc", m.conj(), cells, m))
             assert (vals <= norms + bound).all(), (axis, k, (vals - norms - bound).max())
@@ -96,5 +95,5 @@ def test_each_sample_is_orthogonal_to_its_vector_within_two_eps(family, dim, pai
     rng = np.random.default_rng(1000 * dim + CASES.index((family, dim, pair)))
     for basis in (rep.basis_a, rep.basis_b):
         for v in basis.matrix.T:
-            m = _complement_samples(rng, v, SAMPLES)
+            m = ref.complement_samples(rng, v, SAMPLES)
             assert np.abs(m @ v.conj()).max() <= 2 * EPS

@@ -26,7 +26,7 @@ PUBLIC = {
     "errors": (
         "BadEpsilonError", "BadRankError", "BadSampleCountError", "BadSlitsError",
         "DegeneratePostselectionError", "DimMismatchError", "EvenDimensionError",
-        "GridTooCoarseError", "KdqError", "NotNormalizedError", "SingularOverlapError",
+        "KdqError", "NotNormalizedError", "SingularOverlapError",
         "ValidationError", "ZeroCouplingError",
     ),
     "hilbert": (

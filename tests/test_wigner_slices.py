@@ -30,7 +30,6 @@ from kdq import (
     wigner_as_rep,
 )
 from kdq.audit import _OnePerRow, _compression_norms, _marginal_dev, _traces
-from kdq.hilbert import _complement_samples
 from kdq.wigner import momentum_basis, phase_point_operator
 from test_audit_factored import _kdq_child
 from test_audit_reference import _assert_checks_match, _assert_same_report
@@ -179,7 +178,7 @@ def test_phase_point_kernels_match_the_dense_slices(dim):
             close(norms, _compression_norms(y, v))
             # a momentum column's compression, taken in its own frame, still bounds the
             # states sampled from the complement of |p> in the position frame
-            m = _complement_samples(rng, v, 6)
+            m = ref.complement_samples(rng, v, 6)
             vals = np.abs(np.einsum("si,cij,sj->sc", m.conj(), y, m))
             assert (vals <= norms + rounding_bound(dim, np.linalg.norm(y, axis=(1, 2)), np.abs(m @ v.conj()))).all()
     close(span_residual(rep).residuals, span_residual(dense).residuals)
