@@ -33,50 +33,33 @@ from typing import NoReturn
 import numpy as np
 
 from . import io as kdq_io
-from .errors import (
-    BadSampleCountError,
-    DegeneratePostselectionError,
-    KdqError,
-    SingularOverlapError,
-    ValidationError,
-)
+from .errors import BadSampleCountError, DegeneratePostselectionError, KdqError, SingularOverlapError, ValidationError
 from .hilbert import DensityOperator, LinearOperator, StateVector, _tol as lib_tol, make_pure_density
 from .kd import Ordering, kd_inverse, kd_transform
 
-# The audit, pointer and wigner names are imported by the commands that call
-# them (each subparser's ``needs``), since an import up here is paid by every
-# run of kdq: module -> its names, bound in this module's globals when loaded.
-_LAZY = {
-    "audit": (
-        "DEFAULT_AUDIT_TOL",
-        "check_condition1",
-        "check_condition2",
-        "check_condition3",
-        "check_span",
-        "kd_rep",
-        "make_condition2_violator",
-        "mixed_rep",
-    ),
-    "pointer": ("PointerConfig", "coupling_sweep"),
-    "wigner": ("condition3_violation_report", "discrete_wigner", "wigner_as_rep"),
-}
+
+def _stand_in(module: str, name: str):
+    """Stands in for ``kdq.<module>.<name>``: each call imports the module and calls its current attribute.
+
+    A command loads the audit, pointer and wigner modules only when it calls into them, after its input
+    is validated, since an import up here is paid by every run of kdq. A wrapper installed at
+    ``kdq.cli.<name>`` sees every call.
+    """
+    return lambda *args, **kwargs: getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
 
 
-def _load(module: str) -> None:
-    """Bind ``module``'s names here, keeping any already bound: a wrapper installed under one stays."""
-    mod = importlib.import_module(f".{module}", __package__)
-    for name in _LAZY[module]:
-        globals().setdefault(name, getattr(mod, name))
-
-
-def __getattr__(name: str):
-    """A lazy name read before its command ran, e.g. to wrap it: load its module first."""
-    for module, names in _LAZY.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+check_condition1 = _stand_in("audit", "check_condition1")
+check_condition2 = _stand_in("audit", "check_condition2")
+check_condition3 = _stand_in("audit", "check_condition3")
+check_span = _stand_in("audit", "check_span")
+kd_rep = _stand_in("audit", "kd_rep")
+make_condition2_violator = _stand_in("audit", "make_condition2_violator")
+mixed_rep = _stand_in("audit", "mixed_rep")
+PointerConfig = _stand_in("pointer", "PointerConfig")
+coupling_sweep = _stand_in("pointer", "coupling_sweep")
+condition3_violation_report = _stand_in("wigner", "condition3_violation_report")
+discrete_wigner = _stand_in("wigner", "discrete_wigner")
+wigner_as_rep = _stand_in("wigner", "wigner_as_rep")
 
 EXIT_OK = 0
 EXIT_AUDIT_FAILED = 1
@@ -185,14 +168,13 @@ def _build_rep(args, tol):
 
 
 def _cmd_audit(args, tol: float | None) -> int:
-    check_tol = DEFAULT_AUDIT_TOL if tol is None else tol
     rep = _build_rep(args, tol)
     wanted = [check for flag, check in _CHECKS.items() if args.all or getattr(args, flag)]
     if not wanted:
         flags = " ".join(f"--{flag}" for flag in _CHECKS)
         raise ValidationError(f"select at least one check: {flags} or --all")
     # every check runs before any report is printed, so a refused check leaves stdout empty
-    reports = [check(rep, check_tol) for check in wanted]
+    reports = [check(rep, tol) for check in wanted]
     for report in reports:
         _emit(report.to_json_dict())
     return EXIT_OK if all(report.passed for report in reports) else EXIT_AUDIT_FAILED
@@ -257,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis-b", required=True, help="named basis or @file.json")
     p.add_argument("--ordering", choices=["AB", "BA"], default="AB")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_kd, needs=lambda args: ())
+    p.set_defaults(func=_cmd_kd)
 
     p = sub.add_parser("reconstruct", parents=[common], help="invert a joint table file")
     p.add_argument("--kd", required=True, help="joint table JSON file")
-    p.set_defaults(func=_cmd_reconstruct, needs=lambda args: ())
+    p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("audit", parents=[common], help="condition checks for a representation")
     p.add_argument(
@@ -275,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in [*_CHECKS, "all"]:
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--samples", type=int, default=100, help="validated (at least 1); C3 draws no states")
-    p.set_defaults(
-        func=_cmd_audit, needs=lambda args: ("audit", "wigner") if args.rep == "wigner" else ("audit",)
-    )
+    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("weak", parents=[common], help="pointer coupling sweep (CSV)")
     p.add_argument("--state", required=True, help="pure state JSON file")
@@ -290,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-extent", type=float, default=20.0,
                    help="in units of sigma; validated (finite, > 8); changes no output")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.set_defaults(func=_cmd_weak, needs=lambda args: ("pointer",))
+    p.set_defaults(func=_cmd_weak)
 
     p = sub.add_parser("wigner", parents=[common], help="discrete phase-space table")
     p.add_argument("--state", required=True, help="state JSON file (odd dimension)")
     p.add_argument("--report", action="store_true", help="append zero-marginal violations")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_wigner, needs=lambda args: ("wigner",))
+    p.set_defaults(func=_cmd_wigner)
 
     return parser
 
@@ -304,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for module in args.needs(args):
-        _load(module)
     try:
         tol = _tol(args)
         # C3's refusals, made for every command before it reads a file or builds a representation

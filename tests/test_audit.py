@@ -11,6 +11,7 @@ from kdq import (
     LinearOperator,
     Ordering,
     QuasiProbRep,
+    ValidationError,
     check_condition1,
     check_condition2,
     check_condition3,
@@ -326,6 +327,40 @@ def test_first_non_finite_cell_is_the_witness():
     assert not c2.passed and np.isnan(c2.worst_violation)
     expected = "non-finite deviation: eigenstate |A_0>: forbidden cell (a=1, b=0)"
     assert c2.witness.startswith(expected), c2.witness
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("check", [check_condition1, check_condition2, check_condition3, check_span],
+                         ids=["c1", "c2", "c3", "span"])
+def test_checks_refuse_a_nan_negative_or_infinite_tol(check, tol):
+    # an inf bound would pass the overflowing family's inf deviations, and a NaN or negative one
+    # would fail every check; None is the default bound, and 0 asks for an exact check
+    rep = next(_overflowing_reps())
+    with pytest.raises(ValidationError, match="tol must be a finite non-negative number") as err:
+        check(rep, tol=tol)
+    assert err.value.context == {"source": "tol"}
+    rep = kd_rep(*comp_fourier(2))
+    assert check(rep, tol=None) == check(rep, tol=1e-10)
+    exact = check(rep, tol=0)
+    assert exact.passed is (exact.worst_violation <= 0)
+
+
+@pytest.mark.parametrize(
+    "operators, message",
+    [(np.zeros((2, 2, 2)), r"operators must have shape \(2, 2, 2, 2\), got \(2, 2, 2\)"),
+     (np.full((2, 2, 2, 2), np.nan), "operators contain non-finite entries"),
+     (np.full((2, 2, 2, 2), np.inf * 1j), "operators contain non-finite entries")],
+    ids=["shape", "nan", "inf"],
+)
+def test_dense_family_refuses_a_wrong_shape_or_non_finite_entries(operators, message):
+    with pytest.raises(ValidationError, match=message):
+        QuasiProbRep(*comp_fourier(2), operators)
+
+
+def test_violator_needs_dim_two():
+    one = computational_basis(1)
+    with pytest.raises(ValidationError, match="violator construction needs dim >= 2"):
+        make_condition2_violator(one, one, 1e-3)
 
 
 def test_report_json_dict_fields():

@@ -960,3 +960,77 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.err) == (0, "")
     assert captured.out.startswith("usage: kdq audit")
+
+
+@pytest.fixture(scope="module")
+def refusal_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("refusals")
+
+    def write(name, doc):
+        (tmp / name).write_text(json.dumps(doc))
+        return str(tmp / name)
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(KD_I) == 0
+    kd = json.loads(out.getvalue())
+    mixed = [[[1 / 3, 0], [0, 1e-4], [0, 0]], [[0, 1e-4], [1 / 3, 0], [0, 0]], [[0, 0], [0, 0], [1 / 3, 0]]]
+    return {
+        "list": write("list.json", [1, 2]),
+        "kd-xy": write("kd-xy.json", {**kd, "ordering": "XY"}),
+        "kd-short": write("kd-short.json", {**kd, "table": kd["table"][:1]}),
+        "pure-3": write("pure-3.json", {"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [[1, 0], [0, 0], [0, 0]]}),
+        "mixed-2": write("mixed-2.json", {"schema": "kdq/1", "dim": 3, "kind": "mixed",
+                                          "data": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}),
+        "basis-2": write("basis-2.json", {"schema": "kdq/1", "dim": 3, "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+        # 1e-4 i at (0, 1) and (1, 0): an anti-Hermitian part that --tol 1e-3 lets in
+        "anti-hermitian": write("anti-hermitian.json", {"schema": "kdq/1", "dim": 3, "kind": "mixed", "data": mixed}),
+    }
+
+
+WEAK_01 = [*WEAK_PLUS, "--couplings", "0.1"]
+NO_FILE = str(FIXTURES / "no_such_file.json")
+
+# argv from the files, KDQ_TOL, then the error's code and message
+REFUSALS = {
+    "a-index": (lambda f: [*WEAK_01, "--a-index", "5"], None, "validation", "a-index 5 out of range for dim 2"),
+    "b-index": (lambda f: [*WEAK_01, "--b-index", "-1"], None, "validation", "b-index -1 out of range for dim 2"),
+    "couplings-x": (lambda f: [*WEAK_PLUS, "--couplings", "0.1,x"], None, "validation", "bad couplings list '0.1,x'"),
+    "couplings-inf": (lambda f: [*WEAK_PLUS, "--couplings", "inf"], None, "validation",
+                      "coupling must be finite, got inf"),
+    "couplings-nan": (lambda f: [*WEAK_PLUS, "--couplings", "nan"], None, "validation",
+                      "coupling must be finite, got nan"),
+    "audit-kd-no-dim": (lambda f: ["audit", "--rep", "kd", "--all"], None, "validation", "--dim is required"),
+    "audit-wigner-no-dim": (lambda f: ["audit", "--rep", "wigner", "--all"], None, "validation",
+                            "--dim is required for the wigner representation"),
+    "env-tol": (lambda f: KD_I, "abc", "validation", "KDQ_TOL is not a number: 'abc'"),
+    "state-list": (lambda f: [*KD_I[:1], "--state", f["list"], *KD_I[3:]], None, "validation",
+                   "state file: expected a JSON object"),
+    "state-missing": (lambda f: [*KD_I[:1], "--state", NO_FILE, *KD_I[3:]], None, "validation",
+                      f"state file: cannot read {NO_FILE}: [Errno 2] No such file or directory: '{NO_FILE}'"),
+    "kd-ordering": (lambda f: ["reconstruct", "--kd", f["kd-xy"]], None, "validation",
+                    "joint table file: ordering must be 'AB' or 'BA', got 'XY'"),
+    "kd-table-shape": (lambda f: ["reconstruct", "--kd", f["kd-short"]], None, "validation",
+                       "joint table file: table shape (1, 2) vs dim 2"),
+    "pure-state-shape": (lambda f: [*KD_I[:1], "--state", f["pure-3"], *KD_I[3:]], None, "validation",
+                         "state file: data length (3,) does not match dim 2"),
+    "mixed-state-shape": (lambda f: ["wigner", "--state", f["mixed-2"]], None, "validation",
+                          "state file: data shape (2, 2) does not match dim 3"),
+    "basis-shape": (lambda f: ["audit", "--rep", "kd", "--dim", "3", "--basis-a", "@" + f["basis-2"], "--all"], None,
+                    "validation", "basis file: unitary shape (2, 2) does not match dim 3"),
+    "wigner-imaginary": (lambda f: ["wigner", "--tol", "1e-3", "--state", f["anti-hermitian"]], None, "validation",
+                         "phase-space table has imaginary part 6.667e-05"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusals_end_in_one_json_error_object(case, refusal_files, capsys, monkeypatch):
+    make_argv, env_tol, error_code, message = REFUSALS[case]
+    if env_tol is not None:
+        monkeypatch.setenv("KDQ_TOL", env_tol)
+    code, out, err = run_cli(capsys, *make_argv(refusal_files))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    doc = _strict_json(lines[0])
+    assert set(doc) == {"code", "message", "context"}
+    assert (doc["code"], doc["message"]) == (error_code, message)

@@ -741,13 +741,23 @@ def test_marginals_of_a_transform_run_no_imaginary_part_scan(monkeypatch, dim):
 @pytest.mark.parametrize("dim", [2, 3, 5, 16])
 @pytest.mark.parametrize("built_with", [5e-8, 1e-6])
 def test_marginal_tolerances_judge_as_the_plain_expressions(dim, built_with):
-    """Row sums with imaginary parts of +-1e-8, judged by a tol tighter or looser than the table's."""
+    """Row sums with imaginary parts of +-1e-8, a negative row and column sum, and a total of 1 + 3e-9,
+    judged by a tol tighter or looser than the table's."""
     rng = np.random.default_rng(dim)
     base = kd_transform(random_density(dim, dim, seed=dim), random_basis(dim, seed=dim + 1), fourier_basis(dim))
+    tables = []
     for _ in range(5):
         tab = np.array(base.table)
         signs = rng.choice([-1.0, 1.0], size=dim)
         tab[:, rng.integers(dim)] += 1e-8j * signs  # row i's sum moves by +-1e-8 i; one column's by their total
+        tables.append(tab)
+    shifted = np.array(base.table)  # row 0 and column 0 sum to theirs less 2, the total stays
+    shifted[0, 1] -= 2.0
+    shifted[1, 1] += 4.0
+    shifted[1, 0] -= 2.0
+    over = np.array(base.table)
+    over[0, 0] += 3e-9  # row 0, column 0 and the total move by 3e-9
+    for tab in (*tables, shifted, over):
         dist = KDDistribution(base.basis_a, base.basis_b, Ordering.AB, tab, tol=built_with)
         for tol in (None, 1e-9, 9.99e-9, 1e-8, 1.0001e-8, 3e-8, built_with, 1e-6, 1e-3):
             tols = {} if tol is None else {"tol": tol}

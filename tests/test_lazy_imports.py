@@ -101,6 +101,24 @@ def test_wigner_report_loads_neither_audit_nor_pointer():
     assert not {"kdq.audit", "kdq.pointer"} & set(got["run"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--rep", "kd", "--dim", "2", "--all", "--samples", "0"],
+        ["audit", "--rep", "wigner", "--all"],
+        ["weak", "--state", STATE_D2, "--a-index", "5", "--basis-a", "computational", "--b-index", "0",
+         "--basis-b", "hadamard2", "--couplings", "0.1"],
+        ["wigner", "--state", str(FIXTURES / "no_such_file.json")],
+    ],
+    ids=["audit-samples-0", "audit-wigner-no-dim", "weak-a-index-5", "wigner-missing-state"],
+)
+def test_refused_runs_load_none_of_audit_pointer_wigner(argv):
+    # a command loads its module when it first calls into it, after its input is validated
+    got = _loaded_by(*argv)
+    assert got["code"] == 2
+    assert got["run"] == ["kdq.cli", "kdq.errors", "kdq.hilbert", "kdq.io", "kdq.kd"]
+
+
 LAZY_NUMPY = ("numpy.random", "numpy.fft")  # numpy 2.x loads these on first use, not with numpy
 
 

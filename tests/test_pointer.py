@@ -102,6 +102,12 @@ def test_config_rejects_small_extent():
         PointerConfig(grid_extent=4.0, sigma=1.0)
 
 
+@pytest.mark.parametrize("coupling", [float("inf"), -float("inf"), float("nan")], ids=["inf", "-inf", "nan"])
+def test_config_refuses_a_non_finite_coupling(coupling):
+    with pytest.raises(ValidationError, match="coupling must be finite"):
+        PointerConfig(coupling=coupling)
+
+
 @pytest.mark.parametrize(
     "grid_extent, sigma, name",
     [

@@ -132,6 +132,22 @@ def test_wigner_even_dimension_rejected():
         discrete_wigner(maximally_mixed(4))
 
 
+@pytest.mark.parametrize(
+    "table, error, message",
+    [
+        (np.full((3, 2), 1 / 6), ValidationError, r"table must be square, got shape \(3, 2\)"),
+        (np.full(9, 1 / 9), ValidationError, r"table must be square, got shape \(9,\)"),
+        (np.full((2, 2), 0.25), EvenDimensionError, "dimension must be odd, got 2"),
+        (np.where(np.eye(3), np.nan, 0.0), ValidationError, "table contains non-finite entries"),
+        (np.full((3, 3), 0.2), ValidationError, "table sums to 1.8"),
+    ],
+    ids=["rectangular", "flat", "even", "nan", "sum"],
+)
+def test_wigner_table_refuses_what_no_state_makes(table, error, message):
+    with pytest.raises(error, match=message):
+        WignerTable(table)
+
+
 def test_wigner_marginals_many_random_states():
     worst_q = worst_p = 0.0
     for dim in (3, 5, 7):
