@@ -29,10 +29,7 @@ _MODULES = {
         "ZeroCouplingError",
     ),
     "hilbert": (
-        "TOL_HERM",
-        "TOL_IMAG",
-        "TOL_NORM",
-        "TOL_ORTHO",
+        "TOL",
         "TOL_PSD",
         "DensityOperator",
         "LinearOperator",

@@ -33,7 +33,6 @@ cells: a one-per-row slice's are its diagonals.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,17 +46,9 @@ from .hilbert import (
     _require_budget,
     _require_same_dim,
     _setattr,
+    _tol,
 )
 from .kd import TOL_OVERLAP, Ordering, _cross_overlaps
-
-DEFAULT_AUDIT_TOL = 1e-10
-
-
-def _audit_tol(tol: float | None) -> float:
-    """``DEFAULT_AUDIT_TOL`` for None, else ``tol``, finite and >= 0: a NaN, inf or negative bound decides every check alike."""
-    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf):
-        raise ValidationError(f"tol must be a finite non-negative number, got {tol!r}", source="tol")
-    return DEFAULT_AUDIT_TOL if tol is None else tol
 
 
 class QuasiProbRep:
@@ -395,7 +386,7 @@ def _marginal_dev(x, v: np.ndarray) -> float:
 
 def check_condition1(rep: QuasiProbRep, tol: float | None = None) -> AuditReport:
     """Operator marginals: sum_b Pi(a,b) = P_a and sum_a Pi(a,b) = P_b."""
-    tol = _audit_tol(tol)
+    tol = _tol(tol)
     devs = np.array([  # (side, k)
         _term_marginals(rep, side, basis.matrix) if rep.terms is not None
         else [_marginal_dev(rep._slices(side, k), basis.matrix[:, k]) for k in range(rep.dim)]
@@ -449,7 +440,7 @@ def check_condition2(rep: QuasiProbRep, tol: float | None = None) -> AuditReport
     and the witness is the first of those in the order state, forbidden
     before allowed.
     """
-    tol = _audit_tol(tol)
+    tol = _tol(tol)
     d = rep.dim
     born = np.abs(_cross_overlaps(rep.basis_a.matrix, rep.basis_b.matrix)) ** 2  # born[b, a] = |<a|b>|^2
     states = np.arange(d)
@@ -509,7 +500,7 @@ def check_condition3(rep: QuasiProbRep, *, tol: float | None = None) -> AuditRep
     state can exceed it only by rounding.  No state is drawn: the report
     carries 0 samples and seed 0, as the other checks' reports do.
     """
-    tol = _audit_tol(tol)
+    tol = _tol(tol)
     d = rep.dim
     if d < 2:
         raise ValidationError("condition 3 needs dim >= 2: in dim 1 the complement of a state is empty")
@@ -643,7 +634,7 @@ def span_residual(rep: QuasiProbRep) -> SpanResidual:
 
 def check_span(rep: QuasiProbRep, tol: float | None = None) -> AuditReport:
     """Pass iff every nondegenerate cell sits in the two-ordering span."""
-    tol = _audit_tol(tol)
+    tol = _tol(tol)
     res = span_residual(rep)
     # a non-finite residual fails, at the first such cell
     (flat,), (worst,) = _first_max(np.where(res.degenerate, 0.0, res.residuals).reshape(-1, 1))

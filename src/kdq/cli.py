@@ -74,13 +74,13 @@ _EXIT_CODES = {
 }
 
 
-def _tol(args) -> float | None:
-    """``--tol``, else ``KDQ_TOL``, else None for the library defaults."""
+def _tol(args) -> float:
+    """``--tol``, else ``KDQ_TOL``, else ``kdq.TOL``: one bound for every check the command makes."""
     if args.tol is not None:
-        return lib_tol(args.tol, None, "--tol")
+        return lib_tol(args.tol, "--tol")
     raw = os.environ.get("KDQ_TOL")
     try:
-        return lib_tol(None if raw is None else float(raw), None, "KDQ_TOL")
+        return lib_tol(None if raw is None else float(raw), "KDQ_TOL")
     except ValueError as exc:
         raise ValidationError(f"KDQ_TOL is not a number: {raw!r}") from exc
 

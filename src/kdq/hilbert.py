@@ -32,11 +32,8 @@ from .errors import (
     ValidationError,
 )
 
-TOL_NORM = 1e-10
-TOL_HERM = 1e-10
-TOL_ORTHO = 1e-10
+TOL = 1e-10  # every library tol's default: a norm, trace, Hermiticity, Gram, sum or audit deviation
 TOL_PSD = 1e-9
-TOL_IMAG = 1e-10
 
 # no single array may exceed this; larger requests are refused before allocation
 MAX_ARRAY_BYTES = 1 << 30
@@ -44,14 +41,13 @@ MAX_ARRAY_BYTES = 1 << 30
 _setattr = object.__setattr__  # sets a _Value field: once in __init__, or a private cache
 
 
-def _tol(value, default: float, source: str = "tolerance") -> float:
-    """``default`` for None, else ``value``: finite and positive, as a NaN would skip the check."""
+def _tol(value, source: str = "tolerance") -> float:
+    """``TOL`` for None, else ``value``: finite and positive, as a NaN would skip the check."""
     if value is None:
-        return default
+        return TOL
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise ValidationError(
-            f"{source} must be a finite positive number, got {value!r}", source=source
-        )
+        shown = value.item() if isinstance(value, np.generic) else value  # nan, not np.float64(nan)
+        raise ValidationError(f"{source} must be a finite positive number, got {shown!r}", source=source)
     return value
 
 
@@ -88,15 +84,15 @@ def _require_shaped(arr: np.ndarray, ndim: int, what: str) -> None:
         raise ValidationError(f"{what} must be square, got shape {arr.shape}")
 
 
-def _accepts(arr: np.ndarray, ndim: int, what: str, deviation: float, tol, default: float) -> bool:
+def _accepts(arr: np.ndarray, ndim: int, what: str, deviation: float, tol) -> bool:
     """``deviation <= tol``, or else the ordered checks: ``_require_shaped``, ``_tol``, then that test (NaN fails)."""
     try:
-        if deviation <= _tol(tol, default):  # NaN or inf for a non-finite entry: accepted arrays are finite
+        if deviation <= _tol(tol):  # NaN or inf for a non-finite entry: accepted arrays are finite
             return True
     except ValidationError:
         pass
     _require_shaped(arr, ndim, what)
-    return deviation <= _tol(tol, default)
+    return deviation <= _tol(tol)
 
 
 class _Value:
@@ -145,7 +141,7 @@ class StateVector(_Value):
     def __init__(self, amplitudes: np.ndarray, tol: float | None = None):
         amps, shaped = _shaped(amplitudes, 1)
         norm_sq = float(np.add.reduce(abs(amps) ** 2, None)) if shaped else math.nan
-        if not _accepts(amps, 1, "state vector", abs(norm_sq - 1.0), tol, TOL_NORM):
+        if not _accepts(amps, 1, "state vector", abs(norm_sq - 1.0), tol):
             raise NotNormalizedError(
                 f"state vector has squared norm {norm_sq!r}, expected 1", norm_sq=norm_sq
             )
@@ -173,13 +169,13 @@ class DensityOperator(_Value):
         mat, shaped = _shaped(matrix, 2)
         adj = mat.conj().T
         herm_dev = _max_abs(mat - adj) if shaped else math.nan
-        if not _accepts(mat, 2, "density matrix", herm_dev, tol, TOL_HERM):
+        if not _accepts(mat, 2, "density matrix", herm_dev, tol):
             raise ValidationError(
                 f"density matrix is not Hermitian (max deviation {herm_dev:.3e})",
                 deviation=herm_dev,
             )
         trace = complex(np.add.reduce(mat.diagonal()))  # mat.trace()'s reduction, called directly
-        if abs(trace - 1.0) > _tol(tol, TOL_NORM):
+        if abs(trace - 1.0) > _tol(tol):
             raise ValidationError(f"density matrix has trace {trace}, expected 1", trace=trace)
         # Cholesky of sym + TOL_PSD I, sym = (mat + adj) / 2, succeeds exactly when
         # sym's smallest eigenvalue exceeds -TOL_PSD, within d eps |rho| (Higham,
@@ -226,7 +222,7 @@ class OrthonormalBasis(_Value):
             gram = mat.conj().T @ mat
             gram.ravel()[:: mat.shape[0] + 1] -= 1.0  # gram - identity
             gram_dev = _max_abs(gram)
-        if not _accepts(mat, 2, "basis matrix", gram_dev, tol, TOL_ORTHO):
+        if not _accepts(mat, 2, "basis matrix", gram_dev, tol):
             raise ValidationError(
                 f"basis vectors are not orthonormal (max Gram deviation {gram_dev:.3e})",
                 deviation=gram_dev,
@@ -346,8 +342,9 @@ def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     return OrthonormalBasis(q, label=f"random-{seed}")
 
 
-def states_equal_up_to_phase(x: StateVector, y: StateVector, tol: float = TOL_NORM) -> bool:
+def states_equal_up_to_phase(x: StateVector, y: StateVector, tol: float | None = None) -> bool:
     """Equality of pure states modulo a global phase: | |<x|y>| - 1 | <= tol."""
+    tol = _tol(tol)
     if x.dim != y.dim:
         return False
     return abs(abs(overlap(x, y)) - 1.0) <= tol

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import SingularOverlapError, ValidationError
 from .hilbert import (
-    TOL_IMAG,
-    TOL_NORM,
     DensityOperator,
     LinearOperator,
     OrthonormalBasis,
@@ -69,10 +67,10 @@ class KDDistribution(_Value):
 
     def _own(self, basis_a, basis_b, ordering, tab, total, sums, imag, cross, tol) -> KDDistribution:
         """Take ``tab`` and its sums as they are, not copied, once they pass the table's check."""
-        if not _accepts(tab, 2, "table", abs(total - 1.0), tol, TOL_NORM):
+        if not _accepts(tab, 2, "table", abs(total - 1.0), tol):
             raise ValidationError(f"table sums to {total}, expected 1", total=total)
         worst_imag = max(imag)
-        if worst_imag > (TOL_IMAG if tol is None else tol):  # _accepts has checked tol
+        if worst_imag > _tol(tol):
             raise ValidationError(f"row/column sums have imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
         tab.setflags(write=False)
         sums.setflags(write=False)
@@ -148,16 +146,15 @@ def _kept(rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalB
 
 def _real_marginal(dist: KDDistribution, axis: int, axis_name: str, tol: float | None) -> np.ndarray:
     """The table's sums along ``axis`` as probabilities, judged by the largest imaginary part its check kept."""
-    tol_imag = _tol(tol, TOL_IMAG)
-    tol = TOL_NORM if tol is None else tol_imag
+    tol = _tol(tol)
     worst_imag = dist._imag[axis]
-    if worst_imag > tol_imag:
+    if worst_imag > tol:
         raise ValidationError(f"{axis_name} marginal has imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
     probs = dist._sums[axis].real.copy()
-    lo, total = np.minimum.reduce(probs, None), np.add.reduce(probs, None)
-    if float(lo) < -tol:
+    lo, total = float(np.minimum.reduce(probs, None)), float(np.add.reduce(probs, None))
+    if lo < -tol:
         raise ValidationError(f"{axis_name} marginal has negative entry {lo:.3e}")
-    if abs(float(total) - 1.0) > tol:
+    if abs(total - 1.0) > tol:
         raise ValidationError(f"{axis_name} marginal sums to {total!r}")
     return probs
 

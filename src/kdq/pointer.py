@@ -32,10 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePostselectionError, ValidationError, ZeroCouplingError
-from .hilbert import LinearOperator, StateVector, _max_abs, _Record, _require_same_dim, _setattr
+from .hilbert import TOL, LinearOperator, StateVector, _max_abs, _Record, _require_same_dim, _setattr
 from .kd import conditional_weak_value
 
-_PROJECTOR_TOL = 1e-10
 _POSTSELECT_FLOOR = 1e-12
 
 
@@ -103,9 +102,9 @@ class SweepPoint(NamedTuple):
 
 def _validate_projector(a_proj: LinearOperator) -> None:
     mat = a_proj.matrix
-    if _max_abs(mat - mat.conj().T) > _PROJECTOR_TOL:
+    if _max_abs(mat - mat.conj().T) > TOL:
         raise ValidationError("measurement operator must be Hermitian")
-    if _max_abs(mat @ mat - mat) > _PROJECTOR_TOL:
+    if _max_abs(mat @ mat - mat) > TOL:
         raise ValidationError("measurement operator must be idempotent (a projector)")
 
 

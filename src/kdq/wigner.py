@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
-from .hilbert import TOL_NORM, DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _tol
+from .hilbert import DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _tol
 from .hilbert import _setattr, _Value, computational_basis
 
 if TYPE_CHECKING:
@@ -48,7 +48,7 @@ class WignerTable(_Value):
         if not np.isfinite(tab).all():
             raise ValidationError("table contains non-finite entries")
         total = float(tab.sum())
-        if abs(total - 1.0) > _tol(tol, TOL_NORM):
+        if abs(total - 1.0) > _tol(tol):
             raise ValidationError(f"table sums to {total!r}, expected 1", total=total)
         tab.setflags(write=False)
         _setattr(self, "table", tab)
@@ -108,10 +108,10 @@ def condition3_violation_report(
     """Cells (q, p, W) with zero position marginal but nonzero table value.
 
     Both "zero" and "nonzero" are judged against ``tol`` (default
-    ``TOL_NORM``).  An empty list means the orthogonality-zero requirement
+    ``TOL``).  An empty list means the orthogonality-zero requirement
     holds for this state on the position side.
     """
-    tol = _tol(tol, TOL_NORM)
+    tol = _tol(tol)
     w = discrete_wigner(rho, tol=tol).table  # refuses an even dimension
     dark = (position_marginal(rho) <= tol)[:, None] & (abs(w) > tol)
     return [(q, p, float(w[q, p])) for q, p in np.argwhere(dark).tolist()]  # C order: the loop's

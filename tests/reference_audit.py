@@ -22,8 +22,8 @@ import re
 
 import numpy as np
 
-from kdq import AuditReport, BadSampleCountError, Ordering, QuasiProbRep, SpanResidual, kd_operator
-from kdq.audit import DEFAULT_AUDIT_TOL, _zero_sum_sign_pattern
+from kdq import TOL, AuditReport, BadSampleCountError, Ordering, QuasiProbRep, SpanResidual, kd_operator
+from kdq.audit import _zero_sum_sign_pattern
 from kdq.wigner import phase_point_operator
 
 _PRINTED_VALUE = re.compile(r"[-+]?\d\.\d{3}e[-+]\d+")
@@ -76,7 +76,7 @@ def _evaluate_raw(ops: np.ndarray, rho_mat: np.ndarray) -> np.ndarray:
     return np.einsum("abij,ji->ab", ops, rho_mat)
 
 
-def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL, cells=None) -> AuditReport:
+def check_condition1(rep: QuasiProbRep, tol: float = TOL, cells=None) -> AuditReport:
     d = rep.dim
     worst = 0.0
     witness = "all operator sums match the basis projectors"
@@ -96,7 +96,7 @@ def check_condition1(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL, cells=No
     return AuditReport("C1", worst <= tol, worst, witness, samples_used=0, seed=0)
 
 
-def check_condition2(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL, cells=None) -> AuditReport:
+def check_condition2(rep: QuasiProbRep, tol: float = TOL, cells=None) -> AuditReport:
     d = rep.dim
     cross = rep.basis_b.matrix.conj().T @ rep.basis_a.matrix  # cross[b, a] = <b|a>
     born = np.abs(cross.T) ** 2  # born[a, b] = |<a|b>|^2
@@ -168,7 +168,7 @@ def check_condition3(
     rep: QuasiProbRep,
     samples: int = 100,
     seed: int = 0,
-    tol: float = DEFAULT_AUDIT_TOL,
+    tol: float = TOL,
     cells=None,
 ) -> AuditReport:
     if samples < 1:
@@ -213,7 +213,7 @@ def span_residual(rep: QuasiProbRep, tol_overlap: float = 1e-8) -> SpanResidual:
     return SpanResidual(residuals, degenerate)
 
 
-def check_span(rep: QuasiProbRep, tol: float = DEFAULT_AUDIT_TOL, cells=None) -> AuditReport:
+def check_span(rep: QuasiProbRep, tol: float = TOL, cells=None) -> AuditReport:
     res = span_residual(rep)
     masked = np.where(res.degenerate, 0.0, res.residuals)
     a, b = np.unravel_index(int(np.argmax(masked)), masked.shape)

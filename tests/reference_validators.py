@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from kdq import NotNormalizedError, ValidationError
-from kdq.hilbert import TOL_HERM, TOL_IMAG, TOL_NORM, TOL_ORTHO, TOL_PSD, _require_same_dim, _tol
+from kdq.hilbert import TOL_PSD, _require_same_dim, _tol
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -41,7 +41,7 @@ def frozen_complex(data, ndim: int, what: str) -> np.ndarray:
 def state_vector(amplitudes, tol=None) -> np.ndarray:
     amps = frozen_complex(amplitudes, 1, "state vector")
     norm_sq = float((abs(amps) ** 2).sum())
-    if not abs(norm_sq - 1.0) <= _tol(tol, TOL_NORM):
+    if not abs(norm_sq - 1.0) <= _tol(tol):
         raise NotNormalizedError(
             f"state vector has squared norm {norm_sq!r}, expected 1", norm_sq=norm_sq
         )
@@ -52,13 +52,13 @@ def density_operator(matrix, tol=None) -> np.ndarray:
     mat = frozen_complex(matrix, 2, "density matrix")
     adj = mat.conj().T
     herm_dev = _max_abs(mat - adj)
-    if not herm_dev <= _tol(tol, TOL_HERM):
+    if not herm_dev <= _tol(tol):
         raise ValidationError(
             f"density matrix is not Hermitian (max deviation {herm_dev:.3e})",
             deviation=herm_dev,
         )
     trace = complex(mat.trace())
-    if abs(trace - 1.0) > _tol(tol, TOL_NORM):
+    if abs(trace - 1.0) > _tol(tol):
         raise ValidationError(f"density matrix has trace {trace}, expected 1", trace=trace)
     tol_psd = TOL_PSD
     twice = mat + adj
@@ -81,7 +81,7 @@ def orthonormal_basis(matrix, tol=None) -> np.ndarray:
     gram = mat.conj().T @ mat
     gram.ravel()[:: mat.shape[0] + 1] -= 1.0
     gram_dev = _max_abs(gram)
-    if not gram_dev <= _tol(tol, TOL_ORTHO):
+    if not gram_dev <= _tol(tol):
         raise ValidationError(
             f"basis vectors are not orthonormal (max Gram deviation {gram_dev:.3e})",
             deviation=gram_dev,
@@ -98,10 +98,10 @@ def kd_table(basis_a, basis_b, table, tol=None) -> np.ndarray:
     if not np.isfinite(tab).all():
         raise ValidationError("table contains non-finite entries")
     total = complex(tab.sum())
-    if not abs(total - 1.0) <= _tol(tol, TOL_NORM):
+    if not abs(total - 1.0) <= _tol(tol):
         raise ValidationError(f"table sums to {total}, expected 1", total=total)
     worst_imag = max(_max_abs(tab.sum(axis=1).imag), _max_abs(tab.sum(axis=0).imag))
-    if worst_imag > _tol(tol, TOL_IMAG):
+    if worst_imag > _tol(tol):
         raise ValidationError(
             f"row/column sums have imaginary part {worst_imag:.3e}",
             worst_imag=worst_imag,

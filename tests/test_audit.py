@@ -128,7 +128,7 @@ def test_condition2_mixed_ordering_passes():
 def test_condition2_violation_linear_in_epsilon():
     a, b = comp_fourier(4)
     worst = [
-        check_condition2(make_condition2_violator(a, b, eps), tol=0).worst_violation
+        check_condition2(make_condition2_violator(a, b, eps)).worst_violation
         for eps in (0.1, 0.01, 0.001)
     ]
     assert worst[0] / worst[1] == pytest.approx(10.0, rel=1e-6)
@@ -334,15 +334,15 @@ def test_first_non_finite_cell_is_the_witness():
                          ids=["c1", "c2", "c3", "span"])
 def test_checks_refuse_a_nan_negative_or_infinite_tol(check, tol):
     # an inf bound would pass the overflowing family's inf deviations, and a NaN or negative one
-    # would fail every check; None is the default bound, and 0 asks for an exact check
+    # would fail every check; None is the default bound, and 0, as for every library tol, is refused
     rep = next(_overflowing_reps())
-    with pytest.raises(ValidationError, match="tol must be a finite non-negative number") as err:
+    with pytest.raises(ValidationError, match="tolerance must be a finite positive number") as err:
         check(rep, tol=tol)
-    assert err.value.context == {"source": "tol"}
+    assert err.value.context == {"source": "tolerance"}
     rep = kd_rep(*comp_fourier(2))
     assert check(rep, tol=None) == check(rep, tol=1e-10)
-    exact = check(rep, tol=0)
-    assert exact.passed is (exact.worst_violation <= 0)
+    with pytest.raises(ValidationError, match="tolerance must be a finite positive number, got 0$"):
+        check(rep, tol=0)
 
 
 @pytest.mark.parametrize(

@@ -574,18 +574,29 @@ def test_tol_does_not_reach_the_psd_bound(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "tol_args, env_tol",
-    [(["--tol", "nan"], None), (["--tol", "inf"], None), (["--tol", "0"], None), (["--tol", "-1"], None), ([], "nan")],
-    ids=["nan", "inf", "zero", "negative", "env-nan"],
+    [
+        (["--tol", "nan"], None), (["--tol", "inf"], None), (["--tol", "0"], None), (["--tol", "-1"], None),
+        (["--tol", "-0"], None), (["--tol", "1e400"], None),
+        ([], "nan"), ([], "inf"), ([], "0"), ([], "-1e-3"),  # argparse reads --tol -1e-3 as a flag
+    ],
+    ids=["nan", "inf", "zero", "negative", "negative-zero", "overflow", "env-nan", "env-inf", "env-zero",
+         "env-negative"],
 )
 def test_unusable_tolerance_exit_2(tmp_path, capsys, monkeypatch, tol_args, env_tol):
     # a nan or inf tolerance would accept this state of squared norm 9, and
-    # nan, 0 or -1 would fail the audit on rounding noise
+    # nan, 0 or -1 would fail the audit on rounding noise; every command refuses alike
+    kd_file = tmp_path / "kd.json"
+    kd_file.write_text(run_cli(capsys, "kd", "--state", str(FIXTURES / "state_i_d2.json"), "--basis-a",
+                               "computational", "--basis-b", "fourier")[1])
     if env_tol is not None:
         monkeypatch.setenv("KDQ_TOL", env_tol)
     state = tmp_path / "norm3.json"
     state.write_text(json.dumps({"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [[3.0, 0.0], [0.0, 0.0]]}))
     for argv in (
         ["kd", "--state", str(state), "--basis-a", "computational", "--basis-b", "fourier"],
+        ["reconstruct", "--kd", str(kd_file)],
+        ["wigner", "--state", str(FIXTURES / "state_doubleslit_d5.json"), "--report"],
+        [*WEAK_PLUS, "--couplings", "0.1"],
         ["audit", "--rep", "kd", "--dim", "3", "--all"],
     ):
         code, out, err = run_cli(capsys, *argv, *tol_args)

@@ -5,21 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdq
 from kdq import (
     BadRankError,
     DensityOperator,
     DimMismatchError,
+    KDDistribution,
+    KdqError,
     LinearOperator,
     NotNormalizedError,
     Ordering,
     OrthonormalBasis,
+    QuasiProbRep,
     TOL_PSD,
     StateVector,
     ValidationError,
+    WignerTable,
     basis_state,
+    check_condition1,
+    check_condition2,
+    check_condition3,
+    check_span,
     computational_basis,
+    condition3_violation_report,
+    discrete_wigner,
+    double_slit_state,
     fourier_basis,
     kd_inverse,
+    kd_marginal_a,
+    kd_marginal_b,
+    kd_rep,
     kd_transform,
     make_pure_density,
     maximally_mixed,
@@ -83,7 +98,7 @@ def test_basis_rejects_non_orthonormal():
         OrthonormalBasis(np.array([[1.0, 1.0], [0.0, 0.1]]))
 
 
-BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True]
+BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True, np.float64("nan"), np.float64(-1e-3)]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS, ids=repr)
@@ -95,14 +110,100 @@ BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True]
         lambda tol: DensityOperator(np.diag([1.5, -0.5]), tol=tol),
         lambda tol: OrthonormalBasis(np.eye(2), tol=tol),
         lambda tol: make_pure_density(basis_state(2, 0), tol=tol),
+        lambda tol: states_equal_up_to_phase(basis_state(2, 0), basis_state(2, 0), tol=tol),
     ],
-    ids=["state", "density-tol", "density-tol-indefinite", "basis", "pure-density"],
+    ids=["state", "density-tol", "density-tol-indefinite", "basis", "pure-density", "equal-up-to-phase"],
 )
 def test_tolerance_must_be_finite_and_positive(build, tol):
     # a NaN tolerance used to make every "deviation > tol" test false; an
     # indefinite matrix, which the fixed TOL_PSD refuses, meets the tolerance's error first
-    with pytest.raises(ValidationError, match="tolerance must be a finite positive number"):
+    with pytest.raises(ValidationError, match="tolerance must be a finite positive number") as err:
         build(tol)
+    # a numpy scalar reads as the plain number it holds, not as np.float64(...)
+    plain = float(tol) if isinstance(tol, np.float64) else tol
+    assert str(err.value).endswith(f"got {plain!r}")
+
+
+def _dev_rho(dev: float, dim: int = 2) -> DensityOperator:
+    """A diagonal state of trace 1 + ``dev``, built under a loose bound for a call that judges it under its own."""
+    return DensityOperator(np.diag([0.5 + dev] + [0.5 / (dim - 1)] * (dim - 1)), tol=1e-6)
+
+
+def _dev_table(dev: float) -> KDDistribution:
+    """``_dev_rho(dev)``'s table over computational x fourier: it and both its marginals sum to 1 + ``dev``."""
+    return kd_transform(_dev_rho(dev), computational_basis(2), fourier_basis(2), tol=1e-6)
+
+
+def _dev_rep(check, dev: float) -> QuasiProbRep:
+    """The KD family with cell (0, 0) moved along |0><0| until ``check``'s worst violation is ``dev``."""
+    a, b = computational_basis(2), fourier_basis(2)
+    ops = kd_rep(a, b).operators
+
+    def moved(step):
+        shifted = ops.copy()
+        shifted[0, 0, 0, 0] += step
+        return QuasiProbRep(a, b, shifted)
+
+    return moved(dev * 1e-3 / check(moved(1e-3)).worst_violation)  # each check's worst is linear in the step
+
+
+def _dark_row_rho(dev: float) -> DensityOperator:
+    """The d=3 double slit at 0 and 2 with weight ``dev`` moved to the midpoint |1>: its marginal there is ``dev``."""
+    psi = double_slit_state(3, 0, 2).amplitudes
+    return DensityOperator((1 - dev) * np.outer(psi, psi.conj()) + np.diag([0.0, dev, 0.0]))
+
+
+def _audit_probe(check):
+    def probe(dev, tol):
+        report = check(_dev_rep(check, dev), tol=tol)
+        return report.passed, report
+    return probe
+
+
+# every library entry point that takes tol, fed an input whose deviation at that tol's check is ``dev``:
+# each returns (is the deviation within the bound?, what the call made, comparable with ==)
+TOL_PROBES = {
+    "state": lambda dev, tol: (True, StateVector([np.sqrt(1 + dev), 0.0], tol=tol).amplitudes.tobytes()),
+    "density-hermitian": lambda dev, tol: (True, DensityOperator([[0.5, dev], [0, 0.5]], tol=tol).matrix.tobytes()),
+    "density-trace": lambda dev, tol: (True, DensityOperator(_dev_rho(dev).matrix, tol=tol).matrix.tobytes()),
+    "basis": lambda dev, tol: (True, OrthonormalBasis(np.diag([np.sqrt(1 + dev), 1]), tol=tol).matrix.tobytes()),
+    "kd-table-total": lambda dev, tol: (True, KDDistribution(
+        computational_basis(2), fourier_basis(2), Ordering.AB, _dev_table(dev).table, tol=tol).table.tobytes()),
+    "kd-table-imag": lambda dev, tol: (True, KDDistribution(
+        computational_basis(2), fourier_basis(2), Ordering.AB, [[0.5, dev * 1j], [-dev * 1j, 0.5]], tol=tol
+    ).table.tobytes()),
+    "kd-transform": lambda dev, tol: (True, kd_transform(
+        _dev_rho(dev), computational_basis(2), fourier_basis(2), tol=tol).table.tobytes()),
+    "kd-marginal-a": lambda dev, tol: (True, kd_marginal_a(_dev_table(dev), tol=tol).tobytes()),
+    "kd-marginal-b": lambda dev, tol: (True, kd_marginal_b(_dev_table(dev), tol=tol).tobytes()),
+    "kd-inverse": lambda dev, tol: (True, kd_inverse(_dev_table(dev), tol=tol).matrix.tobytes()),
+    "wigner-table": lambda dev, tol: (True, WignerTable(np.full((3, 3), (1 + dev) / 9), tol=tol).table.tobytes()),
+    "discrete-wigner": lambda dev, tol: (True, discrete_wigner(_dev_rho(dev, 3), tol=tol).table.tobytes()),
+    # a row whose marginal is within the bound reads as dark, and its nonzero Wigner cells as violations
+    "condition3-report": lambda dev, tol: (bool(report := condition3_violation_report(_dark_row_rho(dev), tol=tol)),
+                                           report),
+    "equal-up-to-phase": lambda dev, tol: (states_equal_up_to_phase(
+        basis_state(2, 0), StateVector([1 - dev, np.sqrt(dev * (2 - dev))]), tol=tol), None),
+    "c1": _audit_probe(check_condition1),
+    "c2": _audit_probe(check_condition2),
+    "c3": _audit_probe(check_condition3),
+    "span": _audit_probe(check_span),
+}
+
+
+@pytest.mark.parametrize("probe", TOL_PROBES.values(), ids=TOL_PROBES.keys())
+def test_tol_none_is_kdq_TOL(probe):
+    # one default for every library bound: None decides as kdq.TOL does, on either side of it
+    def outcome(dev, tol):
+        try:
+            return probe(dev, tol)
+        except KdqError as err:
+            return False, (type(err), str(err), err.context)
+
+    for dev, within in ((0.5 * kdq.TOL, True), (2 * kdq.TOL, False)):
+        default = outcome(dev, None)
+        assert default == outcome(dev, kdq.TOL)
+        assert default[0] is within, default
 
 
 def test_nan_tolerances_no_longer_accept_bad_inputs():

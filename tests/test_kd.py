@@ -710,7 +710,7 @@ def _plain_marginal(tab, axis, name, tol=1e-10):
     if float(probs.min()) < -tol:
         return "error", f"{name} marginal has negative entry {probs.min():.3e}", {}
     if abs(float(probs.sum()) - 1.0) > tol:
-        return "error", f"{name} marginal sums to {probs.sum()!r}", {}
+        return "error", f"{name} marginal sums to {float(probs.sum())!r}", {}
     return "ok", probs.tobytes()
 
 

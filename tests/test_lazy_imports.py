@@ -30,7 +30,7 @@ PUBLIC = {
         "ValidationError", "ZeroCouplingError",
     ),
     "hilbert": (
-        "TOL_HERM", "TOL_IMAG", "TOL_NORM", "TOL_ORTHO", "TOL_PSD", "DensityOperator",
+        "TOL", "TOL_PSD", "DensityOperator",
         "LinearOperator", "OrthonormalBasis", "StateVector", "basis_state", "computational_basis",
         "fourier_basis", "make_pure_density", "maximally_mixed", "overlap", "product_trace",
         "random_basis", "random_density", "random_state", "random_state_orthogonal_to",
