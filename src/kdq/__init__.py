@@ -45,8 +45,6 @@ _MODULES = {
         "random_basis",
         "random_density",
         "random_state",
-        "random_state_orthogonal_to",
-        "states_equal_up_to_phase",
     ),
     "kd": (
         "TOL_OVERLAP",

@@ -194,9 +194,12 @@ class _OnePerRow(NamedTuple):
     X_c = F Y_c F^dag with Y_c[i, cols[i]] = vals[c, i], where F is the
     matrix of the side's basis: in the slice's frame the side's basis is the
     standard basis, so <v_j|X_c|v_j> = Y_c[j, j] and the slice's own vector
-    is |k>, k = ``pivot``.  Basis A is computational, so what walks the rows
-    (``evaluate``, the span, ``operators``) reads Y itself; a column's C1 and
-    C3 are unitarily invariant, so F is never needed.
+    is |k>, k = ``pivot``.  The contract is a phase-point slice's shape: cols
+    is a permutation fixing k (there i -> 2k - i mod d, fixing k alone), so
+    row k and column k of Y_c hold one nonzero, Y_c[k, k].  Basis A is
+    computational, so what walks the rows (``evaluate``, the span,
+    ``operators``) reads Y itself; a column's C1 and C3 are unitarily
+    invariant, so F is never needed.
     """
 
     cols: np.ndarray  # (d,) int
@@ -212,23 +215,17 @@ _BLOCK_BYTES = 1 << 16
 _TILE_CELLS = 64  # the fewest cells in a term kernel's tile
 
 
-def _blocks(x):
-    """(cells, their part of x) for blocks of about _BLOCK_BYTES of the cells of a dense (c, d, d) or one-per-row slice.
-
-    Two cells or more to a block: numpy sums the rows of a one-row F-ordered
-    array pairwise and those of a taller one in order.
-    """
-    vals = x.vals if isinstance(x, _OnePerRow) else x
-    n = len(vals)
-    m = max(1, n // max(2, _BLOCK_BYTES // (16 * vals[0].size)))  # blocks
+def _blocks(x: np.ndarray):
+    """(cells, their part of x) for blocks of about _BLOCK_BYTES, two cells at least, of the cells of a dense (c, d, d) slice."""
+    n = len(x)
+    m = max(1, n // max(2, _BLOCK_BYTES // (16 * x[0].size)))  # blocks
     for cells in (slice(n * i // m, n * (i + 1) // m) for i in range(m)):
-        yield cells, x._replace(vals=vals[cells]) if isinstance(x, _OnePerRow) else vals[cells]
+        yield cells, x[cells]
 
 
 def _off_pivot_sq(x: _OnePerRow) -> np.ndarray:
     """sum_i |Y_c[i, cols[i]]|^2 over the nonzeros off row and column ``x.pivot``, per cell."""
-    k = x.pivot
-    off = (x.cols != k) & (np.arange(x.vals.shape[1]) != k)
+    off = np.arange(x.vals.shape[1]) != x.pivot  # row k's nonzero is the only one in column k
     return ((x.vals.real**2 + x.vals.imag**2) * off).sum(axis=1)
 
 
@@ -373,15 +370,13 @@ def _term_marginals(rep: QuasiProbRep, side: int, vecs: np.ndarray) -> np.ndarra
 
 def _marginal_dev(x, v: np.ndarray) -> float:
     """||sum_c X_c - |v><v| ||_F for a dense or one-per-row slice whose side's basis vector is v."""
-    if isinstance(x, _OnePerRow):  # in its frame, where |v> = |k>; the cells share their columns
-        d = len(x.cols)
-        dev = np.zeros((d, d), dtype=np.complex128)
+    if isinstance(x, _OnePerRow):  # in its frame |v> = |k>, and each row sum of the cells has an entry of its own
         # numpy adds C-ordered cells in order, as a scatter-add does, and F-ordered ones (a row's) pairwise
-        dev[np.arange(d), x.cols] = np.ascontiguousarray(x.vals).sum(axis=0)
-        dev[x.pivot, x.pivot] -= 1.0
+        dev = np.ascontiguousarray(x.vals).sum(axis=0)
+        dev[x.pivot] -= 1.0
     else:  # einsum, not np.outer, which rounds some entries of |k><k| differently
-        dev = x.sum(axis=0) - np.einsum("i,j->ij", v, v.conj())
-    return _frobenius(dev[None])[0]
+        dev = (x.sum(axis=0) - np.einsum("i,j->ij", v, v.conj())).ravel()
+    return np.sqrt(np.vecdot(dev, dev).real)
 
 
 def check_condition1(rep: QuasiProbRep, tol: float | None = None) -> AuditReport:
@@ -554,32 +549,18 @@ def _term_span(
     return _tiled(_side(rep, 0), terms)
 
 
-def _pivot_span_row(
-    x: _OnePerRow, bm: np.ndarray, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray
-) -> np.ndarray:
+def _pivot_span_row(x: _OnePerRow, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
     """span_residual for a one-per-row row, whose vector |a> is the coordinate vector |k>, k = x.pivot.
 
-    U_b = |b><k| lives in column k and V_b = |k><b| in row k, so the
-    residual differs from X_b only there: it is formed explicitly on those
-    2d - 1 entries (column k, then row k without its diagonal entry), and
-    the nonzeros of X_b off both add their squares.
+    U_b = |b><k| and V_b = |k><b| meet X_b only in x_b = Y_b[k, k].  With
+    c = <b|a>, <U_b, X_b> = c x_b, <W_b, X_b> = c* x_b (1 - |c|^2) and
+    ||W_b||^2 = 1 - |c|^4, so the residual's square is the off-pivot squares
+    plus |x_b|^2 (1 - |c|^2) / (1 + |c|^2), or |x_b|^2 (1 - |c|^2) where W_b
+    counts as zero: non-negative terms, and no (cells, d) array.
     """
-    k, (n, d) = x.pivot, x.vals.shape
-    bt = bm.T  # bt[b] = |b>
-    xcol = np.where(x.cols == k, x.vals, 0.0)  # column k of X_b
-    xrow = np.zeros((n, d), dtype=np.complex128)  # row k of X_b, off the diagonal
-    xrow[:, x.cols[k]] = x.vals[:, k]
-    xrow[:, k] = 0.0
-    wcol = -(c * c)[:, None] * bt  # W_b = V_b - c_b^2 U_b on column k ...
-    wcol[:, k] += bt[:, k].conj()
-    wrow = bt.conj().copy()  # ... and on row k
-    wrow[:, k] = 0.0
-    rcol = xcol - np.vecdot(bt, xcol)[:, None] * bt  # X - <U, X> U
-    w_sq = np.vecdot(wcol, wcol).real + np.vecdot(wrow, wrow).real
-    g = (np.vecdot(wcol, rcol) + np.vecdot(wrow, xrow)) / np.where(w_sq > w_sq_cut, w_sq, np.inf)
-    rcol -= g[:, None] * wcol
-    rrow = xrow - g[:, None] * wrow
-    res = np.sqrt(np.vecdot(rcol, rcol).real + np.vecdot(rrow, rrow).real + _off_pivot_sq(x))
+    c_sq, xk = c.real**2 + c.imag**2, x.vals[:, x.pivot]
+    pivot_sq = (xk.real**2 + xk.imag**2) * (1.0 - c_sq) / np.where(1.0 - c_sq**2 > w_sq_cut, 1.0 + c_sq, 1.0)
+    res = np.sqrt(_off_pivot_sq(x) + pivot_sq)
     return np.where(degenerate, np.sqrt((x.vals.real**2 + x.vals.imag**2).sum(axis=1)), res)
 
 
@@ -626,9 +607,11 @@ def span_residual(rep: QuasiProbRep) -> SpanResidual:
         return SpanResidual(_term_span(rep, am, bm, cross, w_sq_cut, degenerate), degenerate)
     residuals = np.empty((d, d))
     for a in range(d):
-        for b, y in _blocks(rep._slices(0, a)):
-            args = bm[:, b], cross[a, b], w_sq_cut[a, b], degenerate[a, b]
-            residuals[a, b] = _pivot_span_row(y, *args) if isinstance(y, _OnePerRow) else _dense_span_row(y, am[:, a], *args)
+        if isinstance(x := rep._slices(0, a), _OnePerRow):
+            residuals[a] = _pivot_span_row(x, cross[a], w_sq_cut[a], degenerate[a])
+        else:
+            for b, y in _blocks(x):
+                residuals[a, b] = _dense_span_row(y, am[:, a], bm[:, b], cross[a, b], w_sq_cut[a, b], degenerate[a, b])
     return SpanResidual(residuals, degenerate)
 
 

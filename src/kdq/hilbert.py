@@ -313,21 +313,6 @@ def random_state(dim: int, seed: int) -> StateVector:
     return StateVector(z / np.linalg.norm(z))
 
 
-def random_state_orthogonal_to(v: StateVector, seed: int) -> StateVector:
-    """Random normalized state orthogonal to ``v``: a complex Gaussian projected off ``v``, redrawn if near zero."""
-    if v.dim < 2:
-        raise ValidationError("orthogonal complement is empty for dim < 2")
-    rng = np.random.default_rng(seed)
-    amps = v.amplitudes
-    while True:
-        z = rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim)
-        z -= amps * np.vdot(amps, z)
-        z -= amps * np.vdot(amps, z)  # again: once leaves |<v|m>| near eps ||z|| / ||Q z||, twice near eps
-        nrm = np.linalg.norm(z)
-        if nrm > 1e-8:
-            return StateVector(z / nrm)
-
-
 def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     """Random orthonormal basis from the QR decomposition of a Gaussian matrix."""
     if dim < 1:
@@ -340,11 +325,3 @@ def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     phases /= np.abs(phases)
     q = q * phases.conj()
     return OrthonormalBasis(q, label=f"random-{seed}")
-
-
-def states_equal_up_to_phase(x: StateVector, y: StateVector, tol: float | None = None) -> bool:
-    """Equality of pure states modulo a global phase: | |<x|y>| - 1 | <= tol."""
-    tol = _tol(tol)
-    if x.dim != y.dim:
-        return False
-    return abs(abs(overlap(x, y)) - 1.0) <= tol

@@ -3,10 +3,9 @@
 These are the per-cell loops the vectorized code in ``kdq.audit`` and
 ``kdq.wigner.wigner_as_rep`` replaced: one operator per cell for the
 family builders, one lstsq per span cell, one pair of d x d matmuls per
-compression, one full contraction per eigenstate table, and a sampler that
-draws one complement state at a time (the one behind
-``random_state_orthogonal_to``).  They are slow on purpose and only run at
-small d.
+compression, one full contraction per eigenstate table, and kdq's one
+complement sampler, which draws one state at a time.  They are slow on
+purpose and only run at small d.
 
 Each check returns the report the loop computes and, when ``cells`` is a
 dict, records there every candidate violation under its witness key

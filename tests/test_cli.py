@@ -987,6 +987,7 @@ def refusal_files(tmp_path_factory):
     mixed = [[[1 / 3, 0], [0, 1e-4], [0, 0]], [[0, 1e-4], [1 / 3, 0], [0, 0]], [[0, 0], [0, 0], [1 / 3, 0]]]
     return {
         "list": write("list.json", [1, 2]),
+        "data-5": write("data-5.json", {"schema": "kdq/1", "dim": 2, "kind": "pure", "data": 5}),
         "kd-xy": write("kd-xy.json", {**kd, "ordering": "XY"}),
         "kd-short": write("kd-short.json", {**kd, "table": kd["table"][:1]}),
         "pure-3": write("pure-3.json", {"schema": "kdq/1", "dim": 2, "kind": "pure", "data": [[1, 0], [0, 0], [0, 0]]}),
@@ -1016,6 +1017,8 @@ REFUSALS = {
     "env-tol": (lambda f: KD_I, "abc", "validation", "KDQ_TOL is not a number: 'abc'"),
     "state-list": (lambda f: [*KD_I[:1], "--state", f["list"], *KD_I[3:]], None, "validation",
                    "state file: expected a JSON object"),
+    "state-data-number": (lambda f: [*KD_I[:1], "--state", f["data-5"], *KD_I[3:]], None, "validation",
+                          "state file data: expected a list of [re, im] pairs"),
     "state-missing": (lambda f: [*KD_I[:1], "--state", NO_FILE, *KD_I[3:]], None, "validation",
                       f"state file: cannot read {NO_FILE}: [Errno 2] No such file or directory: '{NO_FILE}'"),
     "kd-ordering": (lambda f: ["reconstruct", "--kd", f["kd-xy"]], None, "validation",

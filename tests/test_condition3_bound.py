@@ -4,8 +4,7 @@ For a unit m with Q m = m, <m|Pi|m> = <m|Q Pi Q|m>, so
 |<m|Pi|m>| <= ||Q Pi Q||_2 <= ||Q Pi Q||_F: a state drawn from the
 complement can beat its cell's compression norm by rounding only, which is
 why ``check_condition3`` reports the compression alone.  The reference's
-complement sampler (the loop behind ``random_state_orthogonal_to``) serves
-here as an oracle for that bound.
+complement sampler serves here as an oracle for that bound.
 """
 
 import numpy as np

@@ -43,8 +43,6 @@ from kdq import (
     random_basis,
     random_density,
     random_state,
-    random_state_orthogonal_to,
-    states_equal_up_to_phase,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -98,6 +96,22 @@ def test_basis_rejects_non_orthonormal():
         OrthonormalBasis(np.array([[1.0, 1.0], [0.0, 0.1]]))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: basis_state(2, 2), "basis index 2 out of range for dim 2"),
+        (lambda: basis_state(2, -1), "basis index -1 out of range for dim 2"),
+        (lambda: fourier_basis(1), "fourier basis needs dim >= 2, got 1"),
+        (lambda: random_state(0, seed=0), "dimension must be positive, got 0"),
+        (lambda: random_basis(0, seed=0), "dimension must be positive, got 0"),
+    ],
+    ids=["basis-index-high", "basis-index-negative", "fourier-d1", "random-state-d0", "random-basis-d0"],
+)
+def test_generators_refuse_out_of_range_arguments(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
 BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True, np.float64("nan"), np.float64(-1e-3)]
 
 
@@ -110,9 +124,8 @@ BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True, np.float64("nan"
         lambda tol: DensityOperator(np.diag([1.5, -0.5]), tol=tol),
         lambda tol: OrthonormalBasis(np.eye(2), tol=tol),
         lambda tol: make_pure_density(basis_state(2, 0), tol=tol),
-        lambda tol: states_equal_up_to_phase(basis_state(2, 0), basis_state(2, 0), tol=tol),
     ],
-    ids=["state", "density-tol", "density-tol-indefinite", "basis", "pure-density", "equal-up-to-phase"],
+    ids=["state", "density-tol", "density-tol-indefinite", "basis", "pure-density"],
 )
 def test_tolerance_must_be_finite_and_positive(build, tol):
     # a NaN tolerance used to make every "deviation > tol" test false; an
@@ -182,8 +195,6 @@ TOL_PROBES = {
     # a row whose marginal is within the bound reads as dark, and its nonzero Wigner cells as violations
     "condition3-report": lambda dev, tol: (bool(report := condition3_violation_report(_dark_row_rho(dev), tol=tol)),
                                            report),
-    "equal-up-to-phase": lambda dev, tol: (states_equal_up_to_phase(
-        basis_state(2, 0), StateVector([1 - dev, np.sqrt(dev * (2 - dev))]), tol=tol), None),
     "c1": _audit_probe(check_condition1),
     "c2": _audit_probe(check_condition2),
     "c3": _audit_probe(check_condition3),
@@ -552,45 +563,6 @@ def test_random_density_bad_rank():
         random_density(3, 4, seed=0)
     with pytest.raises(BadRankError):
         random_density(3, 0, seed=0)
-
-
-def test_random_orthogonal_state_d2():
-    out = random_state_orthogonal_to(basis_state(2, 0), seed=8)
-    assert states_equal_up_to_phase(out, basis_state(2, 1), tol=1e-12)
-
-
-def test_random_orthogonal_state_contract():
-    v = random_state(5, seed=21)
-    out = random_state_orthogonal_to(v, seed=22)
-    assert abs(overlap(v, out)) <= 1e-12
-    assert np.array_equal(out.amplitudes, random_state_orthogonal_to(v, seed=22).amplitudes)
-
-
-def _orthogonal_state_loop(v: StateVector, seed: int) -> np.ndarray:
-    """The one-draw-at-a-time sampler, kept as the reference."""
-    rng = np.random.default_rng(seed)
-    amps = v.amplitudes
-    while True:
-        z = rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim)
-        z = z - amps * np.vdot(amps, z)
-        z = z - amps * np.vdot(amps, z)
-        nrm = np.linalg.norm(z)
-        if nrm > 1e-8:
-            return z / nrm
-
-
-@pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
-def test_random_orthogonal_state_bit_identical_to_loop(dim):
-    vectors = [
-        basis_state(dim, 0),
-        fourier_basis(dim).vector(1),
-        random_basis(dim, seed=dim).vector(0),
-        random_state(dim, seed=dim),
-    ]
-    for v in vectors:
-        for seed in range(20):
-            out = random_state_orthogonal_to(v, seed=seed)
-            assert np.array_equal(out.amplitudes, _orthogonal_state_loop(v, seed))
 
 
 def test_maximally_mixed():

@@ -33,8 +33,7 @@ PUBLIC = {
         "TOL", "TOL_PSD", "DensityOperator",
         "LinearOperator", "OrthonormalBasis", "StateVector", "basis_state", "computational_basis",
         "fourier_basis", "make_pure_density", "maximally_mixed", "overlap", "product_trace",
-        "random_basis", "random_density", "random_state", "random_state_orthogonal_to",
-        "states_equal_up_to_phase",
+        "random_basis", "random_density", "random_state",
     ),
     "kd": (
         "TOL_OVERLAP", "KDDistribution", "Ordering", "conditional_weak_value", "kd_inverse",
@@ -264,6 +263,20 @@ def test_dir_and_star_import_cover_every_export():
     namespace = {}
     exec("from kdq import *", namespace)
     assert all(namespace[name] is getattr(kdq, name) for name in kdq.__all__)
+
+
+def test_a_submodule_read_as_an_attribute_loads_on_first_use():
+    got = _child(
+        """
+        import json, sys
+        import kdq
+
+        before = "kdq.audit" in sys.modules
+        mod = kdq.audit
+        print(json.dumps({"before": before, "same": mod is sys.modules["kdq.audit"], "check": hasattr(mod, "check_span")}))
+        """
+    )
+    assert got == {"before": False, "same": True, "check": True}
 
 
 @pytest.mark.parametrize("module", ["kdq", "kdq.cli"])

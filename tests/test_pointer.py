@@ -16,6 +16,7 @@ from kdq import (
     LinearOperator,
     Ordering,
     PointerConfig,
+    PointerReadout,
     StateVector,
     ValidationError,
     ZeroCouplingError,
@@ -100,6 +101,12 @@ def test_sweep_allocates_no_grid():
 def test_config_rejects_small_extent():
     with pytest.raises(ValidationError):
         PointerConfig(grid_extent=4.0, sigma=1.0)
+
+
+@pytest.mark.parametrize("prob", [-1e-9, 1.5, float("nan")], ids=["negative", "above-1", "nan"])
+def test_readout_refuses_a_probability_outside_0_1(prob):
+    with pytest.raises(ValidationError, match=re.escape(f"post-selection probability {prob!r} outside [0, 1]")):
+        PointerReadout(0.0, 0.0, prob, 0.1)
 
 
 @pytest.mark.parametrize("coupling", [float("inf"), -float("inf"), float("nan")], ids=["inf", "-inf", "nan"])

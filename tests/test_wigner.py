@@ -286,6 +286,12 @@ def test_wigner_rep_even_dim_rejected():
         wigner_as_rep(4)
 
 
+def test_wigner_rep_negative_dim_rejected():
+    # -3 is odd to Python's %, so the sign is what refuses it
+    with pytest.raises(ValidationError, match="^dimension must be positive, got -3$"):
+        wigner_as_rep(-3)
+
+
 def test_kd_contrast_double_slit_row_vanishes():
     # same state, joint table over (position, fourier): the midpoint row is zero
     rho = make_pure_density(double_slit_state(5, 1, 3))

@@ -66,13 +66,14 @@ def test_phase_point_operator_matches_its_defining_sum(dim):
 def _random_slice(d, rng, k, framed=False):
     """A random one-per-row slice of d cells with pivot k, its dense cells F Y_c F^dag, and F|k>.
 
-    Its cells share their columns, drawn with repeats, so column k may hold
-    several nonzeros of a cell and row k's nonzero need not sit on the
-    diagonal; every cell differs, so a kernel that mixes up cells changes
-    the numbers.  Framed, F is a random unitary, which the slice itself
-    does not carry; else it is the identity.
+    Its cells share their columns, a random permutation that fixes k, the
+    shape of a phase-point slice: row k's nonzero sits on the diagonal and
+    is column k's only one, while other rows may hold diagonal entries too;
+    every cell differs, so a kernel that mixes up cells changes the numbers.
+    Framed, F is a random unitary, which the slice itself does not carry;
+    else it is the identity.
     """
-    cols = rng.integers(0, d, d)
+    cols = np.insert(rng.permutation(np.delete(np.arange(d), k)), k, k)
     vals = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))  # vals[c, i]
     f = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] if framed else np.eye(d)
     y = np.zeros((d, d, d), dtype=complex)
@@ -112,6 +113,25 @@ def test_one_per_row_slice_sum_matches_scatter_add_bit_for_bit(dim):
         np.add.at(dev, (np.arange(dim), np.broadcast_to(x.cols, x.vals.shape)), x.vals)
         dev = (dev - np.einsum("i,j->ij", v, v.conj())).ravel()
         assert _marginal_dev(x, v) == np.sqrt(np.vecdot(dev, dev).real), k
+
+
+def _is_phase_point_shape(x: _OnePerRow) -> bool:
+    """Whether x.cols is a permutation whose one fixed point is x.pivot."""
+    d = len(x.cols)
+    return np.array_equal(np.sort(x.cols), np.arange(d)) and np.flatnonzero(x.cols == np.arange(d)).tolist() == [x.pivot]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5, 31])
+def test_every_wigner_slice_has_the_phase_point_shape(dim):
+    # the pivot kernels read row and column k of a cell as its diagonal entry alone
+    rep = wigner_as_rep(dim)
+    for side in (0, 1):
+        for k in range(dim):
+            x = rep._slices(side, k)
+            assert x.pivot == k and _is_phase_point_shape(x), (side, k)
+    if dim > 1:  # a slice whose row k leaves the diagonal breaks the shape
+        x = rep._slices(0, 0)
+        assert not _is_phase_point_shape(x._replace(cols=np.roll(x.cols, 1)))
 
 
 def test_wigner_audits_past_a_dense_row():
@@ -234,10 +254,8 @@ def test_eigenstate_tables_are_the_slices_diagonals(dim):
 
 @pytest.mark.parametrize("dim", [9, 31])
 def test_one_per_row_kernels_give_the_same_bits_in_any_block(monkeypatch, dim):
-    # the span kernel walks a one-per-row slice a block of cells at a time, and each
-    # cell's value is its own: any block size gives the same bits, as does the
-    # compression (a block has two cells at least: a position row's one-row block
-    # would sum pairwise)
+    # neither the span nor the compression walks a one-per-row slice in blocks of
+    # cells: each takes its rows whole, so the block size changes no bit
     rep = wigner_as_rep(dim)
 
     def run():
