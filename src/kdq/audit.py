@@ -88,6 +88,13 @@ class QuasiProbRep:
             if not np.isfinite(bound):
                 raise ValidationError("terms contain non-finite entries")
             self._coef = np.stack([np.broadcast_to(c, (d, d)) for c, _, _ in self.terms], axis=-1)
+            # U = |b><a| and V = |a><b| terms, laid out as kd's, fold into the coefficient fields xu and xv (d, d);
+            # C2, C3 and the span read them in closed form and run their kernels on the other, rest, terms
+            u = (basis_b.matrix[:, None, :], basis_a.matrix[:, :, None])  # U's ket and bra, V's reversed
+            kind = [1 if all(map(np.array_equal, f, u)) else 2 if all(map(np.array_equal, f, u[::-1])) else 0
+                    for _, *f in self.terms]
+            self._uv = [self._coef[..., [t for t, n in enumerate(kind) if n == m]].sum(axis=-1) for m in (1, 2)]
+            self._rest = [t for t, n in enumerate(kind) if not n]
             return
         ops = np.array(operators, dtype=np.complex128, order="C")
         if ops.shape != (d, d, d, d):
@@ -229,19 +236,19 @@ def _off_pivot_sq(x: _OnePerRow) -> np.ndarray:
     return ((x.vals.real**2 + x.vals.imag**2) * off).sum(axis=1)
 
 
-def _side(rep: QuasiProbRep, side: int):
-    """coef (d, d, t) and kets and bras (1 or d, 1 or d, d) over (row, cell, i) of a term rep's side.
+def _side(rep: QuasiProbRep, side: int, rest: bool = False):
+    """coef (d, d, t) and kets and bras (1 or d, 1 or d, d) over (row, cell, i) of a term rep's side, or of its rest terms.
 
     A factor shared by the rows (kd's bm.T) stays a view; the others are
     copied into C order.  Refused if those arrays (16 d^2 bytes a factor;
     the span adds two) would be over the limit.
     """
-    _require_budget(16 * rep.dim**2 * (len(rep.terms) + 2), f"term factors at dim {rep.dim}")
+    ts = rep._rest if rest else range(len(rep.terms))
+    _require_budget(16 * rep.dim**2 * (len(ts) + 2), f"term factors at dim {rep.dim}")
     axes = (1, 2, 0) if side == 0 else (2, 1, 0)
-    _, kets, bras = zip(*rep.terms)
-    coef = rep._coef if side == 0 else rep._coef.transpose(1, 0, 2)
-    laid = [[f.transpose(axes) for f in fs] for fs in (kets, bras)]
-    return coef, *([f if len(f) == 1 else np.ascontiguousarray(f) for f in fs] for fs in laid)
+    coef = rep._coef[..., ts] if rest else rep._coef
+    laid = [[rep.terms[t][n].transpose(axes) for t in ts] for n in (1, 2)]
+    return coef.transpose(1, 0, 2) if side else coef, *([f if len(f) == 1 else np.ascontiguousarray(f) for f in fs] for fs in laid)
 
 
 def _tiled(factors: tuple, terms: Callable) -> np.ndarray:
@@ -395,16 +402,19 @@ def check_condition1(rep: QuasiProbRep, tol: float | None = None) -> AuditReport
 def _eigen_bands(rep: QuasiProbRep, side: int, vecs: np.ndarray):
     """(start, t) for consecutive bands of a side's slices: t[r, c, j] = <v_j|X_c|v_j> on slice start + r.
 
-    |v_j> = vecs[:, j], the side's basis.  Every band is written into one
-    buffer, which the caller must not keep: an array freed for each band
-    would be faulted in again.
+    |v_j> = vecs[:, j], the side's basis.  A term rep's tables are those of
+    its rest terms alone, and with none there is no band.  Every band is
+    written into one buffer, which the caller must not keep: an array freed
+    for each band would be faulted in again.
     """
     d = rep.dim
     n = max(1, _BLOCK_BYTES // (16 * d * d))  # slices in a band
     band, term = np.empty((2, min(n, d), d, d), dtype=np.complex128)
     vecs, parts = np.ascontiguousarray(vecs), []  # a product's rounding must not depend on a basis's layout
-    if rep.terms is not None:  # coef_t, <v_j|k_t> and <l_t|v_j> over (row, cell, j), formed once per side
-        coef, kets, bras = _side(rep, side)
+    if rep.terms is not None:  # coef_t, <v_j|k_t> and <l_t|v_j> of the rest terms over (row, cell, j), formed once per side
+        if not rep._rest:
+            return
+        coef, kets, bras = _side(rep, side, rest=True)
         ov = [[np.ascontiguousarray(f) @ vecs.conj() for f in fs] for fs in (kets, bras)]
         parts = [(coef[..., t, None], k, l.conj()) for t, (k, l) in enumerate(zip(*ov))]
     for start in range(0, d, n):
@@ -433,19 +443,21 @@ def check_condition2(rep: QuasiProbRep, tol: float | None = None) -> AuditReport
     state's allowed cells are those of its own slice.  The first strict
     maximum in walk order (b-major for a |B_j>) is kept per (state, kind),
     and the witness is the first of those in the order state, forbidden
-    before allowed.
+    before allowed.  A term rep's xu U + xv V part gives |A_j> (|B_j>) the table
+    delta_aj (delta_bj) (xu <a|b> + xv <b|a>): the walk adds its rest terms.
     """
     tol = _tol(tol)
     d = rep.dim
-    born = np.abs(_cross_overlaps(rep.basis_a.matrix, rep.basis_b.matrix)) ** 2  # born[b, a] = |<a|b>|^2
+    born = np.abs(cross := _cross_overlaps(rep.basis_a.matrix, rep.basis_b.matrix)) ** 2  # born[b, a] = |<a|b>|^2
+    uv = np.zeros((d, d)) if rep.terms is None else rep._uv[0] * cross.T.conj() + rep._uv[1] * cross.T  # over (a, b)
     states = np.arange(d)
     # per (side, state, kind): the first maximum, its cell c of slice k at k d + c, and a forbidden one's table value
     devs, cells, values = np.zeros((2, d, 2)), np.zeros((2, d, 2), dtype=np.intp), np.zeros((2, d), dtype=np.complex128)
     for side, basis, expected in ((0, rep.basis_a, born.T), (1, rep.basis_b, born)):
-        own = np.empty((d, d), dtype=np.complex128)  # own[j]: |v_j>'s table on its own slice j
+        own = (uv.T if side else uv).astype(np.complex128)  # own[j]: |v_j>'s table on its own slice j
         for start, t in _eigen_bands(rep, side, basis.matrix):
             mine = np.arange(len(t)), slice(None), np.arange(start, start + len(t))
-            own[start : start + len(t)] = t[mine]
+            own[start : start + len(t)] += t[mine]
             dev = np.abs(t, out=dev[: len(t)] if start else None)  # kept for the next band, as t is
             dev[mine] = 0.0  # the forbidden cells are left
             i, v = _first_max(dev.reshape(-1, d))
@@ -501,12 +513,12 @@ def check_condition3(rep: QuasiProbRep, *, tol: float | None = None) -> AuditRep
         raise ValidationError("condition 3 needs dim >= 2: in dim 1 the complement of a state is empty")
     devs = np.empty((2, d, d))  # (side, k, cell)
     for axis, vecs in ((0, rep.basis_a.matrix), (1, rep.basis_b.matrix)):
-        if rep.terms is not None:  # Q X Q formed explicitly, as for a dense block: the factors go off |v_k>
+        if rep.terms is not None:  # Q X Q of the rest terms, formed explicitly: the factors go off |v_k>; U and V vanish
             def terms(rows, cells, coef, kets, bras):
                 v = vecs.T[rows, None]
                 return list(coef), *([f - v * np.vecdot(v, f)[..., None] for f in fs] for fs in (kets, bras))
 
-            devs[axis] = _tiled(_side(rep, axis), terms)
+            devs[axis] = _tiled(_side(rep, axis, rest=True), terms) if rep._rest else 0.0
         else:
             devs[axis] = np.stack([_compression_norms(rep._slices(axis, k), vecs[:, k]) for k in range(d)])
 
@@ -522,18 +534,17 @@ def _term_span(
 ) -> np.ndarray:
     """span_residual of a term rep; the arguments are span_residual's, over (a, b).
 
-    Terms |b><a| and |a><b| of the family fold into U and V, so X is its
-    other terms plus xu U + xv V, and the residual X - (<U, X> - g c^2) U - g V,
-    g = <W, X> / ||W||^2, is X with xu - <U, X> + g c^2 and xv - g instead.
+    X is the rest terms plus xu U + xv V, and the residual X - (<U, X> - g c^2) U - g V,
+    g = <W, X> / ||W||^2, is X with xu - <U, X> + g c^2 and xv - g instead; with no
+    rest term it is 0 outside the degenerate cells.
     """
-    u, v = (bm[:, None, :], am[:, :, None]), (am[:, :, None], bm[:, None, :])
-    fold = [1 if all(map(np.array_equal, f, u)) else 2 if all(map(np.array_equal, f, v)) else 0 for _, *f in rep.terms]
-    rest = [t for t, f in enumerate(fold) if not f]
+    if not rep._rest and not degenerate.any():
+        return np.zeros(degenerate.shape)
 
     def terms(rows, cells, coef, kets, bras):
         a3, b3, c = am.T[rows, None], bm.T[None, cells], cross[rows, cells]  # |a>, |b> over (row, cell, i)
-        xu, xv = (sum(coef[t] for t, f in enumerate(fold) if f == n) for n in (1, 2))
-        cs, ks, ls = [coef[t] for t in rest], [*(kets[t] for t in rest), b3, a3], [*(bras[t] for t in rest), a3, b3]
+        xu, xv = (x[rows, cells] for x in rep._uv)
+        cs, ks, ls = list(coef), [*kets, b3, a3], [*bras, a3, b3]
         def sandwich(p, q):  # <p|X_b|q> for every cell
             return sum(w * np.vecdot(p, k) * np.vecdot(l, q) for w, k, l in zip([*cs, xu, xv], ks, ls))
 
@@ -546,7 +557,7 @@ def _term_span(
         ux, g = np.where(dg, 0.0, ux), np.where(dg, 0.0, g)
         return [*cs, xu - ux + g * c * c, xv - g], ks, ls
 
-    return _tiled(_side(rep, 0), terms)
+    return _tiled(_side(rep, 0, rest=True), terms)
 
 
 def _pivot_span_row(x: _OnePerRow, c: np.ndarray, w_sq_cut: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
@@ -619,14 +630,10 @@ def check_span(rep: QuasiProbRep, tol: float | None = None) -> AuditReport:
     """Pass iff every nondegenerate cell sits in the two-ordering span."""
     tol = _tol(tol)
     res = span_residual(rep)
-    # a non-finite residual fails, at the first such cell
-    (flat,), (worst,) = _first_max(np.where(res.degenerate, 0.0, res.residuals).reshape(-1, 1))
-    a, b = divmod(int(flat), rep.dim)
-    worst, n_degen = float(worst), int(res.degenerate.sum())
-    witness = ("" if math.isfinite(worst) else "non-finite residual: ") + f"cell (a={a}, b={b}): residual {worst:.3e}"
-    if n_degen:
-        witness += f" ({n_degen} degenerate cells excluded)"
-    return AuditReport("Span", worst <= tol, worst, witness, samples_used=0, seed=0)
+    devs, n_degen = np.where(res.degenerate, 0.0, res.residuals), int(res.degenerate.sum())
+    note = f" ({n_degen} degenerate cells excluded)" if n_degen else ""
+    clean = "every cell lies in the two-ordering span" + note
+    return _verdict("Span", devs, lambda a, b: f"cell (a={a}, b={b}): residual {devs[a, b]:.3e}{note}", clean, tol)
 
 
 def _zero_sum_sign_pattern(d: int) -> np.ndarray:

@@ -224,6 +224,13 @@ class _Parser(argparse.ArgumentParser):
         _report(ValidationError.code, f"{self.prog}: {message}", {})
         self.exit(EXIT_VALIDATION)
 
+    def _parse_optional(self, arg_string):
+        try:  # argparse takes -1e-3, -inf and -0.1,0.2 for unknown flags: a comma list of floats is a value
+            [float(x) for x in arg_string.split(",")]
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)

@@ -219,8 +219,10 @@ def check_span(rep: QuasiProbRep, tol: float = TOL, cells=None) -> AuditReport:
     worst = float(masked[a, b])
     n_degen = int(res.degenerate.sum())
     suffix = f" ({n_degen} degenerate cells excluded)" if n_degen else ""
+    clean = "every cell lies in the two-ordering span" + suffix
+    _record(cells, 0.0, clean)
     for i in range(rep.dim):
         for j in range(rep.dim):
             _record(cells, masked[i, j], f"cell (a={i}, b={j}): residual {masked[i, j]:.3e}{suffix}")
-    witness = f"cell (a={a}, b={b}): residual {worst:.3e}" + suffix
+    witness = f"cell (a={a}, b={b}): residual {worst:.3e}" + suffix if worst > 0 else clean
     return AuditReport("Span", worst <= tol, worst, witness, samples_used=0, seed=0)

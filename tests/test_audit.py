@@ -297,10 +297,13 @@ def test_uniqueness_compression_kernel_is_the_ordering_span():
 
 def _overflowing_reps():
     # every cell sum overflows: a dense family with every entry 1.7e308, and a
-    # term rep whose one term has that coefficient in every cell
+    # term rep whose one term has that coefficient in every cell.  The term is
+    # |a><a'|, a' from a third basis: neither |b><a| nor |a><b|, which lie in
+    # the span and vanish under both compressions, so Q_b and the span see it
     a, b = fourier_basis(3), computational_basis(3)
     yield QuasiProbRep(a, b, np.full((3, 3, 3, 3), 1.7e308))
-    yield QuasiProbRep(a, b, terms=[(np.full((3, 3), 1.7e308), a.matrix[:, :, None], b.matrix[:, None, :])])
+    a2 = random_basis(3, seed=3).matrix[:, :, None]
+    yield QuasiProbRep(a, b, terms=[(np.full((3, 3), 1.7e308), a.matrix[:, :, None], a2)])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -315,7 +318,7 @@ def test_non_finite_deviation_fails_the_check():
         assert c3.witness.startswith("non-finite deviation: compression"), c3.witness
         span = check_span(rep)
         assert not span.passed
-        assert span.witness.startswith("non-finite residual: cell (a=0, b=0)"), span.witness
+        assert span.witness.startswith("non-finite deviation: cell (a=0, b=0)"), span.witness
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -35,6 +35,7 @@ from test_audit_factored import _kdq_child
 
 DIMS = (2, 3, 5, 8, 31)
 SAMPLES = 16
+EPS = np.finfo(float).eps
 
 
 def _general_rep(d):
@@ -187,3 +188,65 @@ def test_lowrank_norms_with_dependent_bras_match_the_dense_norm():
     dense = sum(c[..., None, None] * k[..., :, None] * b[..., None, :].conj() for c, k, b in zip(coef, kets, bras))
     expected = np.linalg.norm(dense, axis=(-2, -1))
     np.testing.assert_allclose(kdq.audit._lowrank_norms(coef, kets, bras), expected, rtol=1e-12, atol=1e-14)
+
+
+def _unfolded(rep):
+    """``rep`` with no term read as U or V: every check runs its kernels on all its terms."""
+    out = QuasiProbRep(rep.basis_a, rep.basis_b, label=rep.label, terms=rep.terms)
+    out._uv, out._rest = [np.zeros((rep.dim, rep.dim))] * 2, list(range(len(rep.terms)))
+    return out
+
+
+def _count_tiled(monkeypatch):
+    calls = []
+    tiled = kdq.audit._tiled
+    monkeypatch.setattr(kdq.audit, "_tiled", lambda *args: calls.append(1) or tiled(*args))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 5, 31])
+def test_kd_type_families_read_their_u_and_v_terms_in_closed_form(monkeypatch, dim):
+    # every cell of kd, kd-ba and mixed is xu |b><a| + xv |a><b|: both compressions
+    # and the span residual are exactly 0, no tile is walked, and no eigenstate
+    # table has a forbidden entry, so C2's worst is an allowed cell's rounding
+    calls = _count_tiled(monkeypatch)
+    a, b = random_basis(dim, seed=dim), random_basis(dim, seed=100 + dim)
+    for rep in (kd_rep(a, b), kd_rep(a, b, Ordering.BA), mixed_rep(a, b, 0.3), mixed_rep(a, b, 1.7)):
+        c2, c3, span = check_condition2(rep), check_condition3(rep), check_span(rep)
+        assert (c2.passed, c3.passed, span.passed) == (True, True, True)
+        assert (c3.worst_violation, c3.witness) == (0.0, "all compressions vanish")
+        assert (span.worst_violation, span.witness) == (0.0, "every cell lies in the two-ordering span")
+        assert not span_residual(rep).residuals.any()
+        assert "forbidden" not in c2.witness and c2.worst_violation < 1e-15, c2
+        assert [list(kdq.audit._eigen_bands(rep, side, m)) for side, m in ((0, a.matrix), (1, b.matrix))] == [[], []]
+    assert calls == []
+
+
+def test_terms_that_are_not_u_or_v_keep_the_generic_path(monkeypatch):
+    # the general rep's terms, and a kd term whose bra is a copy of basis A one ulp
+    # off in one entry: correct, only slower.  C3 walks both sides, the span one
+    calls = _count_tiled(monkeypatch)
+    a, b = random_basis(5, seed=5), random_basis(5, seed=105)
+    ov, ket, bra = kd_rep(a, b).terms[0]
+    bra = bra.copy()
+    bra[0, 0] = np.nextafter(bra[0, 0].real, 2.0) + 1j * bra[0, 0].imag
+    for rep in (_general_rep(5), QuasiProbRep(a, b, terms=[(ov, ket, bra)])):
+        calls.clear()
+        c3, span = check_condition3(rep), check_span(rep)
+        assert len(calls) == 3, rep.label
+        assert rep.label == "general" or (c3.passed and span.passed and 0 < c3.worst_violation < 1e-15)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_reading_u_and_v_in_closed_form_moves_values_only_by_rounding(dim):
+    # the same reps with every term in the kernels, none read as U or V: verdicts
+    # agree, and every value within rounding of it (5.3 eps at most over d = 2..64)
+    for rep in _reps(dim):
+        generic = _unfolded(rep)
+        for check in (check_condition1, check_condition2, check_condition3, check_span):
+            new, old = check(rep), check(generic)
+            assert new.passed == old.passed, (rep.label, new, old)
+            assert abs(new.worst_violation - old.worst_violation) <= 16 * EPS * max(1.0, old.worst_violation), (
+                rep.label, new, old)
+        np.testing.assert_allclose(span_residual(rep).residuals, span_residual(generic).residuals, rtol=0,
+                                   atol=16 * EPS * max(1.0, span_residual(generic).residuals.max()))

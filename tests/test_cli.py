@@ -376,6 +376,15 @@ WEAK_PLUS = ["weak", "--state", str(FIXTURES / "state_plus_d2.json"), "--a-index
 SWEEP_HEADER = "g,re_est,im_est,re_exact,im_exact,abs_err,postselect_prob"
 
 
+@pytest.mark.parametrize("couplings", ["-0.1,0.2", "-1e-1", "-.5E0,1", "-1_0e-2", "-0.1"])
+def test_negative_couplings_are_read_with_or_without_equals(capsys, couplings):
+    # argparse alone took -0.1,0.2, -1e-1 and the like for unknown flags (exit 2), where --couplings=-0.1,0.2 ran
+    joined = run_cli(capsys, *WEAK_PLUS, f"--couplings={couplings}")
+    assert joined[0] == 0 and joined[2] == "", joined
+    assert len(joined[1].splitlines()) == 1 + len(couplings.split(","))
+    assert run_cli(capsys, *WEAK_PLUS, "--couplings", couplings) == joined
+
+
 @pytest.mark.parametrize(
     "scale, name",
     [
@@ -577,10 +586,12 @@ def test_tol_does_not_reach_the_psd_bound(tmp_path, capsys, monkeypatch):
     [
         (["--tol", "nan"], None), (["--tol", "inf"], None), (["--tol", "0"], None), (["--tol", "-1"], None),
         (["--tol", "-0"], None), (["--tol", "1e400"], None),
-        ([], "nan"), ([], "inf"), ([], "0"), ([], "-1e-3"),  # argparse reads --tol -1e-3 as a flag
+        # argparse alone took these for unknown flags and refused them as usage errors
+        (["--tol", "-1e-3"], None), (["--tol", "-inf"], None), (["--tol", "-.5E-1"], None),
+        ([], "nan"), ([], "inf"), ([], "0"), ([], "-1e-3"),
     ],
-    ids=["nan", "inf", "zero", "negative", "negative-zero", "overflow", "env-nan", "env-inf", "env-zero",
-         "env-negative"],
+    ids=["nan", "inf", "zero", "negative", "negative-zero", "overflow", "negative-exponent", "negative-inf",
+         "negative-dot-exponent", "env-nan", "env-inf", "env-zero", "env-negative"],
 )
 def test_unusable_tolerance_exit_2(tmp_path, capsys, monkeypatch, tol_args, env_tol):
     # a nan or inf tolerance would accept this state of squared norm 9, and
@@ -945,6 +956,9 @@ def test_atexit_handlers_run_only_on_the_interpreters_exit(argv, runs):
 USAGE_ERRORS = {
     "bad-int": ["audit", "--rep", "kd", "--dim", "abc", "--all"],
     "unknown-flag": [*KD_I, "--bogus"],
+    "unknown-short-flag": [*KD_I, "-x"],
+    "stray-number": [*KD_I, "-1e-3"],  # a number after no flag is no value
+    "negative-flag-value": [*KD_I, "--tol", "--bogus"],
     "bad-choice": [*KD_I, "--format", "xml"],
     "missing-required": KD_I[:1] + KD_I[3:],
     "no-command": [],

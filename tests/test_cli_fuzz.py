@@ -37,7 +37,10 @@ def _either(good, bad):
     return st.sampled_from(good) | st.sampled_from(bad)
 
 
-TOLS = _either(["1e-10", "1e-8", "1e-3", "0.5"], ["0", "-1e-3", "nan", "inf", "1e400", "1e-320", "abc"])
+# every float spelling, signed too (-1e-3, -.5E-1, -inf, -1_0), is the flag's value, never read as a flag
+TOLS = _either(["1e-10", "1e-8", "1e-3", "0.5"],
+               ["0", "-1e-3", "-.5E-1", "-1_0", "-inf", "-nan", "nan", "inf", "1e400", "1e-320", "abc"])
+COUPLINGS = ["0.1", "0.1,-0.2", "-0.1,0.2", "-1e-1", "-.5E-1,1", "-inf", "1e-310"]
 ENV_TOLS = st.none() | _either(["1e-6", "1e-12"], ["0", "nan", "-1", "abc"])  # unset half the time
 BASES = _either(["computational", "fourier", "@file"], ["hadamard2", "junk", "@", "@mutated"])
 
@@ -98,6 +101,7 @@ def _assert_contract(argv, code, out, err, json_out):
         lines = err.splitlines()
         assert len(lines) == 1, (argv, err)
         assert set(_strict_json(lines[0])) == {"code", "message", "context"}, (argv, err)
+        assert "expected one argument" not in err, (argv, err)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +146,7 @@ def _argv(data, tmp, docs, command):
                 *optional("format", ["json", "csv", "xml"])]
     else:
         argv = ["weak", "--state", state(), "--a-index", pick(_either(["0", "1"], ["5", "-1"])), *basis("basis-a"),
-                "--b-index", pick(["0", "1"]), *basis("basis-b"), "--couplings", pick(["0.1", "0.1,-0.2", "1e-310"])]
+                "--b-index", pick(["0", "1"]), *basis("basis-b"), "--couplings", pick(COUPLINGS)]
     return argv + optional("tol", TOLS)
 
 
