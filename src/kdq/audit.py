@@ -81,10 +81,13 @@ class QuasiProbRep:
         if _slices is not None:
             return
         if self.terms is not None:
+            kets = {(d, i, j) for i in (1, d) for j in (1, d)}  # a ket's or bra's shapes
+            coefs = {s[n:] for s in kets for n in (1, 2, 3)}  # their tails: the shapes that broadcast to (d, d)
+            if not self.terms or any(np.shape(c) not in coefs or {np.shape(k), np.shape(b)} - kets for c, k, b in self.terms):
+                raise ValidationError(f"terms must be a non-empty list of (coef, ket, bra), coef broadcasting to {(d, d)} "
+                                      f"and ket and bra of shape ({d}, 1 or {d}, 1 or {d})")
             # bounds every entry of the expanded family, so a finite bound means finite cells
-            bound = sum(
-                np.abs(c).max() * np.abs(k).max() * np.abs(b).max() for c, k, b in self.terms
-            )
+            bound = sum(np.abs(c).max() * np.abs(k).max() * np.abs(b).max() for c, k, b in self.terms)
             if not np.isfinite(bound):
                 raise ValidationError("terms contain non-finite entries")
             self._coef = np.stack([np.broadcast_to(c, (d, d)) for c, _, _ in self.terms], axis=-1)

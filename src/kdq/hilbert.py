@@ -2,12 +2,12 @@
 
 State vectors, density operators, orthonormal bases, general (possibly
 non-Hermitian) operators, product traces, and seeded random generation.
-All containers freeze their arrays after validation, and every operation
-is a pure function of its arguments, so objects are safe to share between
-threads.  A ``DensityOperator`` keeps the read-only products, AB table and
-table sums the kd functions formed for the last basis pair it met, as one
-flat tuple that a call replaces whole: concurrent calls may form a product
-again, but never read one of another pair.
+All containers freeze their arrays after validation: a caller's array is copied, while an
+array kdq formed itself is adopted (the ``kd_transform`` table, the ``kd_inverse`` matrix).
+Every operation is a pure function of its arguments, so objects are safe to share between
+threads.  A ``DensityOperator`` keeps the read-only products, AB table and table sums the kd
+functions formed for the last basis pair it met, as one flat tuple that a call replaces whole:
+concurrent calls may form a product again, but never read one of another pair.
 
 Every value type of kdq is a ``_Value``: ``__slots__`` fields set once in ``__init__``,
 ``AttributeError`` on assignment or deletion, a dataclass's ``repr``, pickle and ``copy``
@@ -166,7 +166,10 @@ class DensityOperator(_Value):
     __slots__ = ("matrix", "_kd")
 
     def __init__(self, matrix: np.ndarray, tol: float | None = None):
-        mat, shaped = _shaped(matrix, 2)
+        self._own(*_shaped(matrix, 2), tol)
+
+    def _own(self, mat: np.ndarray, shaped: bool, tol) -> DensityOperator:
+        """Check ``mat`` and take it as it is, not copied: ``_shaped``'s copy, or a matrix kdq formed itself."""
         adj = mat.conj().T
         herm_dev = _max_abs(mat - adj) if shaped else math.nan
         if not _accepts(mat, 2, "density matrix", herm_dev, tol):
@@ -187,8 +190,10 @@ class DensityOperator(_Value):
             lo = float(np.linalg.eigvalsh((mat + adj) / 2.0)[0])  # unshifted; eigenvalues ascend
             if lo < -TOL_PSD:
                 raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo)
+        mat.setflags(write=False)
         _setattr(self, "matrix", mat)
         _setattr(self, "_kd", None)
+        return self
 
     @property
     def dim(self) -> int:

@@ -74,8 +74,13 @@ class KDDistribution(_Value):
             raise ValidationError(f"row/column sums have imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
         tab.setflags(write=False)
         sums.setflags(write=False)
-        for name, value in zip(self.__slots__, (basis_a, basis_b, ordering, tab, sums, imag, cross)):
-            _setattr(self, name, value)
+        _setattr(self, "basis_a", basis_a)
+        _setattr(self, "basis_b", basis_b)
+        _setattr(self, "ordering", ordering)
+        _setattr(self, "table", tab)
+        _setattr(self, "_sums", sums)
+        _setattr(self, "_imag", imag)
+        _setattr(self, "_cross", cross)
         return self
 
     @property
@@ -191,21 +196,20 @@ def kd_inverse(dist: KDDistribution, *, tol: float | None = None) -> DensityOper
         )
     table = dist.table if dist.ordering is Ordering.AB else dist.table.conj()  # BA's cells are AB's conjugated
     mixed = table / cross_t  # mixed[a, b] = <a|rho|b>
-    return DensityOperator(am @ mixed @ bm.conj().T, tol=tol)
+    return DensityOperator.__new__(DensityOperator)._own(am @ mixed @ bm.conj().T, True, tol)  # adopted, not copied
 
 
 def conditional_weak_value(m_op: LinearOperator, a: StateVector, b: StateVector) -> complex:
     """Complex conditional probability <b|M|a> / <b|a> (the weak value of M), refused where |<b|a>| <= TOL_OVERLAP."""
     _require_same_dim(m_op.dim, a.dim)
     _require_same_dim(a.dim, b.dim)
-    ov = overlap(b, a)
+    ov = complex(np.vdot(b.amplitudes, a.amplitudes))  # overlap(b, a), whose dimension check ran above
     if abs(ov) <= TOL_OVERLAP:
         raise SingularOverlapError(
             f"|<b|a>| = {abs(ov):.3e} <= {TOL_OVERLAP:g}: weak value undefined",
             magnitude=abs(ov),
         )
-    num = complex(np.vdot(b.amplitudes, m_op.matrix @ a.amplitudes))
-    return num / ov
+    return complex(np.vdot(b.amplitudes, m_op.matrix @ a.amplitudes)) / ov
 
 
 def total_probability(

@@ -360,6 +360,44 @@ def test_dense_family_refuses_a_wrong_shape_or_non_finite_entries(operators, mes
         QuasiProbRep(*comp_fourier(2), operators)
 
 
+def _term_lists(d):
+    """Malformed term lists at ``d``: none, a coefficient that does not broadcast to (d, d), and kets or bras not
+    of shape (d, 1 or d, 1 or d)."""
+    am = random_basis(d, seed=d).matrix
+    ket, bra = am[:, None, :], am[:, :, None]
+    return {
+        "empty": [],
+        "coef (2, 2)": [(np.ones((2, 2)), ket, bra)],
+        "coef 3-D": [(np.ones((d, d, d)), ket, bra)],
+        "ket (2, 1, 1)": [(1.0, np.ones((2, 1, 1)), bra)],
+        "ket 2-D": [(1.0, am, bra)],
+        "bra (1, d, d)": [(1.0, ket, np.ones((1, d, d)))],
+        "bra (d, 2, 1)": [(1.0, ket, np.ones((d, 2, 1)))],
+        "second term": [(1.0, ket, bra), (np.ones(d + 1), ket, bra)],
+    }
+
+
+@pytest.mark.parametrize("case", list(_term_lists(3)))
+def test_term_rep_refuses_a_malformed_term_list(case):
+    # refused on construction, as a dense family of the wrong shape is, before numpy meets the terms
+    expected = r"^terms must be a non-empty list of \(coef, ket, bra\), coef broadcasting to \(3, 3\) and ket and bra "
+    with pytest.raises(ValidationError, match=expected + r"of shape \(3, 1 or 3, 1 or 3\)$") as err:
+        QuasiProbRep(*comp_fourier(3), terms=_term_lists(3)[case])
+    assert err.value.context == {}
+
+
+def test_term_rep_takes_every_shape_that_broadcasts():
+    d = 3
+    a, b = comp_fourier(d)
+    coefs = [1.0, np.ones(1), np.ones(d), np.ones((1, d)), np.ones((d, 1)), np.ones((d, d))]
+    kets = [np.ones(shape) / d for shape in ((d, 1, 1), (d, d, 1), (d, 1, d), (d, d, d))]
+    for coef in coefs:
+        for ket in kets:
+            rep = QuasiProbRep(a, b, terms=[(coef, ket, kets[0]), (coef, kets[-1], ket)])
+            assert rep.operators.shape == (d, d, d, d)
+            assert check_condition1(rep).worst_violation >= 0.0
+
+
 def test_violator_needs_dim_two():
     one = computational_basis(1)
     with pytest.raises(ValidationError, match="violator construction needs dim >= 2"):

@@ -697,6 +697,59 @@ def test_an_ab_table_is_the_kept_table_and_a_ba_table_its_own_conjugate():
 
 
 # ---------------------------------------------------------------------------
+# kd_inverse adopts the matrix it forms: DensityOperator's checks, run on it in place
+
+
+def _product(dist):
+    """The matrix kd_inverse reconstructs, by the plain expressions: a BA table is conjugated back to AB."""
+    am, bm = dist.basis_a.matrix, dist.basis_b.matrix
+    table = dist.table if dist.ordering is Ordering.AB else dist.table.conj()
+    return am @ (table / (bm.conj().T @ am).T) @ bm.conj().T
+
+
+@pytest.mark.parametrize("dim", [2, 5, 64])
+@pytest.mark.parametrize("ordering", list(Ordering), ids=str)
+def test_the_inverse_adopts_the_matrix_a_density_operator_would_copy(monkeypatch, dim, ordering):
+    rho = random_density(dim, dim, seed=dim + 90)
+    a, b = random_basis(dim, seed=dim + 91), fourier_basis(dim)
+    copies = _count(monkeypatch, kdq.hilbert, "_shaped")
+    for dist in (kd_transform(rho, a, b, ordering), _public(rho, a, b, ordering)):  # overlaps kept, and formed
+        copies.clear()
+        out = kd_inverse(dist).matrix
+        assert copies == []
+        assert not out.flags.writeable
+        assert out.tobytes() == DensityOperator(_product(dist)).matrix.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 0.0
+
+
+def _doctored(dim, ordering):
+    """Tables built with a loose tol whose reconstruction fails one density check, each with the tol it is
+    inverted with: not Hermitian, a trace 1e-6 off 1 inverted with tol 1e-8, and an eigenvalue of -0.1."""
+    rng = np.random.default_rng(dim + 95)
+    rho = random_density(dim, dim, seed=dim + 96).matrix
+    a, b = random_basis(dim, seed=dim + 97), fourier_basis(dim)
+    skew = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    skew = 1e-3 * (skew - skew.conj().T)
+    skew -= np.trace(skew) / dim * np.eye(dim)  # anti-Hermitian and traceless: the total stays 1
+    v = random_basis(dim, seed=dim + 98).matrix
+    negative = (v * np.r_[1.1, -0.1, np.zeros(dim - 2)]) @ v.conj().T
+    for mat, tol, fault in ((rho + skew, None, "not Hermitian"), (rho * (1 + 1e-6), 1e-8, "has trace"),
+                            (negative, None, "negative eigenvalue")):
+        table = (b.matrix.conj().T @ a.matrix).T * (a.matrix.conj().T @ mat @ b.matrix)
+        yield KDDistribution(a, b, ordering, table.conj() if ordering is Ordering.BA else table, tol=1e-2), tol, fault
+
+
+@pytest.mark.parametrize("dim", [2, 5, 64])
+@pytest.mark.parametrize("ordering", list(Ordering), ids=str)
+def test_an_adopted_matrix_is_refused_as_a_density_operator_refuses_it(dim, ordering):
+    for dist, tol, fault in _doctored(dim, ordering):
+        expected = _verdict(lambda: DensityOperator(_product(dist), tol=tol))
+        assert expected != "ok" and fault in expected[1], expected
+        assert _verdict(lambda: kd_inverse(dist, tol=tol)) == expected
+
+
+# ---------------------------------------------------------------------------
 # the sums check, taken once on construction and kept for the marginals
 
 
