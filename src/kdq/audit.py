@@ -75,6 +75,8 @@ class QuasiProbRep:
     ):
         d = basis_a.dim
         _require_same_dim(d, basis_b.dim)
+        if terms is not None and operators is not None:
+            raise ValidationError("a representation takes operators or terms, not both")
         self.basis_a, self.basis_b, self.label = basis_a, basis_b, label
         self.terms = None if terms is None else tuple(terms)
         self._slices, self._ops = _slices, None
@@ -257,17 +259,16 @@ def _side(rep: QuasiProbRep, side: int, rest: bool = False):
 def _tiled(factors: tuple, terms: Callable) -> np.ndarray:
     """out[k, c] = _lowrank_norms(*terms(rows, cells, coef, kets, bras)) over a side's ``_side`` factors, tile by tile.
 
-    A tile's arrays stay within _BLOCK_BYTES but hold at least _TILE_CELLS
-    cells (a tile costs ~100 numpy calls); a row splits evenly, so that no
-    tile has one cell, whose per-cell factors would look shared.
+    A tile is a band of whole rows or a run of ``per`` cells of one row, the
+    last run taking what is left; ``per`` keeps a tile's arrays within
+    _BLOCK_BYTES but is _TILE_CELLS at least (a tile costs ~100 numpy calls).
     """
     coef, kets, bras = factors
     d = len(coef)
     per = max(_TILE_CELLS, _BLOCK_BYTES // (16 * d))  # cells in a tile
-    n, m = max(1, per // d), -(-d // per)  # rows in a band; tiles in a row, of near-equal size
-    bands = [slice(a, a + n) for a in range(0, d, n)]
+    n = max(1, per // d)  # rows in a band
     out = np.empty((d, d))
-    for rows, cells in [(r, slice(d * i // m, d * (i + 1) // m)) for r in bands for i in range(m)]:
+    for rows, cells in [(slice(a, a + n), slice(c, c + per)) for a in range(0, d, n) for c in range(0, d, per)]:
         def tile(f):  # an axis of size 1 stays size 1
             return f[rows if len(f) > 1 else slice(None), cells if f.shape[1] > 1 else slice(None)]
 
@@ -280,20 +281,17 @@ def _lowrank_norms(coef: list, kets: list, bras: list) -> np.ndarray:
     """||sum_t coef[t] |kets[t]><bras[t]| ||_F for every cell of a tile.
 
     Factors are (rows or 1, cells or 1, d), coefs broadcast to (rows, cells).
-    With [bras] = Q R (Gram-Schmidt, bras shared by a row's cells first), the
-    norm is that of sum_t coef[t] |kets[t]> R[:, t]^dag formed explicitly, so
-    terms cancel entry by entry, not in a sum of squared norms.  The side
-    with fewer per-cell factors serves as the bras (X^dag has X's norm).
+    With [bras] = Q R (Gram-Schmidt in the callers' order, which lists the
+    bras a row's cells share first, so they are orthonormalized once per
+    row), the norm is that of sum_t coef[t] |kets[t]> R[:, t]^dag formed
+    explicitly, so terms cancel entry by entry, not in a sum of squared norms.
     """
-    if sum(f.shape[1] > 1 for f in bras) > sum(f.shape[1] > 1 for f in kets):
-        coef, kets, bras = [np.conj(c) for c in coef], bras, kets
-    order = sorted(range(len(bras)), key=lambda t: bras[t].shape[1] > 1)
     qs, r = [], {}
-    for t in order:
+    for t, w in enumerate(bras):
         # Kahan's rule: a sweep that keeps over half the norm leaves w orthogonal to
         # the q's; else w is swept again, and if that again halves it, w is dropped
         # (cell by cell, so that a cell's norm does not depend on its tile)
-        w, norms, redo = bras[t], [np.sqrt(np.vecdot(bras[t], bras[t]).real)], True
+        norms, redo = [np.sqrt(np.vecdot(w, w).real)], True
         for sweep in range(2 if qs else 0):
             if sweep and not (redo := norms[1] < 0.5 * norms[0]).any():
                 break
@@ -303,7 +301,7 @@ def _lowrank_norms(coef: list, kets: list, bras: list) -> np.ndarray:
             norms.append(np.sqrt(np.vecdot(w, w).real))
         r[len(qs), t] = norm = np.where(norms[2] < 0.5 * norms[1], 0.0, norms[2]) if len(norms) == 3 else norms[-1]
         qs.append(w / np.where(norm > 0, norm, np.inf)[..., None])  # a dropped or zero column is zero
-    ys = (sum(kets[t] * (coef[t] * np.conj(r[j, t]))[..., None] for t in order if (j, t) in r) for j in range(len(qs)))
+    ys = (sum(kets[t] * (coef[t] * np.conj(r[j, t]))[..., None] for t in range(len(bras)) if (j, t) in r) for j in range(len(qs)))
     return np.sqrt(sum(np.vecdot(y, y).real for y in ys))
 
 

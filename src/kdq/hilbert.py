@@ -240,12 +240,19 @@ class OrthonormalBasis(_Value):
         return self.matrix.shape[0]
 
     def vector(self, k: int) -> StateVector:
-        return StateVector(self.matrix[:, k])
+        return StateVector(self.matrix[:, _basis_index(k, self.dim)])
 
     def projector(self, k: int) -> np.ndarray:
         """Rank-1 projector onto the k-th basis vector, as a raw array."""
-        v = self.matrix[:, k]
+        v = self.matrix[:, _basis_index(k, self.dim)]
         return np.outer(v, v.conj())
+
+
+def _basis_index(index, dim: int) -> int:
+    """``index``, refused unless an integer (not a bool) in 0 .. dim - 1."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < dim:
+        raise ValidationError(f"basis index {index} out of range for dim {dim}")
+    return index
 
 
 def _require_same_dim(x: int, y: int) -> None:
@@ -255,11 +262,7 @@ def _require_same_dim(x: int, y: int) -> None:
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis vector |index> in dimension ``dim``."""
-    if not 0 <= index < dim:
-        raise ValidationError(f"basis index {index} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)
+    return StateVector(np.eye(1, dim, _basis_index(index, dim), dtype=np.complex128)[0])
 
 
 def make_pure_density(psi: StateVector, tol: float | None = None) -> DensityOperator:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
-from .hilbert import DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _tol
+from .hilbert import DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _require_shaped, _tol
 from .hilbert import _setattr, _Value, computational_basis
 
 if TYPE_CHECKING:
@@ -41,12 +41,8 @@ class WignerTable(_Value):
 
     def __init__(self, table: np.ndarray, tol: float | None = None):
         tab = np.array(table, dtype=np.float64)
-        if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
-            raise ValidationError(f"table must be square, got shape {tab.shape}")
-        if tab.shape[0] % 2 == 0:
-            raise EvenDimensionError(f"dimension must be odd, got {tab.shape[0]}")
-        if not np.isfinite(tab).all():
-            raise ValidationError("table contains non-finite entries")
+        _require_shaped(tab, 2, "table")
+        _require_odd(tab.shape[0])
         total = float(tab.sum())
         if abs(total - 1.0) > _tol(tol):
             raise ValidationError(f"table sums to {total!r}, expected 1", total=total)
@@ -59,10 +55,10 @@ class WignerTable(_Value):
 
 
 def _require_odd(dim: int) -> None:
-    if dim % 2 == 0:
-        raise EvenDimensionError(f"dimension must be odd, got {dim}")
     if dim < 1:
         raise ValidationError(f"dimension must be positive, got {dim}")
+    if dim % 2 == 0:
+        raise EvenDimensionError(f"dimension must be odd, got {dim}")
 
 
 def discrete_wigner(rho: DensityOperator, tol: float | None = None) -> WignerTable:

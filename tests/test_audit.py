@@ -386,6 +386,14 @@ def test_term_rep_refuses_a_malformed_term_list(case):
     assert err.value.context == {}
 
 
+def test_term_rep_refuses_operators_given_beside_its_terms():
+    # neither may be dropped silently: the checks would read the terms and ``operators`` the other family
+    a, b = comp_fourier(3)
+    rep = kd_rep(a, b)
+    with pytest.raises(ValidationError, match="^a representation takes operators or terms, not both$"):
+        QuasiProbRep(a, b, rep.operators, terms=rep.terms)
+
+
 def test_term_rep_takes_every_shape_that_broadcasts():
     d = 3
     a, b = comp_fourier(d)

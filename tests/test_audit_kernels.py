@@ -116,7 +116,9 @@ def test_reports_do_not_depend_on_the_tile_or_block_size(monkeypatch, dim):
         return out
 
     default = run()
-    # tiles of four cells or fewer and one eigenstate table per block
+    # tiles of four cells, so a row of five splits into runs of 4 + 1 cells and the
+    # one-cell tile's per-cell factors have the shape of shared ones; one eigenstate
+    # table per block
     monkeypatch.setattr(kdq.audit, "_BLOCK_BYTES", 16 * dim * 4)
     monkeypatch.setattr(kdq.audit, "_TILE_CELLS", 4)
     assert run() == default
@@ -188,6 +190,44 @@ def test_lowrank_norms_with_dependent_bras_match_the_dense_norm():
     dense = sum(c[..., None, None] * k[..., :, None] * b[..., None, :].conj() for c, k, b in zip(coef, kets, bras))
     expected = np.linalg.norm(dense, axis=(-2, -1))
     np.testing.assert_allclose(kdq.audit._lowrank_norms(coef, kets, bras), expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_lowrank_norms_do_not_depend_on_the_order_or_side_of_the_terms(seed):
+    # ||X|| = ||X^dag|| and a sum does not depend on the order of its terms, so the
+    # kernel, which reads the terms in the order given, must give every cell the same
+    # norm, within 16 eps ||X|| (under 7 eps over 2,000 seeds), when they are permuted,
+    # or when kets and bras trade places and the coefficients are conjugated.  The
+    # factors are a random mix of every shape a tile hands the kernel, shared by a row's
+    # cells, by a column's, by all cells, or per cell, and the repeated orthonormal bras
+    # and near-cancelling pair of the dependent-bras test above are put in among them
+    rows, cells, d, rng = 3, 4, 5, np.random.default_rng(seed)
+
+    def z(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def factor():
+        return z(*[(rows, 1, d), (1, cells, d), (1, 1, d), (rows, cells, d)][rng.integers(4)])
+
+    n = int(rng.integers(2, 6))
+    kets, bras, coef = [factor() for _ in range(n)], [factor() for _ in range(n)], [z(rows, cells) for _ in range(n)]
+    a = np.linalg.qr(z(d, d))[0].T[:, None, None, :]
+    dep_kets, dep_coef = [factor() for _ in range(4)], [z(rows, cells) for _ in range(4)]
+    dep_kets[2], dep_coef[2] = dep_kets[0], -dep_coef[0] * (1 - 1e-9)
+    at = int(rng.integers(n + 1))
+    kets[at:at], bras[at:at], coef[at:at] = dep_kets, [a[0], a[1], a[0], a[0]], dep_coef
+    dense = sum(c[..., None, None] * k[..., :, None] * b[..., None, :].conj() for c, k, b in zip(coef, kets, bras))
+    norms = np.linalg.norm(dense, axis=(-2, -1))
+    bound = 16 * EPS * norms
+
+    base = kdq.audit._lowrank_norms(coef, kets, bras)
+    assert (np.abs(base - norms) <= bound).all()
+    for _ in range(4):
+        p = rng.permutation(len(coef))
+        permuted = kdq.audit._lowrank_norms([coef[t] for t in p], [kets[t] for t in p], [bras[t] for t in p])
+        assert (np.abs(permuted - base) <= bound).all(), p
+    swapped = kdq.audit._lowrank_norms([np.conj(c) for c in coef], bras, kets)
+    assert (np.abs(swapped - base) <= bound).all()
 
 
 def _unfolded(rep):

@@ -101,11 +101,22 @@ def test_basis_rejects_non_orthonormal():
     [
         (lambda: basis_state(2, 2), "basis index 2 out of range for dim 2"),
         (lambda: basis_state(2, -1), "basis index -1 out of range for dim 2"),
+        (lambda: basis_state(2, 1.0), "basis index 1.0 out of range for dim 2"),
+        (lambda: basis_state(2, True), "basis index True out of range for dim 2"),
+        (lambda: fourier_basis(3).vector(-1), "basis index -1 out of range for dim 3"),
+        (lambda: fourier_basis(3).vector(3), "basis index 3 out of range for dim 3"),
+        (lambda: fourier_basis(3).vector(1.0), "basis index 1.0 out of range for dim 3"),
+        (lambda: fourier_basis(3).projector(-1), "basis index -1 out of range for dim 3"),
+        (lambda: fourier_basis(3).projector(3), "basis index 3 out of range for dim 3"),
+        (lambda: fourier_basis(3).projector(1.0), "basis index 1.0 out of range for dim 3"),
         (lambda: fourier_basis(1), "fourier basis needs dim >= 2, got 1"),
         (lambda: random_state(0, seed=0), "dimension must be positive, got 0"),
         (lambda: random_basis(0, seed=0), "dimension must be positive, got 0"),
     ],
-    ids=["basis-index-high", "basis-index-negative", "fourier-d1", "random-state-d0", "random-basis-d0"],
+    ids=["basis-index-high", "basis-index-negative", "basis-index-float", "basis-index-bool",
+         "vector-index-negative", "vector-index-high", "vector-index-float",
+         "projector-index-negative", "projector-index-high", "projector-index-float",
+         "fourier-d1", "random-state-d0", "random-basis-d0"],
 )
 def test_generators_refuse_out_of_range_arguments(build, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

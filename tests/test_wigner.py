@@ -136,7 +136,7 @@ def test_wigner_even_dimension_rejected():
     "table, error, message",
     [
         (np.full((3, 2), 1 / 6), ValidationError, r"table must be square, got shape \(3, 2\)"),
-        (np.full(9, 1 / 9), ValidationError, r"table must be square, got shape \(9,\)"),
+        (np.full(9, 1 / 9), ValidationError, r"table must be 2-dimensional, got shape \(9,\)"),
         (np.full((2, 2), 0.25), EvenDimensionError, "dimension must be odd, got 2"),
         (np.where(np.eye(3), np.nan, 0.0), ValidationError, "table contains non-finite entries"),
         (np.full((3, 3), 0.2), ValidationError, "table sums to 1.8"),
@@ -287,9 +287,10 @@ def test_wigner_rep_even_dim_rejected():
 
 
 def test_wigner_rep_negative_dim_rejected():
-    # -3 is odd to Python's %, so the sign is what refuses it
-    with pytest.raises(ValidationError, match="^dimension must be positive, got -3$"):
-        wigner_as_rep(-3)
+    # the sign is checked before evenness: -3 is odd to Python's %, and 0 and -2 are even
+    for dim in (-3, -2, 0):
+        with pytest.raises(ValidationError, match=f"^dimension must be positive, got {dim}$"):
+            wigner_as_rep(dim)
 
 
 def test_kd_contrast_double_slit_row_vanishes():
