@@ -43,6 +43,8 @@ from .hilbert import (
     DensityOperator,
     OrthonormalBasis,
     _Record,
+    _member,
+    _real,
     _require_budget,
     _require_same_dim,
     _setattr,
@@ -184,7 +186,8 @@ def _kd_term(
 def kd_rep(
     basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, ordering: Ordering = Ordering.AB
 ) -> QuasiProbRep:
-    """Representation built from ordered projector products."""
+    """Representation built from ordered projector products; ``ordering`` may be "AB" or "BA"."""
+    ordering = _member(ordering, Ordering, "ordering")
     terms = [_kd_term(basis_a, basis_b, ordering)]
     return QuasiProbRep(basis_a, basis_b, label=f"kd-{ordering.value.lower()}", terms=terms)
 
@@ -192,7 +195,8 @@ def kd_rep(
 def mixed_rep(
     basis_a: OrthonormalBasis, basis_b: OrthonormalBasis, weight_ab: float
 ) -> QuasiProbRep:
-    """Convex (or affine) mixture of the two orderings, cell by cell."""
+    """Convex (or affine) mixture of the two orderings, cell by cell: any finite real weight."""
+    weight_ab = _real(weight_ab, "mixture weight", positive=False)
     terms = [
         _kd_term(basis_a, basis_b, Ordering.AB, weight_ab),
         _kd_term(basis_a, basis_b, Ordering.BA, 1.0 - weight_ab),
@@ -667,7 +671,7 @@ def make_condition2_violator(
     _require_same_dim(basis_a.dim, basis_b.dim)
     if basis_a.dim < 2:
         raise ValidationError("violator construction needs dim >= 2")
-    if epsilon == 0:
+    if _real(epsilon, "epsilon", positive=False) == 0:
         raise BadEpsilonError("epsilon must be nonzero")
     a0, a1 = basis_a.matrix[:, 0, None, None], basis_a.matrix[:, 1, None, None]
     noise = epsilon * _zero_sum_sign_pattern(basis_a.dim)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import io as kdq_io
 from .errors import BadSampleCountError, DegeneratePostselectionError, KdqError, SingularOverlapError, ValidationError
-from .hilbert import DensityOperator, LinearOperator, StateVector, _tol as lib_tol, make_pure_density
+from .hilbert import DensityOperator, LinearOperator, StateVector, _integer, _tol as lib_tol, make_pure_density
 from .kd import Ordering, kd_inverse, kd_transform
 
 
@@ -107,7 +107,7 @@ def _cmd_kd(args, tol: float | None) -> int:
     rho = _as_density(kdq_io.load_state(args.state, tol=tol), tol)
     basis_a = kdq_io.resolve_basis(args.basis_a, rho.dim, tol=tol)
     basis_b = kdq_io.resolve_basis(args.basis_b, rho.dim, tol=tol)
-    dist = kd_transform(rho, basis_a, basis_b, Ordering(args.ordering), tol=tol)
+    dist = kd_transform(rho, basis_a, basis_b, args.ordering, tol=tol)
     if args.format == "json":
         _emit(kdq_io.kd_to_dict(dist, tol=tol))
     else:
@@ -186,11 +186,8 @@ def _cmd_weak(args, tol: float | None) -> int:
         raise ValidationError("weak-measurement simulation takes a pure state file")
     basis_a = kdq_io.resolve_basis(args.basis_a, state.dim, tol=tol)
     basis_b = kdq_io.resolve_basis(args.basis_b, state.dim, tol=tol)
-    for flag, index in (("a-index", args.a_index), ("b-index", args.b_index)):
-        if not 0 <= index < state.dim:
-            raise ValidationError(f"{flag} {index} out of range for dim {state.dim}")
-    a_proj = LinearOperator(basis_a.projector(args.a_index))
-    b = basis_b.vector(args.b_index)
+    a_proj = LinearOperator(basis_a.projector(_integer(args.a_index, "a-index", 0, state.dim)))
+    b = basis_b.vector(_integer(args.b_index, "b-index", 0, state.dim))
     cfg = PointerConfig(
         grid_points=args.grid_points,
         grid_extent=args.grid_extent * args.sigma,
@@ -294,10 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tol = _tol(args)
         # C3's refusals, made for every command before it reads a file or builds a representation
-        if getattr(args, "samples", 1) < 1:
-            raise BadSampleCountError(f"samples must be >= 1, got {args.samples}")
-        if args.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {args.seed}", seed=args.seed)
+        _integer(getattr(args, "samples", 1), "samples", 1, error=BadSampleCountError)
+        _integer(args.seed, "seed")
         with np.errstate(all="ignore"):
             return args.func(args, tol)
     except KdqError as err:

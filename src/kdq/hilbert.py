@@ -19,6 +19,7 @@ reproduces the same output within this implementation.
 
 from __future__ import annotations
 
+import enum
 import math
 import numbers
 
@@ -28,6 +29,7 @@ from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo  # private; t
 from .errors import (
     BadRankError,
     DimMismatchError,
+    KdqError,
     NotNormalizedError,
     ValidationError,
 )
@@ -41,13 +43,40 @@ MAX_ARRAY_BYTES = 1 << 30
 _setattr = object.__setattr__  # sets a _Value field: once in __init__, or a private cache
 
 
+def _refuse(source: str, rule: str, value, error: type[KdqError] = ValidationError):
+    """Raise ``error``, "``source`` must be ``rule``", naming ``value`` by its repr: 5 and nan, not np.int64(5)."""
+    raise error(f"{source} must be {rule}, got {(value.item() if isinstance(value, np.generic) else value)!r}",
+                source=source)
+
+
+def _real(value, source: str, positive: bool = True) -> float:
+    """``value``: a finite real number, not a bool, and above 0 if ``positive`` (a NaN is refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            0 if positive else -math.inf) < value < math.inf:
+        _refuse(source, f"a finite {'positive ' * positive}number", value)
+    return value
+
+
 def _tol(value, source: str = "tolerance") -> float:
-    """``TOL`` for None, else ``value``: finite and positive, as a NaN would skip the check."""
-    if value is None:
-        return TOL
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        shown = value.item() if isinstance(value, np.generic) else value  # nan, not np.float64(nan)
-        raise ValidationError(f"{source} must be a finite positive number, got {shown!r}", source=source)
+    """``TOL`` for None, else ``value`` as ``_real`` accepts it: finite and positive."""
+    return TOL if value is None else _real(value, source)
+
+
+def _integer(value, source: str, lo: int = 0, hi: float = math.inf, error: type[KdqError] = ValidationError) -> int:
+    """``value``: an integer, not a bool, with lo <= value < hi; every dimension, index, seed and count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value < hi:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+        _refuse(source, rule if hi == math.inf else f"an integer from {lo} to {hi - 1}", value, error)
+    return value
+
+
+def _member(value, kind: type[enum.Enum], source: str):
+    """``value`` if a member of ``kind``, else the member whose value it is: "BA" gives ``Ordering.BA``."""
+    if type(value) is not kind:  # a member costs no Enum call
+        try:
+            value = kind(value)
+        except (ValueError, TypeError):  # TypeError: an unhashable value
+            _refuse(source, " or ".join(repr(m.value) for m in kind), value)
     return value
 
 
@@ -169,7 +198,7 @@ class DensityOperator(_Value):
         self._own(*_shaped(matrix, 2), tol)
 
     def _own(self, mat: np.ndarray, shaped: bool, tol) -> DensityOperator:
-        """Check ``mat`` and take it as it is, not copied: ``_shaped``'s copy, or a matrix kdq formed itself."""
+        """Check ``mat``, read-only, and take it as it is: ``_shaped``'s copy, or a matrix kdq formed and froze."""
         adj = mat.conj().T
         herm_dev = _max_abs(mat - adj) if shaped else math.nan
         if not _accepts(mat, 2, "density matrix", herm_dev, tol):
@@ -190,7 +219,6 @@ class DensityOperator(_Value):
             lo = float(np.linalg.eigvalsh((mat + adj) / 2.0)[0])  # unshifted; eigenvalues ascend
             if lo < -TOL_PSD:
                 raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo)
-        mat.setflags(write=False)
         _setattr(self, "matrix", mat)
         _setattr(self, "_kd", None)
         return self
@@ -240,19 +268,12 @@ class OrthonormalBasis(_Value):
         return self.matrix.shape[0]
 
     def vector(self, k: int) -> StateVector:
-        return StateVector(self.matrix[:, _basis_index(k, self.dim)])
+        return StateVector(self.matrix[:, _integer(k, "basis index", 0, self.dim)])
 
     def projector(self, k: int) -> np.ndarray:
         """Rank-1 projector onto the k-th basis vector, as a raw array."""
-        v = self.matrix[:, _basis_index(k, self.dim)]
+        v = self.matrix[:, _integer(k, "basis index", 0, self.dim)]
         return np.outer(v, v.conj())
-
-
-def _basis_index(index, dim: int) -> int:
-    """``index``, refused unless an integer (not a bool) in 0 .. dim - 1."""
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < dim:
-        raise ValidationError(f"basis index {index} out of range for dim {dim}")
-    return index
 
 
 def _require_same_dim(x: int, y: int) -> None:
@@ -262,7 +283,8 @@ def _require_same_dim(x: int, y: int) -> None:
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis vector |index> in dimension ``dim``."""
-    return StateVector(np.eye(1, dim, _basis_index(index, dim), dtype=np.complex128)[0])
+    dim = _integer(dim, "dimension", 1)
+    return StateVector(np.eye(1, dim, _integer(index, "basis index", 0, dim), dtype=np.complex128)[0])
 
 
 def make_pure_density(psi: StateVector, tol: float | None = None) -> DensityOperator:
@@ -271,7 +293,7 @@ def make_pure_density(psi: StateVector, tol: float | None = None) -> DensityOper
 
 
 def maximally_mixed(dim: int) -> DensityOperator:
-    return DensityOperator(np.eye(dim, dtype=np.complex128) / dim)
+    return DensityOperator(np.eye(_integer(dim, "dimension", 1), dtype=np.complex128) / dim)
 
 
 def overlap(bra: StateVector, ket: StateVector) -> complex:
@@ -287,25 +309,20 @@ def product_trace(op: LinearOperator, rho: DensityOperator) -> complex:
 
 
 def computational_basis(dim: int) -> OrthonormalBasis:
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
-    return OrthonormalBasis(np.eye(dim, dtype=np.complex128), label="computational")
+    return OrthonormalBasis(np.eye(_integer(dim, "dimension", 1), dtype=np.complex128), label="computational")
 
 
 def fourier_basis(dim: int) -> OrthonormalBasis:
     """Discrete Fourier basis: vector k has entries exp(2*pi*i*j*k/d)/sqrt(d)."""
-    if dim < 2:
-        raise ValidationError(f"fourier basis needs dim >= 2, got {dim}")
-    j = np.arange(dim)
+    j = np.arange(_integer(dim, "fourier basis dimension", 2))
     mat = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
     return OrthonormalBasis(mat, label="fourier")
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
     """Random density operator rho = G G^dag / Tr(G G^dag), G complex Gaussian d x rank."""
-    if not 1 <= rank <= dim:
-        raise BadRankError(f"rank must satisfy 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    rng = np.random.default_rng(seed)
+    rank = _integer(rank, "rank", 1, _integer(dim, "dimension", 1) + 1, BadRankError)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
@@ -314,18 +331,16 @@ def random_density(dim: int, rank: int, seed: int) -> DensityOperator:
 
 def random_state(dim: int, seed: int) -> StateVector:
     """Haar-like random pure state (normalized complex Gaussian vector)."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
+    dim = _integer(dim, "dimension", 1)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(z / np.linalg.norm(z))
 
 
 def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     """Random orthonormal basis from the QR decomposition of a Gaussian matrix."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
+    dim = _integer(dim, "dimension", 1)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     # fix the phase freedom so the output is a deterministic function of the seed

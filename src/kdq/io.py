@@ -24,6 +24,8 @@ from .hilbert import (
     DensityOperator,
     OrthonormalBasis,
     StateVector,
+    _integer,
+    _member,
     _require_budget,
     computational_basis,
     fourier_basis,
@@ -107,14 +109,6 @@ def _check_schema(doc, what: str) -> None:
         )
 
 
-def _check_dim(doc: dict, what: str) -> int:
-    dim = doc.get("dim")
-    # bool is a subclass of int: "dim": true must not load as dim 1
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"{what}: bad dim {dim!r}")
-    return dim
-
-
 def read_json(path: str | Path, what: str) -> dict:
     try:
         raw = Path(path).read_bytes()
@@ -147,7 +141,7 @@ def state_to_dict(state: StateVector | DensityOperator) -> dict:
 def state_from_dict(doc: dict, tol: float | None = None) -> StateVector | DensityOperator:
     _check_schema(doc, "state file")
     kind = doc.get("kind")
-    dim = _check_dim(doc, "state file")
+    dim = _integer(doc.get("dim"), "state file: dim", 1)
     if kind == "pure":
         amps = _complex_array(doc.get("data"), 1, "state file data")
         if amps.shape != (dim,):
@@ -181,7 +175,7 @@ def basis_to_dict(basis: OrthonormalBasis) -> dict:
 
 def basis_from_dict(doc: dict, tol: float | None = None) -> OrthonormalBasis:
     _check_schema(doc, "basis file")
-    dim = _check_dim(doc, "basis file")
+    dim = _integer(doc.get("dim"), "basis file: dim", 1)
     rows = _complex_array(doc.get("unitary"), 2, "basis file unitary")
     if rows.shape != (dim, dim):
         raise ValidationError(f"basis file: unitary shape {rows.shape} does not match dim {dim}")
@@ -232,13 +226,8 @@ def kd_to_dict(dist: KDDistribution, tol: float | None = None) -> dict:
 
 def kd_from_dict(doc: dict, tol: float | None = None) -> KDDistribution:
     _check_schema(doc, "joint table file")
-    dim = _check_dim(doc, "joint table file")
-    try:
-        ordering = Ordering(doc.get("ordering"))
-    except ValueError as exc:
-        raise ValidationError(
-            f"joint table file: ordering must be 'AB' or 'BA', got {doc.get('ordering')!r}"
-        ) from exc
+    dim = _integer(doc.get("dim"), "joint table file: dim", 1)
+    ordering = _member(doc.get("ordering"), Ordering, "joint table file: ordering")
     basis_a = basis_from_dict(doc.get("basis_a"), tol=tol)
     basis_b = basis_from_dict(doc.get("basis_b"), tol=tol)
     table = _complex_array(doc.get("table"), 2, "joint table")

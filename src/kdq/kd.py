@@ -28,6 +28,7 @@ from .hilbert import (
     OrthonormalBasis,
     StateVector,
     _accepts,
+    _member,
     _require_same_dim,
     _setattr,
     _tol,
@@ -50,7 +51,7 @@ class KDDistribution(_Value):
 
     Invariants checked on construction: the complex total is 1 and every
     row/column sum is real (those sums are the single-observable
-    probabilities).
+    probabilities).  An ordering may be given as its value, "AB" or "BA".
     """
 
     # private: _sums, (2, d): row sums, column sums; _imag, the largest |imag| of each; _cross, <b|a> from kd_transform
@@ -63,7 +64,7 @@ class KDDistribution(_Value):
         tab = np.array(table, dtype=np.complex128)
         if tab.shape != (d, d):
             raise ValidationError(f"table must have shape {(d, d)}, got {tab.shape}")
-        self._own(basis_a, basis_b, ordering, tab, *_sums(tab), None, tol)
+        self._own(basis_a, basis_b, _member(ordering, Ordering, "ordering"), tab, *_sums(tab), None, tol)
 
     def _own(self, basis_a, basis_b, ordering, tab, total, sums, imag, cross, tol) -> KDDistribution:
         """Take ``tab`` and its sums as they are, not copied, once they pass the table's check."""
@@ -89,7 +90,8 @@ class KDDistribution(_Value):
 
 
 def kd_operator(a: StateVector, b: StateVector, ordering: Ordering = Ordering.AB) -> LinearOperator:
-    """Cell operator |b><b|a><a| (AB) or |a><a|b><b| (BA)."""
+    """Cell operator |b><b|a><a| (AB) or |a><a|b><b| (BA); ``ordering`` may be "AB" or "BA"."""
+    ordering = _member(ordering, Ordering, "ordering")
     _require_same_dim(a.dim, b.dim)
     mat = overlap(b, a) * np.outer(b.amplitudes, a.amplitudes.conj())  # <b|a> |b><a|
     return LinearOperator(mat if ordering is Ordering.AB else mat.conj().T)
@@ -102,7 +104,8 @@ def kd_transform(
     ordering: Ordering = Ordering.AB,
     tol: float | None = None,
 ) -> KDDistribution:
-    """Joint quasi-probability table of ``rho`` over the two bases."""
+    """Joint quasi-probability table of ``rho`` over the two bases; ``ordering`` may be "AB" or "BA"."""
+    ordering = _member(ordering, Ordering, "ordering")
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
     entry = _kept(rho, basis_a, basis_b)
@@ -195,8 +198,9 @@ def kd_inverse(dist: KDDistribution, *, tol: float | None = None) -> DensityOper
             magnitude=float(mags[a_bad, b_bad]),
         )
     table = dist.table if dist.ordering is Ordering.AB else dist.table.conj()  # BA's cells are AB's conjugated
-    mixed = table / cross_t  # mixed[a, b] = <a|rho|b>
-    return DensityOperator.__new__(DensityOperator)._own(am @ mixed @ bm.conj().T, True, tol)  # adopted, not copied
+    mat = am @ (table / cross_t) @ bm.conj().T  # table / cross_t: mixed[a, b] = <a|rho|b>
+    mat.setflags(write=False)
+    return DensityOperator.__new__(DensityOperator)._own(mat, True, tol)  # adopted, not copied
 
 
 def conditional_weak_value(m_op: LinearOperator, a: StateVector, b: StateVector) -> complex:

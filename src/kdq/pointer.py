@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePostselectionError, ValidationError, ZeroCouplingError
-from .hilbert import TOL, LinearOperator, StateVector, _max_abs, _Record, _require_same_dim, _setattr
+from .hilbert import TOL, LinearOperator, StateVector, _integer, _max_abs, _real, _Record, _require_same_dim, _setattr
 from .kd import conditional_weak_value
 
 _POSTSELECT_FLOOR = 1e-12
@@ -54,23 +54,17 @@ class PointerConfig(_Record):
     def __init__(self, grid_points: int = 512, grid_extent: float = 20.0, sigma: float = 1.0, coupling: float = 0.1):
         for name, value in zip(self.__slots__, (grid_points, grid_extent, sigma, coupling)):
             _setattr(self, name, value)
-        n = self.grid_points
-        if n < 16 or n & (n - 1) != 0:
-            raise ValidationError(f"grid_points must be a power of two >= 16, got {n}")
-        if not (self.sigma > 0 and np.isfinite(self.sigma)):
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
-        var = float(self.sigma) * float(self.sigma)  # inf or 0.0 out of range, where ** raises OverflowError
+        if _integer(grid_points, "grid_points", 16) & (grid_points - 1):
+            raise ValidationError(f"grid_points must be a power of two >= 16, got {grid_points}")
+        var = float(_real(sigma, "sigma")) * float(sigma)  # inf or 0.0 out of range, where ** raises OverflowError
         if not (var >= sys.float_info.min and 1.0 / (4.0 * var) >= sys.float_info.min):  # so neither exceeds 1.2e307
             raise ValidationError(
                 f"sigma {self.sigma} is out of range: sigma^2 and 1/(4 sigma^2) must be finite normal floats",
                 sigma=self.sigma,
             )
-        if not (self.grid_extent > 8 * self.sigma and np.isfinite(self.grid_extent)):
-            raise ValidationError(
-                f"grid_extent must exceed 8*sigma = {8 * self.sigma:g}, got {self.grid_extent}"
-            )
-        if not np.isfinite(self.coupling):
-            raise ValidationError(f"coupling must be finite, got {self.coupling}")
+        if not _real(grid_extent, "grid_extent") > 8 * sigma:
+            raise ValidationError(f"grid_extent must exceed 8*sigma = {8 * sigma:g}, got {grid_extent}")
+        _real(coupling, "coupling", positive=False)
 
     @property
     def momentum_variance(self) -> float:
@@ -133,9 +127,7 @@ def _overlaps(psi: StateVector, a_proj: LinearOperator, b: StateVector) -> tuple
 
 
 def _readout(c_proj: complex, c_b: complex, sigma: float, g: float) -> PointerReadout:
-    if not math.isfinite(g):
-        raise ValidationError(f"coupling must be finite, got {g}")
-    if g != 0.0 and min(abs(g), abs(g) / (2.0 * sigma * sigma)) < sys.float_info.min:
+    if _real(g, "coupling", positive=False) != 0.0 and min(abs(g), abs(g) / (2.0 * sigma * sigma)) < sys.float_info.min:
         raise ValidationError(
             f"coupling {g:g} ({g / sigma:g} sigma) is out of range: |coupling| and |coupling|/(2 sigma^2) "
             f"must be at least {sys.float_info.min:g}",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadSlitsError, EvenDimensionError, ValidationError
 from .hilbert import DensityOperator, OrthonormalBasis, StateVector, _max_abs, _require_budget, _require_shaped, _tol
-from .hilbert import _setattr, _Value, computational_basis
+from .hilbert import _integer, _setattr, _Value, computational_basis
 
 if TYPE_CHECKING:
     from .audit import QuasiProbRep
@@ -55,9 +55,7 @@ class WignerTable(_Value):
 
 
 def _require_odd(dim: int) -> None:
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
-    if dim % 2 == 0:
+    if _integer(dim, "dimension", 1) % 2 == 0:
         raise EvenDimensionError(f"dimension must be odd, got {dim}")
 
 
@@ -85,8 +83,8 @@ def position_marginal(rho: DensityOperator) -> np.ndarray:
 def double_slit_state(dim: int, slit1: int, slit2: int) -> StateVector:
     """Equal superposition of two grid positions with an on-grid midpoint."""
     _require_odd(dim)
-    if not (0 <= slit1 < dim and 0 <= slit2 < dim):
-        raise BadSlitsError(f"slits ({slit1}, {slit2}) out of range for dim {dim}")
+    _integer(slit1, "slit1", 0, dim, BadSlitsError)
+    _integer(slit2, "slit2", 0, dim, BadSlitsError)
     if slit1 == slit2:
         raise BadSlitsError("slits must be distinct")
     if (slit1 + slit2) % 2 != 0:
@@ -129,6 +127,8 @@ def _phase(dim: int, p, x) -> np.ndarray:
 def phase_point_operator(dim: int, q: int, p: int) -> np.ndarray:
     """Operator A(q,p) with Tr(A(q,p) rho) = W(q,p); Hermitian, trace 1/d."""
     _require_odd(dim)
+    _integer(q, "q", 0, dim)
+    _integer(p, "p", 0, dim)
     x = (q - np.arange(dim)) % dim  # row i = q - x holds its one nonzero in column q + x
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[np.arange(dim), (q + x) % dim] = _phase(dim, p, x)

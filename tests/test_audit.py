@@ -53,6 +53,14 @@ def test_kd_rep_agrees_with_transform():
             assert np.abs(table - dist.table).max() <= 1e-13
 
 
+def test_kd_rep_takes_an_ordering_by_its_value():
+    a, b = random_basis(3, seed=41), random_basis(3, seed=42)
+    for value, member in (("AB", Ordering.AB), ("BA", Ordering.BA)):
+        rep, expected = kd_rep(a, b, value), kd_rep(a, b, member)
+        assert rep.label == expected.label
+        assert rep.operators.tobytes() == expected.operators.tobytes()
+
+
 def test_kd_rep_same_basis_is_diagonal_projector_family():
     basis = computational_basis(3)
     rep = kd_rep(basis, basis)
@@ -410,6 +418,22 @@ def test_violator_needs_dim_two():
     one = computational_basis(1)
     with pytest.raises(ValidationError, match="violator construction needs dim >= 2"):
         make_condition2_violator(one, one, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda a, b: kd_rep(a, b, "ba"), "ordering must be 'AB' or 'BA', got 'ba'"),
+        (lambda a, b: kd_rep(a, b, 0), "ordering must be 'AB' or 'BA', got 0"),
+        (lambda a, b: mixed_rep(a, b, "x"), "mixture weight must be a finite number, got 'x'"),
+        (lambda a, b: mixed_rep(a, b, None), "mixture weight must be a finite number, got None"),
+        (lambda a, b: make_condition2_violator(a, b, "x"), "epsilon must be a finite number, got 'x'"),
+    ],
+    ids=["kd-ordering-lower", "kd-ordering-int", "mixed-weight-str", "mixed-weight-none", "violator-epsilon-str"],
+)
+def test_rep_builders_refuse_an_ordering_or_weight_of_the_wrong_kind(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build(*comp_fourier(2))
 
 
 def test_report_json_dict_fields():

@@ -170,7 +170,7 @@ def test_filled_dense_cache_does_not_change_the_path():
 def test_non_finite_terms_rejected():
     a, b = _basis_pair(3, "random")
     for weight in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError, match="^mixture weight must be a finite number"):
             mixed_rep(a, b, weight)
 
 

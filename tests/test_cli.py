@@ -286,8 +286,10 @@ def test_audit_negative_seed_exit_2(capsys):
     assert doc["message"] == "seed must be a non-negative integer, got -1"
 
 
-SEED_ERROR = {"code": "validation", "message": "seed must be a non-negative integer, got -1", "context": {"seed": -1}}
-SAMPLES_ERROR = {"code": "bad_sample_count", "message": "samples must be >= 1, got 0", "context": {}}
+SEED_ERROR = {"code": "validation", "message": "seed must be a non-negative integer, got -1",
+              "context": {"source": "seed"}}
+SAMPLES_ERROR = {"code": "bad_sample_count", "message": "samples must be a positive integer, got 0",
+                 "context": {"source": "samples"}}
 
 
 @pytest.mark.parametrize(
@@ -1018,13 +1020,13 @@ NO_FILE = str(FIXTURES / "no_such_file.json")
 
 # argv from the files, KDQ_TOL, then the error's code and message
 REFUSALS = {
-    "a-index": (lambda f: [*WEAK_01, "--a-index", "5"], None, "validation", "a-index 5 out of range for dim 2"),
-    "b-index": (lambda f: [*WEAK_01, "--b-index", "-1"], None, "validation", "b-index -1 out of range for dim 2"),
+    "a-index": (lambda f: [*WEAK_01, "--a-index", "5"], None, "validation", "a-index must be an integer from 0 to 1, got 5"),
+    "b-index": (lambda f: [*WEAK_01, "--b-index", "-1"], None, "validation", "b-index must be an integer from 0 to 1, got -1"),
     "couplings-x": (lambda f: [*WEAK_PLUS, "--couplings", "0.1,x"], None, "validation", "bad couplings list '0.1,x'"),
     "couplings-inf": (lambda f: [*WEAK_PLUS, "--couplings", "inf"], None, "validation",
-                      "coupling must be finite, got inf"),
+                      "coupling must be a finite number, got inf"),
     "couplings-nan": (lambda f: [*WEAK_PLUS, "--couplings", "nan"], None, "validation",
-                      "coupling must be finite, got nan"),
+                      "coupling must be a finite number, got nan"),
     "audit-kd-no-dim": (lambda f: ["audit", "--rep", "kd", "--all"], None, "validation", "--dim is required"),
     "audit-wigner-no-dim": (lambda f: ["audit", "--rep", "wigner", "--all"], None, "validation",
                             "--dim is required for the wigner representation"),

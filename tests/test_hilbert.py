@@ -38,11 +38,14 @@ from kdq import (
     kd_transform,
     make_pure_density,
     maximally_mixed,
+    momentum_basis,
     overlap,
+    phase_point_operator,
     product_trace,
     random_basis,
     random_density,
     random_state,
+    wigner_as_rep,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -99,28 +102,45 @@ def test_basis_rejects_non_orthonormal():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: basis_state(2, 2), "basis index 2 out of range for dim 2"),
-        (lambda: basis_state(2, -1), "basis index -1 out of range for dim 2"),
-        (lambda: basis_state(2, 1.0), "basis index 1.0 out of range for dim 2"),
-        (lambda: basis_state(2, True), "basis index True out of range for dim 2"),
-        (lambda: fourier_basis(3).vector(-1), "basis index -1 out of range for dim 3"),
-        (lambda: fourier_basis(3).vector(3), "basis index 3 out of range for dim 3"),
-        (lambda: fourier_basis(3).vector(1.0), "basis index 1.0 out of range for dim 3"),
-        (lambda: fourier_basis(3).projector(-1), "basis index -1 out of range for dim 3"),
-        (lambda: fourier_basis(3).projector(3), "basis index 3 out of range for dim 3"),
-        (lambda: fourier_basis(3).projector(1.0), "basis index 1.0 out of range for dim 3"),
-        (lambda: fourier_basis(1), "fourier basis needs dim >= 2, got 1"),
-        (lambda: random_state(0, seed=0), "dimension must be positive, got 0"),
-        (lambda: random_basis(0, seed=0), "dimension must be positive, got 0"),
+        (lambda: basis_state(2, 2), "basis index must be an integer from 0 to 1, got 2"),
+        (lambda: basis_state(2, -1), "basis index must be an integer from 0 to 1, got -1"),
+        (lambda: basis_state(2, 1.0), "basis index must be an integer from 0 to 1, got 1.0"),
+        (lambda: basis_state(2, True), "basis index must be an integer from 0 to 1, got True"),
+        (lambda: fourier_basis(3).vector(-1), "basis index must be an integer from 0 to 2, got -1"),
+        (lambda: fourier_basis(3).vector(3), "basis index must be an integer from 0 to 2, got 3"),
+        (lambda: fourier_basis(3).vector(1.0), "basis index must be an integer from 0 to 2, got 1.0"),
+        (lambda: fourier_basis(3).projector(-1), "basis index must be an integer from 0 to 2, got -1"),
+        (lambda: fourier_basis(3).projector(3), "basis index must be an integer from 0 to 2, got 3"),
+        (lambda: fourier_basis(3).projector(1.0), "basis index must be an integer from 0 to 2, got 1.0"),
+        (lambda: fourier_basis(1), "fourier basis dimension must be an integer >= 2, got 1"),
+        (lambda: random_state(0, seed=0), "dimension must be a positive integer, got 0"),
+        (lambda: random_basis(0, seed=0), "dimension must be a positive integer, got 0"),
+        (lambda: basis_state(2, "1"), "basis index must be an integer from 0 to 1, got '1'"),
+        (lambda: basis_state(2, np.int64(5)), "basis index must be an integer from 0 to 1, got 5"),
+        (lambda: maximally_mixed(-1), "dimension must be a positive integer, got -1"),
+        (lambda: maximally_mixed(2.5), "dimension must be a positive integer, got 2.5"),
+        (lambda: computational_basis(2.5), "dimension must be a positive integer, got 2.5"),
+        (lambda: fourier_basis(2.5), "fourier basis dimension must be an integer >= 2, got 2.5"),
+        (lambda: momentum_basis(3.5), "dimension must be a positive integer, got 3.5"),
+        (lambda: wigner_as_rep(3.0), "dimension must be a positive integer, got 3.0"),
+        (lambda: random_state(2, -1), "seed must be a non-negative integer, got -1"),
+        (lambda: random_basis(2.5, 1), "dimension must be a positive integer, got 2.5"),
+        (lambda: random_density(2, 1, -1), "seed must be a non-negative integer, got -1"),
+        (lambda: basis_state(2.0, 1), "dimension must be a positive integer, got 2.0"),
+        (lambda: phase_point_operator(3, 0.5, 0), "q must be an integer from 0 to 2, got 0.5"),
     ],
     ids=["basis-index-high", "basis-index-negative", "basis-index-float", "basis-index-bool",
          "vector-index-negative", "vector-index-high", "vector-index-float",
          "projector-index-negative", "projector-index-high", "projector-index-float",
-         "fourier-d1", "random-state-d0", "random-basis-d0"],
+         "fourier-d1", "random-state-d0", "random-basis-d0", "basis-index-str", "basis-index-numpy",
+         "mixed-d-negative", "mixed-d-float", "computational-d-float", "fourier-d-float", "momentum-d-float",
+         "wigner-rep-d-float", "random-state-seed-negative", "random-basis-d-float", "random-density-seed-negative",
+         "basis-state-d-float", "phase-point-q-float"],
 )
 def test_generators_refuse_out_of_range_arguments(build, message):
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{message}$") as err:
         build()
+    assert err.value.context == {"source": message.split(" must ")[0]}
 
 
 BAD_TOLS = [np.nan, np.inf, -np.inf, 0.0, -1e-3, "1e-10", True, np.float64("nan"), np.float64(-1e-3)]

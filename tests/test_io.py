@@ -73,7 +73,7 @@ def test_boolean_dim_rejected():
         kio.kd_from_dict: {"schema": "kdq/1", "dim": True, "ordering": "AB"},
     }
     for load, doc in docs.items():
-        with pytest.raises(ValidationError, match="bad dim True"):
+        with pytest.raises(ValidationError, match="dim must be a positive integer, got True"):
             load(doc)
 
 

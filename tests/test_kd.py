@@ -196,6 +196,33 @@ def test_ba_table_and_its_inverse_are_read_off_the_ab_product(dim):
         assert kd_inverse(loaded).matrix.tobytes() == kd_inverse(ab).matrix.tobytes()
 
 
+def test_an_ordering_given_by_its_value_is_its_member():
+    a, b = random_basis(3, seed=81), random_basis(3, seed=82)
+    rho = random_density(3, 2, seed=83)
+    for value, member in (("AB", Ordering.AB), ("BA", Ordering.BA)):
+        dist = kd_transform(rho, a, b, value)
+        assert dist.ordering is member
+        assert dist.table.tobytes() == kd_transform(DensityOperator(rho.matrix), a, b, member).table.tobytes()
+        va, vb = a.vector(0), b.vector(1)
+        assert kd_operator(va, vb, value).matrix.tobytes() == kd_operator(va, vb, member).matrix.tobytes()
+        assert KDDistribution(a, b, value, dist.table).ordering is member
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: kd_transform(maximally_mixed(3), d.basis_a, d.basis_b, "ba"),
+        lambda d: kd_transform(maximally_mixed(3), d.basis_a, d.basis_b, ["BA"]),
+        lambda d: KDDistribution(d.basis_a, d.basis_b, "XY", d.table),
+        lambda d: kd_operator(d.basis_a.vector(0), d.basis_b.vector(0), 1),
+    ],
+    ids=["transform-lower", "transform-list", "dist-xy", "operator-int"],
+)
+def test_an_ordering_that_is_no_member_is_refused(call):
+    with pytest.raises(ValidationError, match="^ordering must be 'AB' or 'BA', got "):
+        call(_valid_dist())
+
+
 def test_commuting_reduction_same_basis():
     for dim in (2, 4, 6):
         basis = random_basis(dim, seed=dim + 50)

@@ -111,8 +111,24 @@ def test_readout_refuses_a_probability_outside_0_1(prob):
 
 @pytest.mark.parametrize("coupling", [float("inf"), -float("inf"), float("nan")], ids=["inf", "-inf", "nan"])
 def test_config_refuses_a_non_finite_coupling(coupling):
-    with pytest.raises(ValidationError, match="coupling must be finite"):
+    with pytest.raises(ValidationError, match="coupling must be a finite number"):
         PointerConfig(coupling=coupling)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"grid_points": 16.0}, "grid_points must be an integer >= 16, got 16.0"),
+        ({"sigma": "1"}, "sigma must be a finite positive number, got '1'"),
+        ({"sigma": True}, "sigma must be a finite positive number, got True"),
+        ({"grid_extent": None}, "grid_extent must be a finite positive number, got None"),
+        ({"coupling": "0.1"}, "coupling must be a finite number, got '0.1'"),
+    ],
+    ids=["grid-points-float", "sigma-str", "sigma-bool", "grid-extent-none", "coupling-str"],
+)
+def test_config_refuses_a_value_of_the_wrong_kind(kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PointerConfig(**kwargs)
 
 
 @pytest.mark.parametrize(

@@ -186,6 +186,8 @@ def test_double_slit_bad_slits():
         double_slit_state(5, 1, 2)  # midpoint off the grid
     with pytest.raises(BadSlitsError):
         double_slit_state(5, 0, 7)
+    with pytest.raises(BadSlitsError, match="^slit1 must be an integer from 0 to 4, got 0.0$"):
+        double_slit_state(5, 0.0, 2)
     with pytest.raises(EvenDimensionError):
         double_slit_state(4, 0, 2)
 
@@ -289,7 +291,7 @@ def test_wigner_rep_even_dim_rejected():
 def test_wigner_rep_negative_dim_rejected():
     # the sign is checked before evenness: -3 is odd to Python's %, and 0 and -2 are even
     for dim in (-3, -2, 0):
-        with pytest.raises(ValidationError, match=f"^dimension must be positive, got {dim}$"):
+        with pytest.raises(ValidationError, match=f"^dimension must be a positive integer, got {dim}$"):
             wigner_as_rep(dim)
 
 
