@@ -177,7 +177,7 @@ def _kd_term(
     """``_family`` term for weight * |b><b|a><a| (AB) or weight * |a><a|b><b| (BA)."""
     _require_same_dim(basis_a.dim, basis_b.dim)
     am, bm = basis_a.matrix, basis_b.matrix
-    ov = _cross_overlaps(am, bm).T  # ov[a, b] = <b|a>
+    ov = _cross_overlaps(am, bm)  # ov[a, b] = <b|a>
     if ordering is Ordering.AB:
         return weight * ov, bm[:, None, :], am[:, :, None]
     return weight * ov.conj(), am[:, :, None], bm[:, None, :]
@@ -453,12 +453,12 @@ def check_condition2(rep: QuasiProbRep, tol: float | None = None) -> AuditReport
     """
     tol = _tol(tol)
     d = rep.dim
-    born = np.abs(cross := _cross_overlaps(rep.basis_a.matrix, rep.basis_b.matrix)) ** 2  # born[b, a] = |<a|b>|^2
-    uv = np.zeros((d, d)) if rep.terms is None else rep._uv[0] * cross.T.conj() + rep._uv[1] * cross.T  # over (a, b)
+    born = np.abs(cross := _cross_overlaps(rep.basis_a.matrix, rep.basis_b.matrix)) ** 2  # born[a, b] = |<a|b>|^2
+    uv = np.zeros((d, d)) if rep.terms is None else rep._uv[0] * cross.conj() + rep._uv[1] * cross  # over (a, b)
     states = np.arange(d)
     # per (side, state, kind): the first maximum, its cell c of slice k at k d + c, and a forbidden one's table value
     devs, cells, values = np.zeros((2, d, 2)), np.zeros((2, d, 2), dtype=np.intp), np.zeros((2, d), dtype=np.complex128)
-    for side, basis, expected in ((0, rep.basis_a, born.T), (1, rep.basis_b, born)):
+    for side, basis, expected in ((0, rep.basis_a, born), (1, rep.basis_b, born.T)):
         own = (uv.T if side else uv).astype(np.complex128)  # own[j]: |v_j>'s table on its own slice j
         for start, t in _eigen_bands(rep, side, basis.matrix):
             mine = np.arange(len(t)), slice(None), np.arange(start, start + len(t))
@@ -616,7 +616,7 @@ def span_residual(rep: QuasiProbRep) -> SpanResidual:
     """
     d = rep.dim
     am, bm = rep.basis_a.matrix, rep.basis_b.matrix
-    cross = _cross_overlaps(am, bm).T  # cross[a, b] = <b|a>
+    cross = _cross_overlaps(am, bm)  # cross[a, b] = <b|a>
     degenerate = np.abs(cross) <= TOL_OVERLAP
     w_sq_cut = (np.finfo(float).eps * d * d * (1.0 + np.abs(cross) ** 2)) ** 2
     if rep.terms is not None:

@@ -199,7 +199,7 @@ class DensityOperator(_Value):
 
     def _own(self, mat: np.ndarray, shaped: bool, tol) -> DensityOperator:
         """Check ``mat``, read-only, and take it as it is: ``_shaped``'s copy, or a matrix kdq formed and froze."""
-        adj = mat.conj().T
+        adj = np.conjugate(mat.T, order="C")  # contiguous, so mat - adj and mat + adj take numpy's fast loop
         herm_dev = _max_abs(mat - adj) if shaped else math.nan
         if not _accepts(mat, 2, "density matrix", herm_dev, tol):
             raise ValidationError(

@@ -64,17 +64,16 @@ class KDDistribution(_Value):
         tab = np.array(table, dtype=np.complex128)
         if tab.shape != (d, d):
             raise ValidationError(f"table must have shape {(d, d)}, got {tab.shape}")
+        tab.setflags(write=False)  # _sums freezes the sums; kd_transform hands _own arrays already read-only
         self._own(basis_a, basis_b, _member(ordering, Ordering, "ordering"), tab, *_sums(tab), None, tol)
 
     def _own(self, basis_a, basis_b, ordering, tab, total, sums, imag, cross, tol) -> KDDistribution:
-        """Take ``tab`` and its sums as they are, not copied, once they pass the table's check."""
+        """Take ``tab`` and its sums as they are, read-only and not copied, once they pass the table's check."""
         if not _accepts(tab, 2, "table", abs(total - 1.0), tol):
             raise ValidationError(f"table sums to {total}, expected 1", total=total)
         worst_imag = max(imag)
         if worst_imag > _tol(tol):
             raise ValidationError(f"row/column sums have imaginary part {worst_imag:.3e}", worst_imag=worst_imag)
-        tab.setflags(write=False)
-        sums.setflags(write=False)
         _setattr(self, "basis_a", basis_a)
         _setattr(self, "basis_b", basis_b)
         _setattr(self, "ordering", ordering)
@@ -112,29 +111,32 @@ def kd_transform(
     table, total, sums = entry[4:7]
     if ordering is Ordering.BA:  # the adjoint cells: negating an imaginary part is exact, bar a zero sum's sign
         table, sums = np.conjugate(table), np.conjugate(sums)  # sums are read as real parts and |imag| only
+        for arr in (table, sums):
+            arr.setflags(write=False)
         total = total.conjugate() if total.imag else complex(np.add.reduce(table, None))  # an error prints its sign
     dist = KDDistribution.__new__(KDDistribution)
     return dist._own(basis_a, basis_b, ordering, table, total, sums, entry[7:], entry[2], tol)
 
 
 def _sums(tab: np.ndarray) -> tuple[complex, np.ndarray, tuple[float, float]]:
-    """The table's complex total, its (2, d) row and column sums, and the largest |imag| of each."""
+    """The table's complex total, its (2, d) row and column sums (read-only), and the largest |imag| of each."""
     total = complex(np.add.reduce(tab, None))  # reductions call the ufunc: tab.sum()'s bits, not its wrapper
     both = np.empty((2, tab.shape[0]), dtype=np.complex128)
     np.add.reduce(tab, 1, None, both[0])  # (array, axis, dtype, out): positional, as keywords cost more
     np.add.reduce(tab, 0, None, both[1])
+    both.setflags(write=False)
     return total, both, tuple(np.maximum.reduce(abs(both.imag), 1).tolist())
 
 
 def _cross_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """cross[b, a] = <b|a> for basis matrices ``am`` and ``bm``: each cell's weight, divided back out."""
-    return bm.conj().T @ am
+    """cross[a, b] = <b|a> for basis matrices ``am`` and ``bm``, C-ordered: each cell's weight, divided back out."""
+    return (bm.conj().T @ am).T.copy()  # the b-major product's bits: am.T @ bm.conj() rounds some cells apart
 
 
 def _kept(rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis) -> tuple:
     """``(basis_a, basis_b, cross, mixed, table, total, sums, imag_a, imag_b)``, arrays read-only.
 
-    cross[b, a] = <b|a>, mixed[a, b] = <a|rho|b>, and the AB table with its
+    cross[a, b] = <b|a>, mixed[a, b] = <a|rho|b>, and the AB table with its
     sums as ``_sums`` forms them.  ``rho`` keeps them for the last basis pair
     it met, matched by identity; a miss forms them together and replaces the
     flat entry whole, so outputs do not depend on call order.
@@ -143,9 +145,9 @@ def _kept(rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalB
     if entry is None or entry[0] is not basis_a or entry[1] is not basis_b:
         am, bm = basis_a.matrix, basis_b.matrix
         cross, mixed = _cross_overlaps(am, bm), am.conj().T @ rho.matrix @ bm
-        table = cross.T * mixed  # table[a, b] = <b|a> <a|rho|b>
+        table = cross * mixed  # table[a, b] = <b|a> <a|rho|b>
         total, sums, imag = _sums(table)
-        for arr in (cross, mixed, table, sums):
+        for arr in (cross, mixed, table):
             arr.setflags(write=False)
         entry = (basis_a, basis_b, cross, mixed, table, total, sums, *imag)
         _setattr(rho, "_kd", entry)
@@ -186,8 +188,8 @@ def kd_inverse(dist: KDDistribution, *, tol: float | None = None) -> DensityOper
     ``tol`` is passed to the ``DensityOperator`` validation.
     """
     am, bm = dist.basis_a.matrix, dist.basis_b.matrix
-    cross_t = (_cross_overlaps(am, bm) if dist._cross is None else dist._cross).T  # cross_t[a, b] = <b|a>
-    mags = abs(cross_t)
+    cross = _cross_overlaps(am, bm) if dist._cross is None else dist._cross  # cross[a, b] = <b|a>
+    mags = abs(cross)
     if float(np.minimum.reduce(mags, None)) <= TOL_OVERLAP:
         a_bad, b_bad = np.unravel_index(int(np.argmin(mags)), mags.shape)
         raise SingularOverlapError(
@@ -198,7 +200,7 @@ def kd_inverse(dist: KDDistribution, *, tol: float | None = None) -> DensityOper
             magnitude=float(mags[a_bad, b_bad]),
         )
     table = dist.table if dist.ordering is Ordering.AB else dist.table.conj()  # BA's cells are AB's conjugated
-    mat = am @ (table / cross_t) @ bm.conj().T  # table / cross_t: mixed[a, b] = <a|rho|b>
+    mat = am @ (table / cross) @ bm.conj().T  # table / cross: mixed[a, b] = <a|rho|b>
     mat.setflags(write=False)
     return DensityOperator.__new__(DensityOperator)._own(mat, True, tol)  # adopted, not copied
 
@@ -230,5 +232,5 @@ def total_probability(
     _require_same_dim(m_op.dim, rho.dim)
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
-    cond = basis_b.matrix.conj().T @ m_op.matrix @ basis_a.matrix  # cond[b, a] = <b|M|a>
-    return complex(np.einsum("ba,ab->", cond, _kept(rho, basis_a, basis_b)[3]))
+    cond_t = basis_a.matrix.T @ m_op.matrix.T @ basis_b.matrix.conj()  # cond_t[a, b] = <b|M|a>
+    return complex(np.dot(cond_t.ravel(), _kept(rho, basis_a, basis_b)[3].ravel()))  # over the kept <a|rho|b>

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePostselectionError, ValidationError, ZeroCouplingError
-from .hilbert import TOL, LinearOperator, StateVector, _integer, _max_abs, _real, _Record, _require_same_dim, _setattr
+from .hilbert import TOL, LinearOperator, StateVector, _integer, _max_abs, _real, _Record, _refuse, _require_same_dim, _setattr
 from .kd import conditional_weak_value
 
 _POSTSELECT_FLOOR = 1e-12
@@ -127,7 +127,7 @@ def _overlaps(psi: StateVector, a_proj: LinearOperator, b: StateVector) -> tuple
 
 
 def _readout(c_proj: complex, c_b: complex, sigma: float, g: float) -> PointerReadout:
-    if _real(g, "coupling", positive=False) != 0.0 and min(abs(g), abs(g) / (2.0 * sigma * sigma)) < sys.float_info.min:
+    if g != 0.0 and min(abs(g), abs(g) / (2.0 * sigma * sigma)) < sys.float_info.min:
         raise ValidationError(
             f"coupling {g:g} ({g / sigma:g} sigma) is out of range: |coupling| and |coupling|/(2 sigma^2) "
             f"must be at least {sys.float_info.min:g}",
@@ -173,6 +173,9 @@ def coupling_sweep(
     The exact reference is the complex conditional probability
     <b|P|psi>/<b|psi>; the error column is the absolute difference.
     """
+    if not isinstance(couplings, (list, tuple)):
+        _refuse("couplings", "a list or tuple", couplings)
+    couplings = [_real(g, "coupling", positive=False) for g in couplings]
     if len(set(couplings)) != len(couplings):
         raise ValidationError("couplings must be distinct")
     if any(g == 0.0 for g in couplings):

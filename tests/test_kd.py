@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kdq.hilbert
 import kdq.kd
@@ -382,6 +384,24 @@ def test_total_probability_real_for_hermitian():
     assert abs(got.imag) <= 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 4))
+def test_total_probability_is_the_trace_within_its_rounding_bound(dim, seed):
+    """|P(m) - Tr(M rho)| <= 16 d^2 eps |M|_F |rho|_F for a Gaussian M, a state of random rank and random bases.
+
+    <b|M|a> and <a|rho|b> are each two products with unitaries, off by a few d^1.5 eps times |M|_F or
+    |rho|_F; their d^2-term dot adds a few d^2 eps |M|_F |rho|_F, the trace a few d, and the bases' own
+    deviation from unitarity a few d.  Over 3,000 draws at each d <= 5 and 800 at d = 8 and 16 the largest
+    |P(m) - Tr(M rho)| / (eps |M|_F |rho|_F) was 6.6 at d=1, 4.3 at d=2, 2.2 at d=5 and 0.67 at d=16.
+    """
+    rng = np.random.default_rng(seed)
+    m = LinearOperator(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rho = random_density(dim, int(rng.integers(1, dim + 1)), seed=seed + 1)
+    a, b = random_basis(dim, seed=seed + 2), random_basis(dim, seed=seed + 3)
+    bound = 16 * dim**2 * np.finfo(float).eps * np.linalg.norm(m.matrix) * np.linalg.norm(rho.matrix)
+    assert abs(total_probability(m, rho, a, b) - product_trace(m, rho)) <= bound
+
+
 # ---------------------------------------------------------------------------
 # distribution validation
 
@@ -601,9 +621,20 @@ def test_any_first_kd_call_keeps_both_products(first):
     _run([first], rho, a, b, LinearOperator(np.eye(dim)))
     basis_a, basis_b, cross, mixed = rho._kd[:4]
     assert basis_a is a and basis_b is b
-    assert cross.tobytes() == (b.matrix.conj().T @ a.matrix).tobytes()
+    assert cross.tobytes() == (b.matrix.conj().T @ a.matrix).T.tobytes()
     assert mixed.tobytes() == (a.matrix.conj().T @ rho.matrix @ b.matrix).tobytes()
     assert not cross.flags.writeable and not mixed.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 3), first=st.sampled_from(["AB", "BA", "prob"]))
+def test_the_kept_cross_is_a_read_only_c_ordered_table_of_b_dagger_a(dim, seed, first):
+    rho = random_density(dim, dim, seed=seed)
+    a, b = random_basis(dim, seed=seed + 1), random_basis(dim, seed=seed + 2)
+    _run([first], rho, a, b, LinearOperator(np.eye(dim)))
+    cross = rho._kd[2]
+    assert cross.flags.c_contiguous and not cross.flags.writeable
+    assert cross.tobytes() == (b.matrix.conj().T @ a.matrix).T.tobytes()  # cross[a, b] = <b|a>
 
 
 def test_kept_products_leave_no_cycle():
@@ -653,8 +684,8 @@ def test_each_call_order_gives_the_public_constructors_bytes(dim, calls):
     rho = random_density(dim, 2, seed=dim + 80)
     a, b = random_basis(dim, seed=dim + 81), fourier_basis(dim)
     m = LinearOperator(random_density(dim, 1, seed=dim + 82).matrix)
-    cond, mixed = b.matrix.conj().T @ m.matrix @ a.matrix, a.matrix.conj().T @ rho.matrix @ b.matrix
-    prob = np.complex128(np.einsum("ba,ab->", cond, mixed)).tobytes()
+    cond_t, mixed = a.matrix.T @ m.matrix.T @ b.matrix.conj(), a.matrix.conj().T @ rho.matrix @ b.matrix
+    prob = np.complex128(np.dot(cond_t.ravel(), mixed.ravel())).tobytes()
     for name in calls:
         dist = kd_transform(rho, a, b, Ordering[name])
         assert _read(dist) == _read(_public(rho, a, b, Ordering[name])), name

@@ -115,20 +115,29 @@ def test_config_refuses_a_non_finite_coupling(coupling):
         PointerConfig(coupling=coupling)
 
 
+def _sweep(couplings):
+    return coupling_sweep(plus_state(), proj0(), i_state(), PointerConfig(), couplings)
+
+
 @pytest.mark.parametrize(
-    "kwargs, message",
+    "make, kwargs, message",
     [
-        ({"grid_points": 16.0}, "grid_points must be an integer >= 16, got 16.0"),
-        ({"sigma": "1"}, "sigma must be a finite positive number, got '1'"),
-        ({"sigma": True}, "sigma must be a finite positive number, got True"),
-        ({"grid_extent": None}, "grid_extent must be a finite positive number, got None"),
-        ({"coupling": "0.1"}, "coupling must be a finite number, got '0.1'"),
+        (PointerConfig, {"grid_points": 16.0}, "grid_points must be an integer >= 16, got 16.0"),
+        (PointerConfig, {"sigma": "1"}, "sigma must be a finite positive number, got '1'"),
+        (PointerConfig, {"sigma": True}, "sigma must be a finite positive number, got True"),
+        (PointerConfig, {"grid_extent": None}, "grid_extent must be a finite positive number, got None"),
+        (PointerConfig, {"coupling": "0.1"}, "coupling must be a finite number, got '0.1'"),
+        (_sweep, {"couplings": [[0.1]]}, "coupling must be a finite number, got [0.1]"),
+        (_sweep, {"couplings": None}, "couplings must be a list or tuple, got None"),
+        (_sweep, {"couplings": 0.1}, "couplings must be a list or tuple, got 0.1"),
+        (_sweep, {"couplings": [np.array([0.1])]}, "coupling must be a finite number, got array([0.1])"),
     ],
-    ids=["grid-points-float", "sigma-str", "sigma-bool", "grid-extent-none", "coupling-str"],
+    ids=["grid-points-float", "sigma-str", "sigma-bool", "grid-extent-none", "coupling-str",
+         "sweep-nested-list", "sweep-none", "sweep-scalar", "sweep-array-entry"],
 )
-def test_config_refuses_a_value_of_the_wrong_kind(kwargs, message):
+def test_config_refuses_a_value_of_the_wrong_kind(make, kwargs, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        PointerConfig(**kwargs)
+        make(**kwargs)
 
 
 @pytest.mark.parametrize(
