@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import importlib
 import json
+import math
 import os
 import sys
 from typing import NoReturn
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import io as kdq_io
 from .errors import BadSampleCountError, DegeneratePostselectionError, KdqError, SingularOverlapError, ValidationError
-from .hilbert import DensityOperator, LinearOperator, StateVector, _integer, _tol as lib_tol, make_pure_density
+from .hilbert import DensityOperator, LinearOperator, StateVector, _integer, _real, _tol as lib_tol, make_pure_density
 from .kd import Ordering, kd_inverse, kd_transform
 
 
@@ -194,10 +195,17 @@ def _cmd_weak(args, tol: float | None) -> int:
         sigma=args.sigma,
     )
     raw = args.couplings.strip()
+    entries = [g.strip() for g in raw.split(",")] if raw else []
     try:
-        couplings = [float(g) * args.sigma for g in raw.split(",")] if raw else []
+        given = [float(g) for g in entries]
     except ValueError as exc:
         raise ValidationError(f"bad couplings list {raw!r}") from exc
+    couplings = []
+    for entry, g in zip(entries, given):  # in order: the first fault wins
+        couplings.append(_real(g, "coupling", positive=False) * args.sigma)
+        if not math.isfinite(couplings[-1]):  # a finite entry that --sigma scales past the largest float
+            raise ValidationError(f"coupling {entry} times --sigma {args.sigma:g} is not a finite number",
+                                  source="coupling", coupling=entry, sigma=args.sigma)
     points = coupling_sweep(state, a_proj, b, cfg, couplings)
     sys.stdout.write(kdq_io.sweep_to_csv(points))
     return EXIT_OK

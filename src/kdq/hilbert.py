@@ -199,7 +199,7 @@ class DensityOperator(_Value):
 
     def _own(self, mat: np.ndarray, shaped: bool, tol) -> DensityOperator:
         """Check ``mat``, read-only, and take it as it is: ``_shaped``'s copy, or a matrix kdq formed and froze."""
-        adj = np.conjugate(mat.T, order="C")  # contiguous, so mat - adj and mat + adj take numpy's fast loop
+        adj = np.conjugate(mat.T, order="C")  # contiguous, so mat - adj and adj += mat take numpy's fast loop
         herm_dev = _max_abs(mat - adj) if shaped else math.nan
         if not _accepts(mat, 2, "density matrix", herm_dev, tol):
             raise ValidationError(
@@ -213,10 +213,10 @@ class DensityOperator(_Value):
         # sym's smallest eigenvalue exceeds -TOL_PSD, within d eps |rho| (Higham,
         # ch. 10); twice that matrix has the same verdict.  The eigenvalue is
         # computed only when the factorization fails.
-        twice = mat + adj
-        twice.ravel()[:: mat.shape[0] + 1] += 2.0 * TOL_PSD
-        if not _factors(twice):
-            lo = float(np.linalg.eigvalsh((mat + adj) / 2.0)[0])  # unshifted; eigenvalues ascend
+        adj += mat  # twice sym, in adj's own buffer: adj + mat has the bits of mat + adj
+        adj.ravel()[:: mat.shape[0] + 1] += 2.0 * TOL_PSD
+        if not _factors(adj):
+            lo = float(np.linalg.eigvalsh((mat + np.conjugate(mat.T, order="C")) / 2.0)[0])  # unshifted; ascending
             if lo < -TOL_PSD:
                 raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo)
         _setattr(self, "matrix", mat)
@@ -252,7 +252,7 @@ class OrthonormalBasis(_Value):
         mat, shaped = _shaped(matrix, 2)
         gram_dev = math.nan
         if shaped:
-            gram = mat.conj().T @ mat
+            gram = mat.conj().T.dot(mat)
             gram.ravel()[:: mat.shape[0] + 1] -= 1.0  # gram - identity
             gram_dev = _max_abs(gram)
         if not _accepts(mat, 2, "basis matrix", gram_dev, tol):

@@ -130,7 +130,7 @@ def _sums(tab: np.ndarray) -> tuple[complex, np.ndarray, tuple[float, float]]:
 
 def _cross_overlaps(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
     """cross[a, b] = <b|a> for basis matrices ``am`` and ``bm``, C-ordered: each cell's weight, divided back out."""
-    return (bm.conj().T @ am).T.copy()  # the b-major product's bits: am.T @ bm.conj() rounds some cells apart
+    return bm.conj().T.dot(am).T.copy()  # the b-major product's bits: am.T @ bm.conj() rounds some cells apart
 
 
 def _kept(rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalBasis) -> tuple:
@@ -144,7 +144,7 @@ def _kept(rho: DensityOperator, basis_a: OrthonormalBasis, basis_b: OrthonormalB
     entry = rho._kd
     if entry is None or entry[0] is not basis_a or entry[1] is not basis_b:
         am, bm = basis_a.matrix, basis_b.matrix
-        cross, mixed = _cross_overlaps(am, bm), am.conj().T @ rho.matrix @ bm
+        cross, mixed = _cross_overlaps(am, bm), am.conj().T.dot(rho.matrix).dot(bm)
         table = cross * mixed  # table[a, b] = <b|a> <a|rho|b>
         total, sums, imag = _sums(table)
         for arr in (cross, mixed, table):
@@ -200,7 +200,7 @@ def kd_inverse(dist: KDDistribution, *, tol: float | None = None) -> DensityOper
             magnitude=float(mags[a_bad, b_bad]),
         )
     table = dist.table if dist.ordering is Ordering.AB else dist.table.conj()  # BA's cells are AB's conjugated
-    mat = am @ (table / cross) @ bm.conj().T  # table / cross: mixed[a, b] = <a|rho|b>
+    mat = am.dot(table / cross).dot(bm.conj().T)  # table / cross: mixed[a, b] = <a|rho|b>
     mat.setflags(write=False)
     return DensityOperator.__new__(DensityOperator)._own(mat, True, tol)  # adopted, not copied
 
@@ -215,7 +215,7 @@ def conditional_weak_value(m_op: LinearOperator, a: StateVector, b: StateVector)
             f"|<b|a>| = {abs(ov):.3e} <= {TOL_OVERLAP:g}: weak value undefined",
             magnitude=abs(ov),
         )
-    return complex(np.vdot(b.amplitudes, m_op.matrix @ a.amplitudes)) / ov
+    return complex(np.vdot(b.amplitudes, m_op.matrix.dot(a.amplitudes))) / ov
 
 
 def total_probability(
@@ -232,5 +232,5 @@ def total_probability(
     _require_same_dim(m_op.dim, rho.dim)
     _require_same_dim(rho.dim, basis_a.dim)
     _require_same_dim(basis_a.dim, basis_b.dim)
-    cond_t = basis_a.matrix.T @ m_op.matrix.T @ basis_b.matrix.conj()  # cond_t[a, b] = <b|M|a>
+    cond_t = basis_a.matrix.T.dot(m_op.matrix.T).dot(basis_b.matrix.conj())  # cond_t[a, b] = <b|M|a>
     return complex(np.dot(cond_t.ravel(), _kept(rho, basis_a, basis_b)[3].ravel()))  # over the kept <a|rho|b>

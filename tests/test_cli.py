@@ -446,6 +446,25 @@ def test_weak_refusals_state_the_coupling_in_units_of_sigma(capsys):
     }
 
 
+@pytest.mark.parametrize("couplings", ["1e300", "0.1,1e300", "1e300,inf", " 1e300 ,0.2"])
+def test_weak_refuses_a_coupling_that_sigma_scales_past_the_largest_float(capsys, couplings):
+    # the coupling is given in units of sigma: 1e300 sigma with sigma = 1e10 is no finite float, and the
+    # refusal names the entry as given, where it once named the product, inf, that nobody passed
+    exit_code, out, err = run_cli(capsys, *WEAK_PLUS, "--couplings", couplings, "--sigma", "1e10")
+    assert exit_code == 2 and out == ""
+    assert _strict_json(err) == {
+        "code": "validation",
+        "message": "coupling 1e300 times --sigma 1e+10 is not a finite number",
+        "context": {"source": "coupling", "coupling": "1e300", "sigma": 1e10},
+    }
+
+
+def test_weak_names_a_non_finite_coupling_before_a_later_overflow(capsys):
+    exit_code, out, err = run_cli(capsys, *WEAK_PLUS, "--couplings", "inf,1e300", "--sigma", "1e10")
+    assert exit_code == 2 and out == ""
+    assert _strict_json(err)["message"] == "coupling must be a finite number, got inf"
+
+
 def test_weak_accepts_couplings_just_below_half_the_extent(capsys):
     code, out, err = run_cli(capsys, *WEAK_PLUS, "--couplings", "9.9,-9.9", "--sigma", "2")
     assert code == 0 and err == "" and len(out.splitlines()) == 3

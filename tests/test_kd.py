@@ -637,6 +637,34 @@ def test_the_kept_cross_is_a_read_only_c_ordered_table_of_b_dagger_a(dim, seed, 
     assert cross.tobytes() == (b.matrix.conj().T @ a.matrix).T.tobytes()  # cross[a, b] = <b|a>
 
 
+@settings(max_examples=100, deadline=None)
+@given(dim=st.one_of(st.integers(1, 16), st.just(64)), seed=st.integers(0, 2**32 - 4),
+       ordering=st.sampled_from(Ordering))
+def test_every_product_of_the_kd_path_has_the_bits_of_its_matmul(dim, seed, ordering):
+    """The kd path forms its 2-D products with ndarray.dot; each must equal its @ expression byte for byte."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = random_density(dim, int(rng.integers(1, dim + 1)), seed=seed + 1)
+    a = random_basis(dim, seed=seed + 2)
+    b = fourier_basis(dim) if dim > 1 and seed % 2 else random_basis(dim, seed=seed + 3)
+    am, bm = a.matrix, b.matrix
+    dist = kd_transform(rho, a, b, ordering)
+    cross, mixed = rho._kd[2:4]
+    assert cross.tobytes() == (bm.conj().T @ am).T.tobytes()
+    assert mixed.tobytes() == (am.conj().T @ rho.matrix @ bm).tobytes()
+    assert kd_inverse(dist).matrix.tobytes() == (am @ (cross * mixed / cross) @ bm.conj().T).tobytes()
+    cond_t = am.T @ m.T @ bm.conj()
+    assert cond_t.tobytes() == am.T.dot(m.T).dot(bm.conj()).tobytes()
+    assert total_probability(LinearOperator(m), rho, a, b) == complex(np.dot(cond_t.ravel(), mixed.ravel()))
+    assert (am.conj().T @ am).tobytes() == am.conj().T.dot(am).tobytes()  # OrthonormalBasis's Gram matrix
+    ket, bra = a.vector(0), b.vector(0)  # contiguous copies of the columns
+    assert (m @ ket.amplitudes).tobytes() == m.dot(ket.amplitudes).tobytes()
+    ov = complex(np.vdot(bra.amplitudes, ket.amplitudes))
+    if abs(ov) > TOL_OVERLAP:
+        weak = conditional_weak_value(LinearOperator(m), ket, bra)
+        assert weak == complex(np.vdot(bra.amplitudes, m @ ket.amplitudes)) / ov
+
+
 def test_kept_products_leave_no_cycle():
     enabled = gc.isenabled()
     gc.disable()
@@ -902,10 +930,11 @@ def _kd_stream_op(rho, ua, ub, a, b, m):
     return out + [conditional_weak_value(m, a, b), total_probability(m, rho, basis_a, basis_b)]
 
 
-# tracemalloc peak of one d=64 op on _d64_inputs(0) in this test before the table kept
-# its sums check (numpy 2.4, CPython 3.11; 961,784 since): glibc returns a heap above its
-# ~1 MB trim threshold to the kernel, and the d=64 ops fault pages in again once they pass it
-D64_OP_PEAK_BYTES = 962_038
+# tracemalloc peak of one d=64 op on _d64_inputs(0) in this test before DensityOperator
+# factored positivity in its adjoint's buffer (numpy 2.4, CPython 3.11; 797,416 since): glibc
+# returns a heap above its ~1 MB trim threshold to the kernel, and the d=64 ops fault pages in
+# again once they pass it
+D64_OP_PEAK_BYTES = 829_720
 
 
 def test_a_d64_op_allocates_no_more_than_before():
